@@ -34,7 +34,7 @@ from .realizations import (
     lindblad_pair,
     su11_pair,
 )
-from .recurrence import c_from_recurrence
+from .recurrence import c_sequence
 from .verify import (
     DEFAULT_TOL,
     Side,
@@ -195,9 +195,8 @@ def _cmd_cn_table(args: argparse.Namespace) -> int:
     v = float(args.v)
     print(f"product coefficients C_n at u = {_fmt_float(u, 6)}, v = {_fmt_float(v, 6)}")
     print(f"{'n':>3s}  {'closed form':>22s}  {'recurrence':>22s}  {'|difference|':>13s}")
-    for n in range(2, args.max_n + 1):
+    for n, recur in enumerate(c_sequence(args.max_n, u, v), start=2):
         closed = zass_coeff(n, u, v)
-        recur = c_from_recurrence(n, u, v)
         print(
             f"{n:>3d}  {_fmt_complex(closed, 6):>22s}  "
             f"{_fmt_complex(recur, 6):>22s}  {_fmt_float(abs(closed - recur), 6):>13s}"

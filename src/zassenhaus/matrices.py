@@ -61,7 +61,8 @@ def _same_dim(A: np.ndarray, B: np.ndarray) -> None:
 
 
 def _one_norm(A: np.ndarray) -> float:
-    return float(np.abs(A).sum(axis=0).max())
+    # The reductions behind A.sum(axis=0).max(), without the method wrappers.
+    return float(np.maximum.reduce(np.add.reduce(np.abs(A), axis=0)))
 
 
 def commutator(A, B) -> np.ndarray:
@@ -96,8 +97,9 @@ def expm(A) -> np.ndarray:
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     for k in range(1, _EXPM_MAX_TERMS + 1):
-        term = term @ B / k
-        result = result + term
+        term = term @ B
+        term /= k
+        result += term
         if _one_norm(term) < _EXPM_REL_EPS * _one_norm(result):
             break
     for _ in range(s):

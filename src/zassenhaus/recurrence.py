@@ -14,6 +14,10 @@ the removal step
 one order at a time; the n-th coefficient is then read off the series that
 the steps produce.  Agreement with coeffs.zass_coeff is a genuine
 cross-check of two unrelated code paths.
+
+c_sequence produces C_2 .. C_N in a single pass over one series: each
+removal step is applied exactly once, in order, so the whole sequence
+costs O(N) instead of rebuilding beta_1 for every n.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "beta1_series",
     "beta_step",
     "c_from_recurrence",
+    "c_sequence",
     "partial_sum_gr",
 ]
 
@@ -54,13 +59,6 @@ class TruncatedSeries:
                 f"series of order {self.order} needs {self.order + 1} "
                 f"coefficients, got {len(self.coeffs)}"
             )
-
-
-def _factorial(n: int) -> float:
-    total = 1.0
-    for m in range(2, n + 1):
-        total *= m
-    return total
 
 
 def beta1_series(u: complex, v: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -107,24 +105,42 @@ def beta_step(beta_n: TruncatedSeries, n: int) -> TruncatedSeries:
     return TruncatedSeries(beta_n.order, tuple(coeffs))
 
 
-def c_from_recurrence(n: int, u: complex, v: complex) -> complex:
-    """n-th product coefficient C_n obtained by executing the recurrence.
+def c_sequence(N: int, u: complex, v: complex) -> list[complex]:
+    """Product coefficients [C_2, ..., C_N] from one run of the recurrence.
 
-    Builds beta_1 at order n - 1, applies beta_step for m = 1 .. n-2 to
-    reach beta_{n-1}, and extracts
+    Builds beta_1 once at order N - 1.  For n = 2 .. N it reads
 
         C_n = beta_{n-1}^{(n-1)}(0) / n!
             = (coefficient of t^{n-1}) * (n-1)! / n!
 
-    Deliberately does NOT shortcut to the beta_1 coefficient: the steps
-    are executed so the recurrence itself is what gets exercised.
+    off the current series and then applies removal step n - 1, which
+    zeroes that coefficient and turns beta_{n-1} into beta_n.
+
+    Deliberately does NOT shortcut to the beta_1 coefficients: every
+    removal step is executed, so the recurrence itself is what gets
+    exercised.
     """
-    if n < 2:
-        raise ValueError(f"coefficient index must be >= 2, got {n}")
-    beta = beta1_series(u, v, order=n - 1)
-    for m in range(1, n - 1):
-        beta = beta_step(beta, m)
-    return beta.coeffs[n - 1] * _factorial(n - 1) / _factorial(n)
+    if N < 2:
+        raise ValueError(f"coefficient index must be >= 2, got {N}")
+    beta = list(beta1_series(u, v, order=N - 1).coeffs)
+    sequence = []
+    fact_prev = 1.0  # (n-1)!, as the running product 2 * 3 * ... * (n-1)
+    for n in range(2, N + 1):
+        fact = fact_prev * n
+        sequence.append(beta[n - 1] * fact_prev / fact)
+        beta[n - 1] = 0.0 + 0.0j  # removal step n - 1
+        fact_prev = fact
+    return sequence
+
+
+def c_from_recurrence(n: int, u: complex, v: complex) -> complex:
+    """n-th product coefficient C_n obtained by executing the recurrence.
+
+    The last entry of c_sequence(n, u, v): the t^{n-1} coefficient of
+    beta_{n-1}, reached from beta_1 by executing removal steps 1 .. n-2,
+    scaled by (n-1)!/n!.
+    """
+    return c_sequence(n, u, v)[-1]
 
 
 def partial_sum_gr(u: complex, v: complex, N: int) -> complex:
@@ -136,6 +152,6 @@ def partial_sum_gr(u: complex, v: complex, N: int) -> complex:
     if N < 2:
         raise ValueError(f"partial-sum cutoff must be >= 2, got {N}")
     total = 0.0 + 0.0j
-    for n in range(2, N + 1):
-        total += c_from_recurrence(n, u, v)
+    for cn in c_sequence(N, u, v):
+        total += cn
     return total

@@ -5,13 +5,19 @@ matrix exponentials and reported as a CheckResult (residual, tolerance,
 pass flag, metadata).  All checks verify against the cached W = [X, Y]
 directly, never against uX + vY + c*identity, so the central u = v = 0
 case is covered by the same code path.
+
+e^X, e^Y, e^{X+Y} and e^X e^Y are shared by most checks; each is
+computed at most once per pair (see _exponentials) and reused only where
+a check evaluates exactly that expression.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -20,7 +26,7 @@ import numpy as np
 from .coeffs import f_bch, g_center, g_left, g_right, gamma_swap, integrand
 from .matrices import commutator, conjugate_series, expm, rel_residual
 from .realizations import AlgebraPair, lindblad_pair
-from .recurrence import c_from_recurrence
+from .recurrence import c_sequence
 
 __all__ = [
     "DEFAULT_TOL",
@@ -81,6 +87,51 @@ def _result(name: str, residual: float, tol: float, metadata: dict) -> CheckResu
     return CheckResult(name, residual, float(tol), residual <= tol, metadata)
 
 
+class _PairExponentials:
+    """e^X, e^Y, e^{X+Y} and (e^X)(e^Y) of one pair, each made on first use.
+
+    Stored arrays are read-only.  A computation that raises (OverflowError
+    past the 1-norm limit) stores nothing, so every later use raises again.
+    """
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray) -> None:
+        self._X = X
+        self._Y = Y
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return _read_only(expm(self._X))
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        return _read_only(expm(self._Y))
+
+    @functools.cached_property
+    def x_plus_y(self) -> np.ndarray:
+        return _read_only(expm(self._X + self._Y))
+
+    @functools.cached_property
+    def x_times_y(self) -> np.ndarray:
+        return _read_only(self.x @ self.y)
+
+
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.setflags(write=False)
+    return A
+
+
+# Keyed by the pair itself (AlgebraPair hashes by identity), so an entry
+# lives exactly as long as its pair; the values hold X and Y, not the pair.
+_EXPONENTIALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _exponentials(pair: AlgebraPair) -> _PairExponentials:
+    memo = _EXPONENTIALS.get(pair)
+    if memo is None:
+        memo = _EXPONENTIALS[pair] = _PairExponentials(pair.X, pair.Y)
+    return memo
+
+
 def _coeff_meta(cv) -> dict:
     return {
         "coefficient": complex(cv.value),
@@ -96,16 +147,17 @@ def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -
     Left: e^{g_l W} e^X e^Y.
     """
     side = Side(side)
+    exps = _exponentials(pair)
     if side is Side.RIGHT:
         cv = g_right(pair.u, pair.v)
-        rhs = expm(pair.X) @ expm(pair.Y) @ expm(cv.value * pair.W)
+        rhs = exps.x_times_y @ expm(cv.value * pair.W)
     elif side is Side.CENTER:
         cv = g_center(pair.u, pair.v)
-        rhs = expm(pair.X) @ expm(cv.value * pair.W) @ expm(pair.Y)
+        rhs = exps.x @ expm(cv.value * pair.W) @ exps.y
     else:
         cv = g_left(pair.u, pair.v)
-        rhs = expm(cv.value * pair.W) @ expm(pair.X) @ expm(pair.Y)
-    residual = rel_residual(expm(pair.X + pair.Y), rhs)
+        rhs = expm(cv.value * pair.W) @ exps.x @ exps.y
+    residual = rel_residual(exps.x_plus_y, rhs)
     meta = {"side": side.value, **_coeff_meta(cv)}
     return _result(f"disentangle-{side.value.lower()}", residual, tol, meta)
 
@@ -113,8 +165,9 @@ def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -
 def check_swap(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^X e^Y against e^Y e^X e^{gamma W}."""
     cv = gamma_swap(pair.u, pair.v)
-    lhs = expm(pair.X) @ expm(pair.Y)
-    rhs = expm(pair.Y) @ expm(pair.X) @ expm(cv.value * pair.W)
+    exps = _exponentials(pair)
+    lhs = exps.x_times_y
+    rhs = exps.y @ exps.x @ expm(cv.value * pair.W)
     return _result("swap", rel_residual(lhs, rhs), tol, _coeff_meta(cv))
 
 
@@ -125,7 +178,7 @@ def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     u != v).
     """
     cv = f_bch(pair.u, pair.v)
-    lhs = expm(pair.X) @ expm(pair.Y)
+    lhs = _exponentials(pair).x_times_y
     rhs = expm(pair.X + pair.Y + cv.value * pair.W)
     return _result("bch", rel_residual(lhs, rhs), tol, _coeff_meta(cv))
 
@@ -149,13 +202,10 @@ def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResu
     return _result("ab-structure", residual, tol, meta)
 
 
+@functools.lru_cache(maxsize=8)
 def _gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-_GL32 = _gauss_legendre_unit(32)
-_GL16 = _gauss_legendre_unit(16)
+    return _read_only(0.5 * (nodes + 1.0)), _read_only(0.5 * weights)
 
 
 def quadrature_gr(u: complex, v: complex, nodes: int = 32) -> complex:
@@ -166,12 +216,7 @@ def quadrature_gr(u: complex, v: complex, nodes: int = 32) -> complex:
     The node count is fixed (never adaptive) so results are reproducible
     bit for bit.
     """
-    if nodes == 32:
-        xs, ws = _GL32
-    elif nodes == 16:
-        xs, ws = _GL16
-    else:
-        xs, ws = _gauss_legendre_unit(nodes)
+    xs, ws = _gauss_legendre_unit(nodes)
     total = 0.0 + 0.0j
     for x, w in zip(xs, ws):
         total += w * integrand(x, u, v)
@@ -192,8 +237,9 @@ def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     i32 = quadrature_gr(pair.u, pair.v, 32)
     i16 = quadrature_gr(pair.u, pair.v, 16)
     gr = complex(g_right(pair.u, pair.v).value)
-    lhs = expm(pair.X + pair.Y)
-    rhs = expm(pair.X) @ expm(pair.Y) @ expm(i32 * pair.W)
+    exps = _exponentials(pair)
+    lhs = exps.x_plus_y
+    rhs = exps.x_times_y @ expm(i32 * pair.W)
     identity_residual = rel_residual(lhs, rhs)
     residual = max(abs(i32 - gr), identity_residual)
     meta = {
@@ -216,12 +262,12 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     """
     if N < 2:
         raise ValueError(f"product cutoff must be >= 2, got {N}")
-    lhs = expm(pair.X + pair.Y)
-    rhs = expm(pair.X) @ expm(pair.Y)
+    exps = _exponentials(pair)
+    lhs = exps.x_plus_y
+    rhs = exps.x_times_y
     sequence = []
     coeff_sum = 0.0 + 0.0j
-    for n in range(2, N + 1):
-        cn = c_from_recurrence(n, pair.u, pair.v)
+    for cn in c_sequence(N, pair.u, pair.v):
         coeff_sum += cn
         rhs = rhs @ expm(cn * pair.W)
         sequence.append(rel_residual(lhs, rhs))
@@ -354,7 +400,7 @@ def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
     if tol is None:
         tol = DEFAULT_TOL
         try:
-            if float(np.linalg.norm(expm(pair.X + pair.Y))) > NORM_RELAX_LIMIT:
+            if float(np.linalg.norm(_exponentials(pair).x_plus_y)) > NORM_RELAX_LIMIT:
                 tol = RELAXED_TOL
         except OverflowError:
             tol = RELAXED_TOL

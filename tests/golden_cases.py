@@ -1,0 +1,105 @@
+"""Golden CLI outputs: the cases, how to run one, and how to regenerate.
+
+Each case is one ``zassenhaus`` invocation.  Its standard output is stored
+byte for byte in ``tests/golden/<case>.out`` and, for ``sweep``, the CSV it
+writes in ``tests/golden/<case>.csv``; ``exit_codes.json`` holds every
+case's exit status.  test_golden.py replays each case and compares.
+
+The files were produced from the tree as it stood before the per-pair
+exponential memo and the one-pass C_n recurrence went in, by
+
+    PYTHONPATH=src python tests/golden_cases.py
+
+Regenerate them only with a change that is meant to alter output (a
+correctness fix), and say so in CHANGES.md.  Known content: the 41x41
+disentangle-right sweep holds two failing rows at (+-0.1, +-0.2), where
+the g_right series stops early on a root-of-unity line; the file-given
+``overflow`` pair has ||X+Y||_1 = 800 > 700, so run_suite takes the
+relaxed tolerance and every check that needs e^{X+Y} reports the
+OverflowError.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from zassenhaus.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+OUT = "{out}"
+
+PAIRS = ("affine2", "heisenberg3", "lindblad", "su11-lower", "su11-raise")
+CHECKS = (
+    "ab-structure",
+    "bch",
+    "disentangle-center",
+    "disentangle-left",
+    "disentangle-right",
+    "hadamard",
+    "integral",
+    "product",
+    "swap",
+)
+_SQUARE = ["--u-min", "-2", "--u-max", "2", "--v-min", "-2", "--v-max", "2"]
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for pair in PAIRS:
+        for fmt in ("json", "text"):
+            cases[f"verify-{pair}-{fmt}"] = ["verify", "--pair", pair, "--format", fmt]
+    for fmt in ("json", "text"):
+        cases[f"verify-overflow-{fmt}"] = [
+            "verify",
+            "--x", str(GOLDEN_DIR / "overflow_x.json"),
+            "--y", str(GOLDEN_DIR / "overflow_y.json"),
+            "--format", fmt,
+        ]
+    for check in CHECKS:
+        cases[f"sweep-{check}-9"] = [
+            "sweep", "--check", check, *_SQUARE, "--steps", "9", "--out", OUT
+        ]
+    cases["sweep-disentangle-right-41"] = [
+        "sweep", "--check", "disentangle-right", *_SQUARE, "--steps", "41", "--out", OUT
+    ]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv: list[str], workdir: Path) -> tuple[int, str, bytes | None]:
+    """Run one case in-process: (exit code, stdout, CSV bytes or None).
+
+    The CSV goes to ``workdir``; its path is written back as ``{out}`` in
+    the returned stdout so the result does not depend on ``workdir``.
+    """
+    out_path = str(workdir / "sweep.csv")
+    argv = [out_path if a == OUT else a for a in argv]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    csv_bytes = Path(out_path).read_bytes() if out_path in argv else None
+    return code, buffer.getvalue().replace(out_path, OUT), csv_bytes
+
+
+def regenerate() -> None:
+    exit_codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES.items():
+            code, stdout, csv_bytes = run_case(argv, Path(tmp))
+            exit_codes[name] = code
+            (GOLDEN_DIR / f"{name}.out").write_text(stdout, encoding="utf-8")
+            if csv_bytes is not None:
+                (GOLDEN_DIR / f"{name}.csv").write_bytes(csv_bytes)
+    (GOLDEN_DIR / "exit_codes.json").write_text(
+        json.dumps(exit_codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zassenhaus
 from zassenhaus import cli
 
 
@@ -255,14 +259,20 @@ def test_argument_errors_exit_2(argv, capsys):
 
 
 def test_console_script_is_installed():
+    """The installed console script, or ``python -m zassenhaus`` without it."""
     exe = shutil.which("zassenhaus")
-    if exe is None:
-        pytest.skip("console script not on PATH in this environment")
+    command = [exe] if exe is not None else [sys.executable, "-m", "zassenhaus"]
+    env = dict(os.environ)
+    package_root = str(Path(zassenhaus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
-        [exe, "coeff", "--u", "0", "--v", "0"],
+        [*command, "coeff", "--u", "0", "--v", "0"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert "g_right" in proc.stdout

@@ -1,6 +1,7 @@
 """Matrix kernel: exponentials, commutators, residuals, inference, loading."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,58 @@ def test_expm_semigroup_property():
     lhs = expm((s + t) * a)
     rhs = expm(s * a) @ expm(t * a)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+
+
+def _expm_reference(A):
+    """expm as first written: out-of-place Taylor loop, method reductions.
+
+    Kept as the oracle that the in-place loop must reproduce bit for bit.
+    """
+    A = as_matrix(A)
+    n = A.shape[0]
+
+    def one_norm(M):
+        return float(np.abs(M).sum(axis=0).max())
+
+    norm = one_norm(A)
+    if norm == 0.0:
+        return np.eye(n, dtype=complex)
+    if norm > 700.0:
+        raise OverflowError("reference: 1-norm beyond 700")
+    s = max(0, math.ceil(math.log2(norm)))
+    B = A / (2.0**s)
+    result = np.eye(n, dtype=complex)
+    term = np.eye(n, dtype=complex)
+    for k in range(1, 61):
+        term = term @ B / k
+        result = result + term
+        if one_norm(term) < 1e-18 * one_norm(result):
+            break
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_expm_is_bit_identical_to_the_reference_loop(dim):
+    rng = np.random.default_rng(100 + dim)
+    for scale in (1e-3, 0.1, 0.7, 1.0, 3.0, 12.0, 40.0):
+        for _ in range(6):
+            complex_a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            real_a = rng.normal(size=(dim, dim))
+            for a in (complex_a, real_a):
+                a = scale * a / np.abs(a).sum(axis=0).max()
+                assert np.array_equal(expm(a), _expm_reference(a))
+
+
+def test_expm_reference_agreement_at_the_edges():
+    zero = np.zeros((3, 3), dtype=complex)
+    assert np.array_equal(expm(zero), _expm_reference(zero))
+    huge = np.full((2, 2), 400.0, dtype=complex)
+    with pytest.raises(OverflowError):
+        _expm_reference(huge)
+    with pytest.raises(OverflowError, match="exceeds 700"):
+        expm(huge)
 
 
 # -------------------------------------------------------- conjugate_series

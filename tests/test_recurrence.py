@@ -10,6 +10,7 @@ from zassenhaus.recurrence import (
     beta1_series,
     beta_step,
     c_from_recurrence,
+    c_sequence,
     partial_sum_gr,
 )
 
@@ -170,3 +171,66 @@ def test_partial_sum_error_decreases_monotonically(point):
 def test_partial_sum_rejects_low_cutoff():
     with pytest.raises(ValueError):
         partial_sum_gr(1.0, 1.0, 1)
+
+
+# ------------------------------------------------------------- c_sequence
+
+
+def _factorial(n):
+    total = 1.0
+    for m in range(2, n + 1):
+        total *= m
+    return total
+
+
+def _stepped_coefficient(n, u, v):
+    """C_n by its own run: beta_1 at order n - 1, then beta_step m = 1..n-2."""
+    beta = beta1_series(u, v, order=n - 1)
+    for m in range(1, n - 1):
+        beta = beta_step(beta, m)
+    return beta.coeffs[n - 1] * _factorial(n - 1) / _factorial(n)
+
+
+def _bits(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+SEQUENCE_POINTS = [
+    (0.0, 0.0),
+    (0.0, 1.5),
+    (-1.5, 0.0),
+    (1.2, 1.2),
+    (-2.0, 0.5),
+    (6.0, -3.0),
+    (-6.0, 6.0),
+    (0.3 + 0.4j, -1.1 + 0.2j),
+    (5j, 2.0 - 1.0j),
+    (-4.0 + 4.5j, -4.0 + 4.5j),
+]
+
+
+@pytest.mark.parametrize("u, v", SEQUENCE_POINTS)
+@pytest.mark.parametrize("N", [2, 3, 12, 30])
+def test_c_sequence_matches_per_coefficient_runs_bitwise(u, v, N):
+    sequence = c_sequence(N, u, v)
+    assert len(sequence) == N - 1
+    assert _bits(sequence) == _bits(
+        [_stepped_coefficient(n, u, v) for n in range(2, N + 1)]
+    )
+    assert _bits(sequence) == _bits(
+        [c_from_recurrence(n, u, v) for n in range(2, N + 1)]
+    )
+
+
+@pytest.mark.parametrize("u, v", SEQUENCE_POINTS)
+def test_partial_sum_is_the_running_sum_of_stepped_coefficients(u, v):
+    for N in (2, 10, 30):
+        total = 0.0 + 0.0j
+        for n in range(2, N + 1):
+            total += _stepped_coefficient(n, u, v)
+        assert _bits([partial_sum_gr(u, v, N)]) == _bits([total])
+
+
+def test_c_sequence_rejects_low_cutoff():
+    with pytest.raises(ValueError):
+        c_sequence(1, 1.0, 1.0)

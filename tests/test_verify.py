@@ -1,12 +1,17 @@
 """Identity checks and suite aggregation on exact matrix realizations."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from zassenhaus import matrices, verify
+from zassenhaus.cli import _PAIR_BUILDERS
 from zassenhaus.realizations import (
+    AlgebraPair,
     Ladder,
     affine_2x2,
     heisenberg_3x3,
@@ -257,3 +262,81 @@ def test_report_serializes_numpy_scalars():
     assert meta["np_float"] == 0.25
     assert meta["xs"] == [3]
     json.dumps(payload)
+
+
+# --------------------------------------- exponentials shared within a pair
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    calls = []
+
+    def counting_expm(A):
+        calls.append(A)
+        return matrices.expm(A)
+
+    monkeypatch.setattr(verify, "expm", counting_expm)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_BUILDERS))
+def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls):
+    # e^X, e^Y, e^{X+Y} once each; one e^{cW} in each of the three
+    # disentangle checks, swap, bch and integral; 29 in the product; 2 in
+    # hadamard.
+    assert run_suite(_PAIR_BUILDERS[name]()).all_passed
+    assert len(expm_calls) == 40
+
+
+def test_a_fresh_pair_recomputes_every_exponential(expm_calls):
+    run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
+    assert len(expm_calls) == 40
+    run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
+    assert len(expm_calls) == 80
+    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
+    run_suite(pair)
+    run_suite(pair)  # the same pair again reuses its three exponentials
+    assert len(expm_calls) == 80 + 40 + 37
+
+
+def test_shared_exponentials_are_read_only():
+    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
+    run_suite(pair)
+    exps = verify._exponentials(pair)
+    for name in ("x", "y", "x_plus_y", "x_times_y"):
+        array = getattr(exps, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_shared_exponentials_die_with_their_pair():
+    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
+    check_swap(pair)
+    assert pair in verify._EXPONENTIALS
+    held = len(verify._EXPONENTIALS)
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
+    assert len(verify._EXPONENTIALS) <= held - 1
+
+
+def test_overflow_is_raised_by_every_check_that_needs_it(expm_calls):
+    X = np.array([[1.0, 400.0], [0.0, 0.0]])
+    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
+    pair = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            check_disentangle(pair, Side.RIGHT)
+    report = run_suite(pair)
+    errors = [r.name for r in report.results if "OverflowError" in r.metadata.get("error", "")]
+    assert errors == [
+        "disentangle-right",
+        "disentangle-center",
+        "disentangle-left",
+        "bch",
+        "integral",
+        "product",
+    ]
+    assert all(r.tolerance == RELAXED_TOL for r in report.results)
