@@ -48,6 +48,7 @@ from .verify import (
     quadrature_gr,
     report_to_jsonable,
     run_suite,
+    share_exponentials,
 )
 
 __all__ = ["main"]
@@ -280,12 +281,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     for u in us:
+        # One lattice row at a time: its pairs share stacked exponentials
+        # and are dropped before the next row is built.
+        pairs = []
         for v in vs:
             try:
-                result = check_fn(_lattice_pair(float(u), float(v)))
-                residual, passed = result.residual, result.passed
-            except Exception:  # noqa: BLE001 - a sweep row must never abort the grid
-                residual, passed = math.inf, False
+                pairs.append(_lattice_pair(float(u), float(v)))
+            except Exception:  # noqa: BLE001 - the point is written as a failed row
+                pairs.append(None)
+        share_exponentials(p for p in pairs if p is not None)
+        for v, pair in zip(vs, pairs):
+            residual, passed = math.inf, False
+            if pair is not None:
+                try:
+                    result = check_fn(pair)
+                    residual, passed = result.residual, result.passed
+                except Exception:  # noqa: BLE001 - a sweep row must never abort the grid
+                    pass
             if not passed:
                 failures += 1
             rows.append((float(u), 0.0, float(v), 0.0, residual, passed))

@@ -3,6 +3,11 @@
 Matrices are plain numpy complex128 arrays, validated on entry: square,
 finite, dimension between 1 and MAX_DIM.  Everything here is a pure
 function; nothing mutates its arguments.
+
+expm is the reference matrix exponential.  expm_stack runs the same
+scaling and squaring over a stack of matrices at once, with each
+matrix's own scaling, stopping test and squarings, so every slice of its
+result is bit-identical to expm of that slice.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ __all__ = [
     "as_matrix",
     "commutator",
     "expm",
+    "expm_stack",
     "conjugate_series",
     "rel_residual",
     "infer_uvc",
@@ -44,10 +50,14 @@ class DimensionMismatch(ValueError):
 
 def as_matrix(obj) -> np.ndarray:
     """Validate obj as a square complex matrix and return it as complex128."""
+    return _as_square(obj, 2, "a square matrix")
+
+
+def _as_square(obj, ndim: int, expected: str) -> np.ndarray:
     A = np.asarray(obj, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
+    if A.ndim != ndim or A.shape[-2] != A.shape[-1]:
+        raise DimensionMismatch(f"expected {expected}, got shape {A.shape}")
+    n = A.shape[-1]
     if n < 1 or n > MAX_DIM:
         raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {n}")
     if not np.isfinite(A).all():
@@ -63,6 +73,11 @@ def _same_dim(A: np.ndarray, B: np.ndarray) -> None:
 def _one_norm(A: np.ndarray) -> float:
     # The reductions behind A.sum(axis=0).max(), without the method wrappers.
     return float(np.maximum.reduce(np.add.reduce(np.abs(A), axis=0)))
+
+
+def _one_norms(A: np.ndarray) -> np.ndarray:
+    # _one_norm of each slice of an (N, n, n) stack, by the same reductions.
+    return np.maximum.reduce(np.add.reduce(np.abs(A), axis=1), axis=1)
 
 
 def commutator(A, B) -> np.ndarray:
@@ -105,6 +120,54 @@ def expm(A) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
+
+
+def expm_stack(A) -> np.ndarray:
+    """expm of every slice of an (N, n, n) stack, computed together.
+
+    Each slice runs expm's own steps: its 1-norm, its scaling 2^s, the
+    in-place Taylor accumulation with its own stopping test (a slice
+    leaves the stack as soon as it converges, so it never gets an extra
+    term) and exactly s squarings.  Every slice of the result is
+    therefore bit-identical to expm of that slice; a zero slice gives the
+    identity exactly.  A slice whose 1-norm exceeds 700 comes back filled
+    with NaN and leaves the other slices untouched; expm of that slice
+    raises OverflowError.
+    """
+    A = _as_square(A, 3, "an (N, n, n) stack")
+    n = A.shape[1]
+    norms = _one_norms(A)
+    out = np.empty_like(A)
+    out[norms == 0.0] = np.eye(n)
+    out[norms > _EXPM_NORM_LIMIT] = np.nan
+    live = np.flatnonzero((norms > 0.0) & (norms <= _EXPM_NORM_LIMIT))
+    if not live.size:
+        return out
+    s = np.array([max(0, math.ceil(math.log2(x))) for x in norms[live].tolist()])
+    B = A[live] / (2.0 ** s)[:, None, None]
+    result = np.empty_like(B)
+    # Slices still accumulating: their positions in live, terms and sums.
+    todo = np.arange(live.size)
+    term = np.broadcast_to(np.eye(n, dtype=complex), B.shape).copy()
+    partial = term.copy()
+    for k in range(1, _EXPM_MAX_TERMS + 1):
+        term = term @ B
+        term /= k
+        partial += term
+        done = _one_norms(term) < _EXPM_REL_EPS * _one_norms(partial)
+        if done.any():
+            result[todo[done]] = partial[done]
+            going = ~done
+            todo, term, B, partial = todo[going], term[going], B[going], partial[going]
+            if not todo.size:
+                break
+    result[todo] = partial
+    for j in range(int(s.max())):
+        squaring = np.flatnonzero(s > j)
+        R = result[squaring]
+        result[squaring] = R @ R
+    out[live] = result
+    return out
 
 
 def conjugate_series(A, B, t: complex, K: int) -> np.ndarray:

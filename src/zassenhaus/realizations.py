@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import as_matrix, commutator, rel_residual
+from .matrices import as_matrix, commutator
 
 __all__ = [
     "AlgebraPair",
-    "ConventionError",
     "DegenerateError",
     "DimensionError",
     "Ladder",
@@ -38,10 +37,6 @@ class DegenerateError(ValueError):
 
 class DimensionError(ValueError):
     """Requested dimension outside the supported range."""
-
-
-class ConventionError(RuntimeError):
-    """No tried normalization convention satisfied the required relation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,32 +198,22 @@ def su11_pair(which: Ladder, N: int) -> AlgebraPair:
 _PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
-# Normalization conventions tried, in order, by lindblad_pair.  Each entry
-# is (label, jump-operator scale, non-jump product order).  "lk" builds
-# the non-jump terms from sigma_l sigma_k (the operator-form
-# anticommutator that matches the jump term sigma_k rho sigma_l); "kl"
-# builds them from sigma_k sigma_l (the alternative ordering).
-_CONVENTIONS = (
-    ("scale=1/sqrt2, product=lk", 1.0 / math.sqrt(2.0), "lk"),
-    ("scale=1, product=lk", 1.0, "lk"),
-    ("scale=1/sqrt2, product=kl", 1.0 / math.sqrt(2.0), "kl"),
-    ("scale=1, product=kl", 1.0, "kl"),
-)
-
-_CONVENTION_TOL = 1e-12
+# The normalization that gives [D_up, D_dn] = D_up - D_dn: jump operators
+# scaled by 1/sqrt2, and non-jump terms built from sigma_l sigma_k (the
+# operator-form anticommutator that matches the jump term sigma_k rho
+# sigma_l).  Unit scaling or the sigma_k sigma_l order breaks the relation.
+_LINDBLAD_SCALE = 1.0 / math.sqrt(2.0)
 
 
-def _dissipator_matrix(sk: np.ndarray, sl: np.ndarray, order: str) -> np.ndarray:
+def _dissipator_matrix(sk: np.ndarray, sl: np.ndarray) -> np.ndarray:
     # Flattened-density-matrix representation of
-    #   rho -> sk rho sl - (1/2){sl sk, rho}
-    # ("lk") or the variant whose one-sided term uses sk sl ("kl").
+    #   rho -> sk rho sl - (1/2){sl sk, rho}.
     eye = np.eye(2, dtype=complex)
     lsk = sl @ sk
-    last = lsk if order == "lk" else sk @ sl
     return (
         np.kron(sl.T, sk)
         - 0.5 * np.kron(eye, lsk)
-        - 0.5 * np.kron(last.T, eye)
+        - 0.5 * np.kron(lsk.T, eye)
     )
 
 
@@ -236,32 +221,24 @@ def lindblad_pair() -> AlgebraPair:
     """Qubit dissipator pair with [D_up, D_dn] = D_up - D_dn.
 
     Builds the four flattened dissipator matrices D_kl over the first two
-    Pauli matrices, combines them into the raising/lowering channels
+    Pauli matrices, scaled by 1/sqrt2, combines them into the
+    raising/lowering channels
 
         D_up = (D_11 + D_22 + i(-D_12 + D_21)) / 2
         D_dn = (D_11 + D_22 + i( D_12 - D_21)) / 2
 
-    and self-verifies the commutation relation [D_up, D_dn] = D_up - D_dn
-    (u = 1, v = -1, c = 0) at construction time.  The relation fixes the
-    Pauli normalization and the ordering of the one-sided products, so
-    both are searched over a fixed convention list; the first convention
-    that satisfies the relation to 1e-12 is accepted and recorded in the
-    pair name.  Raises ConventionError if none does.
+    and returns them with u = 1, v = -1, c = 0.  The relation fixes the
+    Pauli normalization and the ordering of the one-sided products; the
+    convention is recorded in the pair name.
     """
-    for label, scale, order in _CONVENTIONS:
-        s1 = scale * _PAULI_1
-        s2 = scale * _PAULI_2
-        d11 = _dissipator_matrix(s1, s1, order)
-        d12 = _dissipator_matrix(s1, s2, order)
-        d21 = _dissipator_matrix(s2, s1, order)
-        d22 = _dissipator_matrix(s2, s2, order)
-        d_up = 0.5 * (d11 + d22 + 1j * (-d12 + d21))
-        d_dn = 0.5 * (d11 + d22 + 1j * (d12 - d21))
-        W = commutator(d_up, d_dn)
-        if rel_residual(W, d_up - d_dn) <= _CONVENTION_TOL:
-            name = f"lindblad({label})"
-            return AlgebraPair(d_up, d_dn, 1.0 + 0.0j, -1.0 + 0.0j, 0.0j, W, name)
-    raise ConventionError(
-        "no tried convention satisfies [D_up, D_dn] = D_up - D_dn; "
-        f"tried {[label for label, _, _ in _CONVENTIONS]}"
-    )
+    s1 = _LINDBLAD_SCALE * _PAULI_1
+    s2 = _LINDBLAD_SCALE * _PAULI_2
+    d11 = _dissipator_matrix(s1, s1)
+    d12 = _dissipator_matrix(s1, s2)
+    d21 = _dissipator_matrix(s2, s1)
+    d22 = _dissipator_matrix(s2, s2)
+    d_up = 0.5 * (d11 + d22 + 1j * (-d12 + d21))
+    d_dn = 0.5 * (d11 + d22 + 1j * (d12 - d21))
+    W = commutator(d_up, d_dn)
+    name = "lindblad(scale=1/sqrt2, product=lk)"
+    return AlgebraPair(d_up, d_dn, 1.0 + 0.0j, -1.0 + 0.0j, 0.0j, W, name)

@@ -8,7 +8,10 @@ case is covered by the same code path.
 
 e^X, e^Y, e^{X+Y} and e^X e^Y are shared by most checks; each is
 computed at most once per pair (see _exponentials) and reused only where
-a check evaluates exactly that expression.
+a check evaluates exactly that expression.  Pairs handed together to
+share_exponentials (a sweep's lattice row) compute each of the four for
+all equally shaped pairs in one expm_stack call instead, on first use;
+every slice is bit-identical to the per-pair expm, so no residual moves.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import enum
 import functools
 import math
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .coeffs import f_bch, g_center, g_left, g_right, gamma_swap, integrand
-from .matrices import commutator, conjugate_series, expm, rel_residual
+from .matrices import commutator, conjugate_series, expm, expm_stack, rel_residual
 from .realizations import AlgebraPair, lindblad_pair
 from .recurrence import c_sequence
 
@@ -45,6 +49,7 @@ __all__ = [
     "quadrature_gr",
     "report_to_jsonable",
     "run_suite",
+    "share_exponentials",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -90,8 +95,50 @@ def _result(name: str, residual: float, tol: float, metadata: dict) -> CheckResu
 class _PairExponentials:
     """e^X, e^Y, e^{X+Y} and (e^X)(e^Y) of one pair, each made on first use.
 
+    A pair in a stack takes each from its slice of the stack's result.
     Stored arrays are read-only.  A computation that raises (OverflowError
-    past the 1-norm limit) stores nothing, so every later use raises again.
+    past the 1-norm limit) stores nothing, so every later use raises again;
+    a stacked slice past the limit is NaN and falls back to expm, which
+    raises.
+    """
+
+    def __init__(
+        self, X: np.ndarray, Y: np.ndarray, stack: _StackedExponentials | None = None, index: int = 0
+    ) -> None:
+        self._X = X
+        self._Y = Y
+        self._stack = stack
+        self._index = index
+
+    def _slice_or(self, name: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        if self._stack is not None:
+            value = getattr(self._stack, name)[self._index]
+            if not np.isnan(value).any():
+                return value
+        return _read_only(compute())
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return self._slice_or("x", lambda: expm(self._X))
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        return self._slice_or("y", lambda: expm(self._Y))
+
+    @functools.cached_property
+    def x_plus_y(self) -> np.ndarray:
+        return self._slice_or("x_plus_y", lambda: expm(self._X + self._Y))
+
+    @functools.cached_property
+    def x_times_y(self) -> np.ndarray:
+        return self._slice_or("x_times_y", lambda: self.x @ self.y)
+
+
+class _StackedExponentials:
+    """The same four exponentials for a stack of equally shaped pairs.
+
+    Each is one expm_stack call (one stacked product for (e^X)(e^Y)) made
+    on first use and kept read-only; the stack holds X and Y, not pairs.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray) -> None:
@@ -100,15 +147,15 @@ class _PairExponentials:
 
     @functools.cached_property
     def x(self) -> np.ndarray:
-        return _read_only(expm(self._X))
+        return _read_only(expm_stack(self._X))
 
     @functools.cached_property
     def y(self) -> np.ndarray:
-        return _read_only(expm(self._Y))
+        return _read_only(expm_stack(self._Y))
 
     @functools.cached_property
     def x_plus_y(self) -> np.ndarray:
-        return _read_only(expm(self._X + self._Y))
+        return _read_only(expm_stack(self._X + self._Y))
 
     @functools.cached_property
     def x_times_y(self) -> np.ndarray:
@@ -130,6 +177,27 @@ def _exponentials(pair: AlgebraPair) -> _PairExponentials:
     if memo is None:
         memo = _EXPONENTIALS[pair] = _PairExponentials(pair.X, pair.Y)
     return memo
+
+
+def share_exponentials(pairs) -> None:
+    """Let the pairs compute e^X, e^Y, e^{X+Y} and e^X e^Y together.
+
+    Pairs are grouped by matrix shape.  The first time a pair of a group
+    needs one of the four, it is computed for the whole group by one
+    expm_stack call; each pair keeps its read-only slice for as long as
+    the pair lives.  Slices are bit-identical to the per-pair expm, so
+    every check gives the same result; a check that needs none of the four
+    computes nothing.
+    """
+    groups = defaultdict(list)
+    for pair in pairs:
+        groups[pair.X.shape].append(pair)
+    for group in groups.values():
+        stack = _StackedExponentials(
+            np.stack([p.X for p in group]), np.stack([p.Y for p in group])
+        )
+        for index, pair in enumerate(group):
+            _EXPONENTIALS[pair] = _PairExponentials(pair.X, pair.Y, stack, index)
 
 
 def _coeff_meta(cv) -> dict:

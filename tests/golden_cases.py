@@ -16,7 +16,12 @@ disentangle-right sweep holds two failing rows at (+-0.1, +-0.2), where
 the g_right series stops early on a root-of-unity line; the file-given
 ``overflow`` pair has ||X+Y||_1 = 800 > 700, so run_suite takes the
 relaxed tolerance and every check that needs e^{X+Y} reports the
-OverflowError.
+OverflowError.  The product sweep over u in [-2, 700], v in [-1, 1]
+(captured before the stacked row exponentials went in) passes only its
+u = -2 row: at u = 700, v = -1 and -0.5 e^{X+Y} is past the 1-norm
+limit (701 and 700.5), and every other failing point raises the
+OverflowError later, in one of the product's e^{C_n W}, so it pins the
+per-point error path of a stacked row.
 """
 
 from __future__ import annotations
@@ -65,6 +70,10 @@ def _cases() -> dict[str, list[str]]:
         ]
     cases["sweep-disentangle-right-41"] = [
         "sweep", "--check", "disentangle-right", *_SQUARE, "--steps", "41", "--out", OUT
+    ]
+    cases["sweep-product-overflow-5"] = [
+        "sweep", "--check", "product", "--u-min", "-2", "--u-max", "700",
+        "--v-min", "-1", "--v-max", "1", "--steps", "5", "--out", OUT,
     ]
     return cases
 

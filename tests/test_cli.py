@@ -211,6 +211,36 @@ def test_sweep_covers_the_degenerate_diagonal(tmp_path, capsys):
     assert all(row[5] == "true" for row in rows)
 
 
+def test_sweep_writes_a_point_whose_pair_cannot_be_built_as_a_failed_row(
+    tmp_path, capsys, monkeypatch
+):
+    build = cli._lattice_pair
+
+    def failing_build(u, v):
+        if (u, v) == (0.0, 1.0):
+            raise ValueError("unbuildable point")
+        return build(u, v)
+
+    monkeypatch.setattr(cli, "_lattice_pair", failing_build)
+    out_path = tmp_path / "grid.csv"
+    code = cli.main(
+        [
+            "sweep",
+            "--check", "disentangle-right",
+            "--u-min", "-1", "--u-max", "1",
+            "--v-min", "-1", "--v-max", "1",
+            "--steps", "3",
+            "--out", str(out_path),
+        ]
+    )
+    assert code == 1
+    assert "failures: 1" in capsys.readouterr().out
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row for row in rows if row[5] == "false"] == [["0", "0", "1", "0", "inf", "false"]]
+    assert len(rows) == 9
+
+
 # ---------------------------------------------------------------- integral
 
 

@@ -14,6 +14,7 @@ from zassenhaus.matrices import (
     commutator,
     conjugate_series,
     expm,
+    expm_stack,
     infer_uvc,
     load_matrix,
     rel_residual,
@@ -170,6 +171,74 @@ def test_expm_reference_agreement_at_the_edges():
         _expm_reference(huge)
     with pytest.raises(OverflowError, match="exceeds 700"):
         expm(huge)
+
+
+# -------------------------------------------------------------- expm_stack
+
+
+def _assert_slices_match_expm(stack):
+    out = expm_stack(stack)
+    assert out.shape == stack.shape
+    for a, e in zip(stack, out):
+        assert np.array_equal(e, expm(a))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_expm_stack_slices_are_bit_identical_to_expm(dim):
+    rng = np.random.default_rng(200 + dim)
+    scales = (1e-3, 0.1, 0.7, 1.0, 3.0, 12.0, 40.0)
+    stack = []
+    for scale in scales:
+        for _ in range(4):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            stack.append(scale * a / np.abs(a).sum(axis=0).max())
+            a = rng.normal(size=(dim, dim))
+            stack.append(scale * a / np.abs(a).sum(axis=0).max())
+    stack = np.array(stack)
+    rng.shuffle(stack)
+    _assert_slices_match_expm(stack)
+
+
+def test_expm_stack_mixes_zero_and_every_squaring_count():
+    # 1-norms 0 and 0.3, 1.5, ..., 48 need 0 to 6 squarings.
+    base = np.array([[0.5, 0.25j], [-0.125, 0.125]])
+    base = base / np.abs(base).sum(axis=0).max()
+    norms = (0.3, 1.5, 3.5, 7.0, 15.0, 30.0, 48.0)
+    stack = np.array([np.zeros((2, 2))] + [n * base for n in norms], dtype=complex)
+    _assert_slices_match_expm(stack)
+    assert np.array_equal(expm_stack(stack)[0], np.eye(2, dtype=complex))
+
+
+def test_expm_stack_gives_a_slice_that_converges_early_no_extra_term():
+    # e^A[0, 2] cancels to about 3e-19 while each Taylor term carries an
+    # O(term norm) share there, so one term past the stopping test (taken
+    # while the later slice still runs) would change its bits.
+    early = np.array([[0.25, 0.5, -0.125], [0.0, 0.25, 0.5], [0.0, 0.0, 0.25]])
+    late = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    _assert_slices_match_expm(np.array([early, late], dtype=complex))
+
+
+def test_expm_stack_leaves_other_slices_alone_past_the_norm_limit():
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    stack[2] = np.diag([701.0, 0.0, 0.0])
+    out = expm_stack(stack)
+    assert np.isnan(out[2]).all()
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(out[i], expm(stack[i]))
+        assert np.array_equal(out[i], expm_stack(stack[i:i + 1])[0])
+    with pytest.raises(OverflowError, match="exceeds 700"):
+        expm(stack[2])
+
+
+def test_expm_stack_validates_its_input():
+    assert expm_stack(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    with pytest.raises(DimensionMismatch):
+        expm_stack(np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        expm_stack(np.zeros((3, 2, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        expm_stack(np.full((1, 2, 2), np.inf))
 
 
 # -------------------------------------------------------- conjugate_series

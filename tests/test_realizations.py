@@ -1,5 +1,7 @@
 """Concrete matrix pairs: structure relations, builders, validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,35 @@ def test_lindblad_bracket_structure():
     rhs = pair.u * pair.X + pair.v * pair.Y
     assert rel_residual(lhs, rhs) <= 1e-12
     assert (pair.u, pair.v, pair.c) == (1.0 + 0.0j, -1.0 + 0.0j, 0j)
+
+
+def _dissipator_pair(scale, order):
+    # The dissipator pair under one normalization convention: jump
+    # operators scaled by `scale`, non-jump terms from sigma_l sigma_k
+    # ("lk") or sigma_k sigma_l ("kl").
+    paulis = (
+        scale * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        scale * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    )
+    eye = np.eye(2, dtype=complex)
+
+    def dissipator(sk, sl):
+        last = sl @ sk if order == "lk" else sk @ sl
+        return np.kron(sl.T, sk) - 0.5 * np.kron(eye, sl @ sk) - 0.5 * np.kron(last.T, eye)
+
+    (d11, d12), (d21, d22) = [[dissipator(a, b) for b in paulis] for a in paulis]
+    d_up = 0.5 * (d11 + d22 + 1j * (-d12 + d21))
+    d_dn = 0.5 * (d11 + d22 + 1j * (d12 - d21))
+    return d_up, d_dn
+
+
+def test_lindblad_pair_is_the_one_convention_that_closes():
+    pair = lindblad_pair()
+    d_up, d_dn = _dissipator_pair(1.0 / math.sqrt(2.0), "lk")
+    assert np.array_equal(pair.X, d_up) and np.array_equal(pair.Y, d_dn)
+    for scale, order in ((1.0, "lk"), (1.0 / math.sqrt(2.0), "kl"), (1.0, "kl")):
+        d_up, d_dn = _dissipator_pair(scale, order)
+        assert rel_residual(commutator(d_up, d_dn), d_up - d_dn) > 1e-3
 
 
 def test_lindblad_inference_round_trip():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zassenhaus import matrices, verify
-from zassenhaus.cli import _PAIR_BUILDERS
+from zassenhaus.cli import _PAIR_BUILDERS, _SWEEP_CHECKS, _lattice_pair, main
 from zassenhaus.realizations import (
     AlgebraPair,
     Ladder,
@@ -35,6 +35,7 @@ from zassenhaus.verify import (
     quadrature_gr,
     report_to_jsonable,
     run_suite,
+    share_exponentials,
 )
 
 AFFINE = affine_2x2(1.0, 2.0, 1.0, 1.0)
@@ -279,13 +280,26 @@ def expm_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def expm_stack_calls(monkeypatch):
+    calls = []
+
+    def counting_expm_stack(A):
+        calls.append(A)
+        return matrices.expm_stack(A)
+
+    monkeypatch.setattr(verify, "expm_stack", counting_expm_stack)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(_PAIR_BUILDERS))
-def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls):
+def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls, expm_stack_calls):
     # e^X, e^Y, e^{X+Y} once each; one e^{cW} in each of the three
     # disentangle checks, swap, bch and integral; 29 in the product; 2 in
-    # hadamard.
+    # hadamard.  Nothing is stacked outside a sweep.
     assert run_suite(_PAIR_BUILDERS[name]()).all_passed
     assert len(expm_calls) == 40
+    assert expm_stack_calls == []
 
 
 def test_a_fresh_pair_recomputes_every_exponential(expm_calls):
@@ -340,3 +354,72 @@ def test_overflow_is_raised_by_every_check_that_needs_it(expm_calls):
         "product",
     ]
     assert all(r.tolerance == RELAXED_TOL for r in report.results)
+
+
+# ------------------------------------- exponentials stacked over a sweep row
+
+
+def _origin_row():
+    # The u = 0 row of the 9x9 sweep: eight 2x2 pairs and the 3x3 origin.
+    return [_lattice_pair(0.0, float(v)) for v in np.linspace(-2.0, 2.0, 9)]
+
+
+@pytest.mark.parametrize("check", sorted(_SWEEP_CHECKS))
+def test_a_shared_row_gives_the_per_pair_results(check, expm_stack_calls):
+    check_fn = _SWEEP_CHECKS[check]
+    row = _origin_row()
+    assert sorted({p.dim for p in row}) == [2, 3]
+    share_exponentials(row)
+    shared = [check_fn(pair) for pair in row]
+    alone = [check_fn(pair) for pair in _origin_row()]
+    assert [(r.residual, r.passed) for r in shared] == [(r.residual, r.passed) for r in alone]
+    # One call per shape for each of e^X, e^Y, e^{X+Y} that the check uses.
+    expected = {"ab-structure": 0, "hadamard": 0, "bch": 4, "swap": 4}.get(check, 6)
+    assert len(expm_stack_calls) == expected
+    assert all(len(a) in (1, 8) for a in expm_stack_calls)
+
+
+def test_stacked_exponentials_are_read_only():
+    row = _origin_row()
+    share_exponentials(row)
+    for pair in row:
+        exps = verify._exponentials(pair)
+        for name in ("x", "y", "x_plus_y", "x_times_y"):
+            array = getattr(exps, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+
+def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
+    X = np.array([[1.0, 400.0], [0.0, 0.0]])
+    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
+    overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+    row = [affine_2x2(1.0, 2.0, 1.0, 1.0), overflow, affine_2x2(-1.0, 0.5, 1.0, 1.0)]
+    share_exponentials(row)
+    with pytest.raises(OverflowError):
+        check_disentangle(overflow, Side.RIGHT)
+    # e^{gW}, then the scalar e^{X+Y} that raised in place of the NaN slice.
+    assert len(expm_calls) == 2
+    assert np.array_equal(expm_calls[1], X + Y)
+    assert check_disentangle(row[2], Side.RIGHT).passed
+    assert check_disentangle(row[0], Side.RIGHT).passed
+    assert len(expm_calls) == 4  # only e^{gW} of each of the two
+
+
+@pytest.mark.parametrize("check", ["ab-structure", "hadamard"])
+def test_a_sweep_that_needs_no_shared_exponential_stacks_nothing(check, expm_stack_calls, tmp_path):
+    argv = ["sweep", "--check", check, "--u-min", "-2", "--u-max", "2",
+            "--v-min", "-2", "--v-max", "2", "--steps", "5", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert expm_stack_calls == []
+
+
+def test_a_sweep_leaves_no_lattice_pair_behind(expm_stack_calls, tmp_path):
+    held = list(verify._EXPONENTIALS.keys())
+    argv = ["sweep", "--check", "disentangle-right", "--u-min", "-2", "--u-max", "2",
+            "--v-min", "-2", "--v-max", "2", "--steps", "5", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert len(expm_stack_calls) == 5 * 3 + 3  # the u = 0 row has two shapes
+    gc.collect()
+    assert len(verify._EXPONENTIALS) == len(held)
