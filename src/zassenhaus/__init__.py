@@ -41,15 +41,7 @@ from .realizations import (
     shift_center,
     su11_pair,
 )
-from .recurrence import (
-    OrderError,
-    TruncatedSeries,
-    beta1_series,
-    beta_step,
-    c_from_recurrence,
-    c_sequence,
-    partial_sum_gr,
-)
+from .recurrence import beta1_series, c_from_recurrence, c_sequence, partial_sum_gr
 from .verify import (
     CheckReport,
     CheckResult,
@@ -63,7 +55,6 @@ from .verify import (
     check_swap,
     check_truncated_product,
     quadrature_gr,
-    report_to_jsonable,
     run_suite,
 )
 
@@ -79,15 +70,12 @@ __all__ = [
     "DimensionMismatch",
     "EvalMethod",
     "Ladder",
-    "OrderError",
     "PoleError",
     "Side",
-    "TruncatedSeries",
     "__version__",
     "affine_2x2",
     "as_matrix",
     "beta1_series",
-    "beta_step",
     "c_from_recurrence",
     "c_sequence",
     "check_ab_structure",
@@ -116,7 +104,6 @@ __all__ = [
     "phi1",
     "quadrature_gr",
     "rel_residual",
-    "report_to_jsonable",
     "run_suite",
     "shift_center",
     "su11_pair",

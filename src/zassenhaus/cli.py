@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -35,21 +36,7 @@ from .realizations import (
     su11_pair,
 )
 from .recurrence import c_sequence
-from .verify import (
-    DEFAULT_TOL,
-    Side,
-    check_ab_structure,
-    check_bch,
-    check_disentangle,
-    check_hadamard,
-    check_integral,
-    check_swap,
-    check_truncated_product,
-    quadrature_gr,
-    report_to_jsonable,
-    run_suite,
-    share_exponentials,
-)
+from .verify import CHECKS, DEFAULT_TOL, quadrature_gr, run_suite, share_exponentials
 
 __all__ = ["main"]
 
@@ -63,18 +50,6 @@ _PAIR_BUILDERS = {
     "su11-raise": lambda: su11_pair(Ladder.RAISE_SQ, 8),
     "su11-lower": lambda: su11_pair(Ladder.LOWER_SQ, 8),
     "lindblad": lindblad_pair,
-}
-
-_SWEEP_CHECKS = {
-    "disentangle-right": lambda p: check_disentangle(p, Side.RIGHT),
-    "disentangle-center": lambda p: check_disentangle(p, Side.CENTER),
-    "disentangle-left": lambda p: check_disentangle(p, Side.LEFT),
-    "swap": check_swap,
-    "bch": check_bch,
-    "ab-structure": check_ab_structure,
-    "integral": check_integral,
-    "product": lambda p: check_truncated_product(p, 30),
-    "hadamard": lambda p: check_hadamard(p, 0.5, 40),
 }
 
 
@@ -97,14 +72,19 @@ def _fmt_complex(z: complex, digits: int) -> str:
 def _json_text(obj) -> str:
     """Serialize with 17-significant-digit floats and stable key order.
 
-    Non-finite floats become the strings "inf"/"-inf"/"nan" (strict JSON
-    has no literal for them).
+    Complex numbers become {"re": ..., "im": ...} and NumPy scalars their
+    Python values.  Non-finite floats become the strings "inf"/"-inf"/"nan"
+    (strict JSON has no literal for them).
     """
     pieces: list[str] = []
 
     def emit(node, indent: int) -> None:
         pad = " " * indent
-        if isinstance(node, dict):
+        if isinstance(node, np.generic):
+            node = node.item()
+        if isinstance(node, complex):
+            node = {"re": node.real, "im": node.imag}
+        if isinstance(node, Mapping):
             if not node:
                 pieces.append("{}")
                 return
@@ -142,10 +122,6 @@ def _json_text(obj) -> str:
     return "".join(pieces)
 
 
-def _complex_jsonable(z: complex) -> dict:
-    return {"re": complex(z).real, "im": complex(z).imag}
-
-
 def _cmd_coeff(args: argparse.Namespace) -> int:
     u = complex(args.u, args.u_im)
     v = complex(args.v, args.v_im)
@@ -168,16 +144,11 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
                 coefficients[label] = {"pole": str(cv)}
             else:
                 coefficients[label] = {
-                    "value": _complex_jsonable(cv.value),
+                    "value": complex(cv.value),
                     "method": cv.method.value,
                     "terms_used": cv.terms_used,
                 }
-        payload = {
-            "u": _complex_jsonable(u),
-            "v": _complex_jsonable(v),
-            "coefficients": coefficients,
-        }
-        print(_json_text(payload))
+        print(_json_text({"u": u, "v": v, "coefficients": coefficients}))
     else:
         print(f"coefficients at u = {_fmt_complex(u, 6)}, v = {_fmt_complex(v, 6)}")
         for label, cv in table:
@@ -230,6 +201,24 @@ def _pair_from_files(x_path: str, y_path: str):
     return pair, None
 
 
+def _report_payload(report) -> dict:
+    """The JSON form of a report: {pair, checks: [...], all_passed}."""
+    return {
+        "pair": report.pair_name,
+        "checks": [
+            {
+                "name": r.name,
+                "residual": r.residual,
+                "tolerance": r.tolerance,
+                "passed": r.passed,
+                "metadata": r.metadata,
+            }
+            for r in report.results
+        ],
+        "all_passed": report.all_passed,
+    }
+
+
 def _print_report_text(report) -> None:
     print(f"pair: {report.pair_name}")
     for r in report.results:
@@ -254,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 2
     report = run_suite(pair, args.tol)
     if args.format == "json":
-        print(_json_text(report_to_jsonable(report)))
+        print(_json_text(_report_payload(report)))
     else:
         _print_report_text(report)
     return 0 if report.all_passed else 1
@@ -275,7 +264,7 @@ def _lattice_pair(u: float, v: float):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    check_fn = _SWEEP_CHECKS[args.check]
+    check = CHECKS[args.check]
     us = np.linspace(args.u_min, args.u_max, args.steps)
     vs = np.linspace(args.v_min, args.v_max, args.steps)
     rows = []
@@ -294,7 +283,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             residual, passed = math.inf, False
             if pair is not None:
                 try:
-                    result = check_fn(pair)
+                    result = check(pair, DEFAULT_TOL)
                     residual, passed = result.residual, result.passed
                 except Exception:  # noqa: BLE001 - a sweep row must never abort the grid
                     pass
@@ -347,8 +336,18 @@ def _cmd_integral(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -382,10 +381,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coeff = sub.add_parser(
         "coeff", help="evaluate the five disentangling coefficients at (u, v)"
     )
-    p_coeff.add_argument("--u", type=float, required=True, help="real part of u")
-    p_coeff.add_argument("--u-im", type=float, default=0.0, help="imaginary part of u")
-    p_coeff.add_argument("--v", type=float, required=True, help="real part of v")
-    p_coeff.add_argument("--v-im", type=float, default=0.0, help="imaginary part of v")
+    p_coeff.add_argument("--u", type=_finite_float, required=True, help="real part of u")
+    p_coeff.add_argument("--u-im", type=_finite_float, default=0.0, help="imaginary part of u")
+    p_coeff.add_argument("--v", type=_finite_float, required=True, help="real part of v")
+    p_coeff.add_argument("--v-im", type=_finite_float, default=0.0, help="imaginary part of v")
     p_coeff.add_argument("--format", choices=("text", "json"), default="text")
     p_coeff.set_defaults(func=_cmd_coeff)
 
@@ -393,8 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "cn-table",
         help="closed-form vs recurrence product coefficients C_n for n = 2..max-n",
     )
-    p_cn.add_argument("--u", type=float, required=True)
-    p_cn.add_argument("--v", type=float, required=True)
+    p_cn.add_argument("--u", type=_finite_float, required=True)
+    p_cn.add_argument("--v", type=_finite_float, required=True)
     p_cn.add_argument("--max-n", type=_max_n_int, required=True)
     p_cn.set_defaults(func=_cmd_cn_table)
 
@@ -417,11 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="run one check over a real (u, v) lattice, writing CSV"
     )
-    p_sweep.add_argument("--check", choices=sorted(_SWEEP_CHECKS), required=True)
-    p_sweep.add_argument("--u-min", type=float, required=True)
-    p_sweep.add_argument("--u-max", type=float, required=True)
-    p_sweep.add_argument("--v-min", type=float, required=True)
-    p_sweep.add_argument("--v-max", type=float, required=True)
+    p_sweep.add_argument("--check", choices=sorted(CHECKS), required=True)
+    p_sweep.add_argument("--u-min", type=_finite_float, required=True)
+    p_sweep.add_argument("--u-max", type=_finite_float, required=True)
+    p_sweep.add_argument("--v-min", type=_finite_float, required=True)
+    p_sweep.add_argument("--v-max", type=_finite_float, required=True)
     p_sweep.add_argument("--steps", type=_steps_int, required=True, help="points per axis")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -429,8 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_integral = sub.add_parser(
         "integral", help="quadrature vs closed form for the right coefficient"
     )
-    p_integral.add_argument("--u", type=float, required=True)
-    p_integral.add_argument("--v", type=float, required=True)
+    p_integral.add_argument("--u", type=_finite_float, required=True)
+    p_integral.add_argument("--v", type=_finite_float, required=True)
     p_integral.set_defaults(func=_cmd_integral)
 
     return parser

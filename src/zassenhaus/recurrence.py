@@ -12,62 +12,33 @@ the removal step
     beta_{n+1}(t) = beta_n(t) - (t^n/n!) * beta_n^{(n)}(0)
 
 one order at a time; the n-th coefficient is then read off the series that
-the steps produce.  Agreement with coeffs.zass_coeff is a genuine
+the steps produce.  Since beta_n^{(n)}(0)/n! is exactly the t^n
+coefficient, step n zeroes that coefficient of beta_n and leaves every
+other one untouched.  Agreement with coeffs.zass_coeff is a genuine
 cross-check of two unrelated code paths.
 
-c_sequence produces C_2 .. C_N in a single pass over one series: each
-removal step is applied exactly once, in order, so the whole sequence
-costs O(N) instead of rebuilding beta_1 for every n.
+c_sequence produces C_2 .. C_N in a single pass over one coefficient list:
+each removal step is applied in place exactly once, in order, so the whole
+sequence costs O(N) instead of rebuilding beta_1 for every n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "DEFAULT_ORDER",
-    "OrderError",
-    "TruncatedSeries",
     "beta1_series",
-    "beta_step",
     "c_from_recurrence",
     "c_sequence",
     "partial_sum_gr",
 ]
 
-# Default truncation order; C_n for n <= 12 and partial sums to N = 30 fit
-# with margin, and every factorial involved stays inside double range.
-DEFAULT_ORDER = 32
 
+def beta1_series(u: complex, v: complex, order: int) -> tuple[complex, ...]:
+    """Coefficients of the initial generating series beta_1(t) up to t^order.
 
-class OrderError(ValueError):
-    """A series operation addressed a coefficient beyond the truncation."""
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series in t truncated at t^order: sum_k coeffs[k] * t^k."""
-
-    order: int
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"series order must be >= 0, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"series of order {self.order} needs {self.order + 1} "
-                f"coefficients, got {len(self.coeffs)}"
-            )
-
-
-def beta1_series(u: complex, v: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Initial generating series beta_1(t) truncated at t^order.
-
-    The t^k coefficient is [(u-v)^k - u^k]/(v k!) evaluated in the summed
-    form -[sum_{j=0}^{k-1} (u-v)^j u^{k-1-j}]/k!, which needs no division
-    by v and is therefore valid on the v = 0 line; the constant term is 0
-    and the t^1 coefficient is -1 for every (u, v).
+    Entry k is the t^k coefficient [(u-v)^k - u^k]/(v k!), evaluated in the
+    summed form -[sum_{j=0}^{k-1} (u-v)^j u^{k-1-j}]/k!, which needs no
+    division by v and is therefore valid on the v = 0 line; the constant
+    term is 0 and the t^1 coefficient is -1 for every (u, v).
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
@@ -84,25 +55,7 @@ def beta1_series(u: complex, v: complex, order: int = DEFAULT_ORDER) -> Truncate
         p = a * p + u_pow
         fact *= k
         coeffs[k] = -p / fact
-    return TruncatedSeries(order, tuple(coeffs))
-
-
-def beta_step(beta_n: TruncatedSeries, n: int) -> TruncatedSeries:
-    """One removal step: subtract (t^n/n!) * beta_n^{(n)}(0).
-
-    Since beta_n^{(n)}(0)/n! is exactly the t^n coefficient, the step
-    returns beta_n with its degree-n coefficient zeroed and every other
-    coefficient untouched.  Idempotent.
-    """
-    if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
-    if n > beta_n.order:
-        raise OrderError(
-            f"step index {n} exceeds the series order {beta_n.order}"
-        )
-    coeffs = list(beta_n.coeffs)
-    coeffs[n] = 0.0 + 0.0j
-    return TruncatedSeries(beta_n.order, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def c_sequence(N: int, u: complex, v: complex) -> list[complex]:
@@ -122,7 +75,7 @@ def c_sequence(N: int, u: complex, v: complex) -> list[complex]:
     """
     if N < 2:
         raise ValueError(f"coefficient index must be >= 2, got {N}")
-    beta = list(beta1_series(u, v, order=N - 1).coeffs)
+    beta = list(beta1_series(u, v, N - 1))
     sequence = []
     fact_prev = 1.0  # (n-1)!, as the running product 2 * 3 * ... * (n-1)
     for n in range(2, N + 1):

@@ -33,6 +33,7 @@ from .realizations import AlgebraPair, lindblad_pair
 from .recurrence import c_sequence
 
 __all__ = [
+    "CHECKS",
     "DEFAULT_TOL",
     "RELAXED_TOL",
     "CheckReport",
@@ -47,7 +48,6 @@ __all__ = [
     "check_swap",
     "check_truncated_product",
     "quadrature_gr",
-    "report_to_jsonable",
     "run_suite",
     "share_exponentials",
 ]
@@ -442,18 +442,20 @@ def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAU
     return CheckReport(pair.name, results, all(r.passed for r in results))
 
 
-def _suite_checks(pair: AlgebraPair, tol: float) -> tuple[tuple[str, Callable[[], CheckResult]], ...]:
-    return (
-        ("disentangle-right", lambda: check_disentangle(pair, Side.RIGHT, tol)),
-        ("disentangle-center", lambda: check_disentangle(pair, Side.CENTER, tol)),
-        ("disentangle-left", lambda: check_disentangle(pair, Side.LEFT, tol)),
-        ("swap", lambda: check_swap(pair, tol)),
-        ("bch", lambda: check_bch(pair, tol)),
-        ("ab-structure", lambda: check_ab_structure(pair, tol)),
-        ("integral", lambda: check_integral(pair, tol)),
-        ("product", lambda: check_truncated_product(pair, 30, tol)),
-        ("hadamard", lambda: check_hadamard(pair, 0.5, 40, tol)),
-    )
+# The suite in report order: name -> (pair, tol) -> CheckResult.  Each
+# entry calls its check through this module's globals, so a wrapper put
+# there (a tracer, a test's monkeypatch) sees every call.
+CHECKS: dict[str, Callable[[AlgebraPair, float], CheckResult]] = {
+    "disentangle-right": lambda pair, tol: check_disentangle(pair, Side.RIGHT, tol),
+    "disentangle-center": lambda pair, tol: check_disentangle(pair, Side.CENTER, tol),
+    "disentangle-left": lambda pair, tol: check_disentangle(pair, Side.LEFT, tol),
+    "swap": lambda pair, tol: check_swap(pair, tol),
+    "bch": lambda pair, tol: check_bch(pair, tol),
+    "ab-structure": lambda pair, tol: check_ab_structure(pair, tol),
+    "integral": lambda pair, tol: check_integral(pair, tol),
+    "product": lambda pair, tol: check_truncated_product(pair, 30, tol),
+    "hadamard": lambda pair, tol: check_hadamard(pair, 0.5, 40, tol),
+}
 
 
 def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
@@ -473,9 +475,9 @@ def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
         except OverflowError:
             tol = RELAXED_TOL
     results = []
-    for name, thunk in _suite_checks(pair, tol):
+    for name, check in CHECKS.items():
         try:
-            results.append(thunk())
+            results.append(check(pair, tol))
         except Exception as exc:  # noqa: BLE001 - error-as-result contract
             results.append(
                 CheckResult(
@@ -487,35 +489,3 @@ def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
                 )
             )
     return CheckReport(pair.name, tuple(results), all(r.passed for r in results))
-
-
-def _jsonable(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, np.complexfloating):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(x) for x in value]
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def report_to_jsonable(report: CheckReport) -> dict:
-    """Plain-dict form of a report: {pair, checks: [...], all_passed}."""
-    return {
-        "pair": report.pair_name,
-        "checks": [
-            {
-                "name": r.name,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "metadata": _jsonable(r.metadata),
-            }
-            for r in report.results
-        ],
-        "all_passed": report.all_passed,
-    }

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 import zassenhaus
@@ -276,6 +279,19 @@ def test_integral_at_origin(capsys):
             "--steps", "0", "--out", "x.csv",
         ],  # steps below 1
         ["nosuch-command"],
+        [
+            "sweep", "--check", "disentangle-right",
+            "--u-min", "0", "--u-max", "inf",
+            "--v-min", "-1", "--v-max", "1",
+            "--steps", "3", "--out", "x.csv",
+        ],  # non-finite lattice bound
+        ["sweep", "--check", "swap", "--u-min", "0", "--u-max", "1",
+         "--v-min", "nan", "--v-max", "1", "--steps", "3", "--out", "x.csv"],
+        ["coeff", "--u", "nan", "--v", "1"],  # non-finite coefficient argument
+        ["coeff", "--u", "1", "--v", "1", "--v-im=-inf"],
+        ["cn-table", "--u", "1", "--v", "inf", "--max-n", "4"],
+        ["integral", "--u", "nan", "--v", "1"],
+        ["verify", "--pair", "affine2", "--tol", "inf"],  # infinite tolerance
     ],
 )
 def test_argument_errors_exit_2(argv, capsys):
@@ -283,6 +299,48 @@ def test_argument_errors_exit_2(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_argument_errors_name_the_flag_and_the_reason(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["coeff", "--u", "nan", "--v", "1"])
+    assert "argument --u: must be finite, got nan" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["coeff", "--u", "abc", "--v", "1"])
+    assert "argument --u: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------------- JSON
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.1, "0.10000000000000001"),
+        (-0.0, "-0"),
+        (math.inf, '"inf"'),
+        (-math.inf, '"-inf"'),
+        (math.nan, '"nan"'),
+        pytest.param(1 - 2j, '{\n  "re": 1,\n  "im": -2\n}', id="complex"),
+        pytest.param(np.complex128(0.5 + 2j), '{\n  "re": 0.5,\n  "im": 2\n}', id="np.complex128"),
+        (np.float64(0.25), "0.25"),
+        (np.int64(3), "3"),
+        (np.bool_(True), "true"),
+        ({}, "{}"),
+        ([], "[]"),
+        pytest.param(
+            MappingProxyType({"a": (np.float64(1.5),)}), '{\n  "a": [\n    1.5\n  ]\n}', id="mapping"
+        ),
+    ],
+)
+def test_json_text_emits(value, text):
+    assert cli._json_text(value) == text
+
+
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1e308, 0.1, 1 / 3])
+def test_json_text_floats_round_trip_exactly(x):
+    back = json.loads(cli._json_text(x))
+    assert back.hex() == x.hex()
 
 
 # ------------------------------------------------------------ entry point

@@ -4,46 +4,27 @@ import numpy as np
 import pytest
 
 from zassenhaus.coeffs import g_right, zass_coeff
-from zassenhaus.recurrence import (
-    OrderError,
-    TruncatedSeries,
-    beta1_series,
-    beta_step,
-    c_from_recurrence,
-    c_sequence,
-    partial_sum_gr,
-)
+from zassenhaus.recurrence import beta1_series, c_from_recurrence, c_sequence, partial_sum_gr
 
 GRID5 = (-2.0, -1.0, 0.0, 1.0, 2.0)
-
-
-# -------------------------------------------------------- TruncatedSeries
-
-
-def test_series_length_invariant_enforced():
-    TruncatedSeries(2, (0j, 1j, 2j))
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, (0j, 1j))
-    with pytest.raises(ValueError):
-        TruncatedSeries(-1, ())
 
 
 # ---------------------------------------------------------- beta1_series
 
 
 def test_beta1_constant_term_is_zero():
-    assert beta1_series(1.3, -0.4, 6).coeffs[0] == 0
+    assert beta1_series(1.3, -0.4, 6)[0] == 0
 
 
 @pytest.mark.parametrize("u", GRID5)
 @pytest.mark.parametrize("v", GRID5)
 def test_beta1_linear_term_is_minus_one(u, v):
-    assert beta1_series(u, v, 4).coeffs[1] == -1.0 + 0.0j
+    assert beta1_series(u, v, 4)[1] == -1.0 + 0.0j
 
 
 def test_beta1_quadratic_term_on_the_v_zero_line():
     # [(u-v)^2 - u^2]/(2v) -> -u as v -> 0; at u = 1 that is -1
-    assert beta1_series(1.0, 0.0, 4).coeffs[2] == -1.0 + 0.0j
+    assert beta1_series(1.0, 0.0, 4)[2] == -1.0 + 0.0j
 
 
 def test_beta1_generic_coefficient_against_direct_quotient():
@@ -54,7 +35,7 @@ def test_beta1_generic_coefficient_against_direct_quotient():
     for k in range(1, 9):
         fact *= k
         direct = ((u - v) ** k - u**k) / (v * fact)
-        assert abs(series.coeffs[k] - direct) < 1e-14, k
+        assert abs(series[k] - direct) < 1e-14, k
 
 
 def test_beta1_rejects_zero_order():
@@ -62,46 +43,25 @@ def test_beta1_rejects_zero_order():
         beta1_series(1.0, 1.0, 0)
 
 
-# ------------------------------------------------------------- beta_step
+# ------------------------------------------------------------ removal step
 
 
-def test_beta_step_zeroes_exactly_one_index():
-    series = TruncatedSeries(3, (0j, -1 + 0j, 2 + 0j, 3 + 0j))
-    stepped = beta_step(series, 1)
-    assert stepped.coeffs == (0j, 0j, 2 + 0j, 3 + 0j)
-
-
-def test_beta_step_is_idempotent():
-    series = beta1_series(1.0, 2.0, 5)
-    once = beta_step(series, 2)
-    twice = beta_step(once, 2)
-    assert once.coeffs == twice.coeffs
-
-
-def test_beta_step_leaves_higher_coefficients_untouched_bitwise():
-    series = beta1_series(-1.3, 0.8, 12)
-    stepped = series
-    for m in range(1, 7):
-        stepped = beta_step(stepped, m)
-        assert stepped.coeffs[m + 1 :] == series.coeffs[m + 1 :]
-
-
-def test_beta_step_rejects_out_of_range_index():
-    series = beta1_series(1.0, 1.0, 4)
-    with pytest.raises(OrderError):
-        beta_step(series, 5)
-    with pytest.raises(ValueError):
-        beta_step(series, 0)
+def _removal_steps(beta, steps):
+    """beta_{steps+1} from beta_1: removal step m zeroes the t^m coefficient."""
+    beta = list(beta)
+    for m in range(1, steps + 1):
+        beta[m] = 0.0 + 0.0j
+    return beta
 
 
 def test_stepping_zeroes_the_leading_band():
     # after n-1 steps, coefficients 1..n-1 are exactly zero
     n = 9
     series = beta1_series(0.7, -1.1, n)
-    for m in range(1, n):
-        series = beta_step(series, m)
-    assert series.coeffs[1:n] == (0j,) * (n - 1)
-    assert series.coeffs[0] == 0j
+    stepped = _removal_steps(series, n - 1)
+    assert stepped[1:n] == [0j] * (n - 1)
+    assert stepped[0] == 0j
+    assert stepped[n] == series[n]
 
 
 # ------------------------------------------------------ c_from_recurrence
@@ -184,11 +144,9 @@ def _factorial(n):
 
 
 def _stepped_coefficient(n, u, v):
-    """C_n by its own run: beta_1 at order n - 1, then beta_step m = 1..n-2."""
-    beta = beta1_series(u, v, order=n - 1)
-    for m in range(1, n - 1):
-        beta = beta_step(beta, m)
-    return beta.coeffs[n - 1] * _factorial(n - 1) / _factorial(n)
+    """C_n by its own run: beta_1 at order n - 1, then removal steps 1..n-2."""
+    beta = _removal_steps(beta1_series(u, v, n - 1), n - 2)
+    return beta[n - 1] * _factorial(n - 1) / _factorial(n)
 
 
 def _bits(values):

@@ -1,5 +1,6 @@
 """Identity checks and suite aggregation on exact matrix realizations."""
 
+import argparse
 import gc
 import json
 import math
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 
 from zassenhaus import matrices, verify
-from zassenhaus.cli import _PAIR_BUILDERS, _SWEEP_CHECKS, _lattice_pair, main
+from zassenhaus.cli import (
+    _PAIR_BUILDERS,
+    _build_parser,
+    _json_text,
+    _lattice_pair,
+    _report_payload,
+    main,
+)
 from zassenhaus.realizations import (
     AlgebraPair,
     Ladder,
@@ -33,7 +41,6 @@ from zassenhaus.verify import (
     check_swap,
     check_truncated_product,
     quadrature_gr,
-    report_to_jsonable,
     run_suite,
     share_exponentials,
 )
@@ -195,6 +202,18 @@ def test_run_suite_passes_on_reference_pairs():
         assert len(report.results) == 9
 
 
+def test_run_suite_runs_the_check_table_in_order():
+    assert [r.name for r in run_suite(AFFINE).results] == list(verify.CHECKS)
+
+
+def test_sweep_offers_exactly_the_checks_of_the_table():
+    commands = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    check = next(a for a in commands.choices["sweep"]._actions if a.dest == "check")
+    assert list(check.choices) == sorted(verify.CHECKS)
+
+
 def test_run_suite_default_tolerance_on_small_norms():
     report = run_suite(AFFINE)
     assert all(r.tolerance == DEFAULT_TOL for r in report.results)
@@ -239,12 +258,10 @@ def test_passed_flag_is_consistent_with_residual():
 
 def test_report_round_trips_through_json():
     report = run_suite(HEIS)
-    payload = report_to_jsonable(report)
-    assert payload["pair"] == "heisenberg_3x3(1)"
-    assert payload["all_passed"] is True
-    assert len(payload["checks"]) == 9
-    text = json.dumps(payload)  # raises if anything non-serializable leaks
-    back = json.loads(text)
+    back = json.loads(_json_text(_report_payload(report)))
+    assert back["pair"] == "heisenberg_3x3(1)"
+    assert back["all_passed"] is True
+    assert len(back["checks"]) == 9
     assert back["checks"][0]["name"] == "disentangle-right"
     assert back["checks"][0]["metadata"]["coefficient"] == {"re": -0.5, "im": 0.0}
 
@@ -257,12 +274,11 @@ def test_report_serializes_numpy_scalars():
         True,
         {"np_complex": np.complex128(1 + 2j), "np_float": np.float64(0.25), "xs": [np.int64(3)]},
     )
-    payload = report_to_jsonable(CheckReport("synthetic", (result,), True))
-    meta = payload["checks"][0]["metadata"]
+    payload = _report_payload(CheckReport("synthetic", (result,), True))
+    meta = json.loads(_json_text(payload))["checks"][0]["metadata"]
     assert meta["np_complex"] == {"re": 1.0, "im": 2.0}
     assert meta["np_float"] == 0.25
     assert meta["xs"] == [3]
-    json.dumps(payload)
 
 
 # --------------------------------------- exponentials shared within a pair
@@ -364,14 +380,14 @@ def _origin_row():
     return [_lattice_pair(0.0, float(v)) for v in np.linspace(-2.0, 2.0, 9)]
 
 
-@pytest.mark.parametrize("check", sorted(_SWEEP_CHECKS))
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_shared_row_gives_the_per_pair_results(check, expm_stack_calls):
-    check_fn = _SWEEP_CHECKS[check]
+    check_fn = verify.CHECKS[check]
     row = _origin_row()
     assert sorted({p.dim for p in row}) == [2, 3]
     share_exponentials(row)
-    shared = [check_fn(pair) for pair in row]
-    alone = [check_fn(pair) for pair in _origin_row()]
+    shared = [check_fn(pair, DEFAULT_TOL) for pair in row]
+    alone = [check_fn(pair, DEFAULT_TOL) for pair in _origin_row()]
     assert [(r.residual, r.passed) for r in shared] == [(r.residual, r.passed) for r in alone]
     # One call per shape for each of e^X, e^Y, e^{X+Y} that the check uses.
     expected = {"ab-structure": 0, "hadamard": 0, "bch": 4, "swap": 4}.get(check, 6)
