@@ -367,6 +367,12 @@ def _max_n_int(text: str) -> int:
     return value
 
 
+def _add_float(parser, flag: str, text: str = "", **kwargs) -> None:
+    # argparse reads a separate "-1e-3" as an option, not as a value.
+    note = f"a negative value in scientific notation needs '=', as in {flag}=-1e-3"
+    parser.add_argument(flag, type=_finite_float, help=f"{text}; {note}" if text else note, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zassenhaus",
@@ -381,10 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coeff = sub.add_parser(
         "coeff", help="evaluate the five disentangling coefficients at (u, v)"
     )
-    p_coeff.add_argument("--u", type=_finite_float, required=True, help="real part of u")
-    p_coeff.add_argument("--u-im", type=_finite_float, default=0.0, help="imaginary part of u")
-    p_coeff.add_argument("--v", type=_finite_float, required=True, help="real part of v")
-    p_coeff.add_argument("--v-im", type=_finite_float, default=0.0, help="imaginary part of v")
+    _add_float(p_coeff, "--u", "real part of u", required=True)
+    _add_float(p_coeff, "--u-im", "imaginary part of u", default=0.0)
+    _add_float(p_coeff, "--v", "real part of v", required=True)
+    _add_float(p_coeff, "--v-im", "imaginary part of v", default=0.0)
     p_coeff.add_argument("--format", choices=("text", "json"), default="text")
     p_coeff.set_defaults(func=_cmd_coeff)
 
@@ -392,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "cn-table",
         help="closed-form vs recurrence product coefficients C_n for n = 2..max-n",
     )
-    p_cn.add_argument("--u", type=_finite_float, required=True)
-    p_cn.add_argument("--v", type=_finite_float, required=True)
+    _add_float(p_cn, "--u", required=True)
+    _add_float(p_cn, "--v", required=True)
     p_cn.add_argument("--max-n", type=_max_n_int, required=True)
     p_cn.set_defaults(func=_cmd_cn_table)
 
@@ -417,10 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="run one check over a real (u, v) lattice, writing CSV"
     )
     p_sweep.add_argument("--check", choices=sorted(CHECKS), required=True)
-    p_sweep.add_argument("--u-min", type=_finite_float, required=True)
-    p_sweep.add_argument("--u-max", type=_finite_float, required=True)
-    p_sweep.add_argument("--v-min", type=_finite_float, required=True)
-    p_sweep.add_argument("--v-max", type=_finite_float, required=True)
+    for flag in ("--u-min", "--u-max", "--v-min", "--v-max"):
+        _add_float(p_sweep, flag, required=True)
     p_sweep.add_argument("--steps", type=_steps_int, required=True, help="points per axis")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -428,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_integral = sub.add_parser(
         "integral", help="quadrature vs closed form for the right coefficient"
     )
-    p_integral.add_argument("--u", type=_finite_float, required=True)
-    p_integral.add_argument("--v", type=_finite_float, required=True)
+    _add_float(p_integral, "--u", required=True)
+    _add_float(p_integral, "--v", required=True)
     p_integral.set_defaults(func=_cmd_integral)
 
     return parser
@@ -443,6 +447,10 @@ def main(argv=None) -> int:
             parser.error("--x requires --y")
         if args.pair is not None and args.y is not None:
             parser.error("--y cannot be combined with --pair")
+    if args.command == "sweep":
+        for axis in "uv":
+            if not math.isfinite(getattr(args, f"{axis}_max") - getattr(args, f"{axis}_min")):
+                parser.error(f"--{axis}-min/--{axis}-max: the span {axis}_max - {axis}_min overflows")
     return args.func(args)
 
 

@@ -12,8 +12,8 @@ governed by a single scalar function of (u, v):
     e^X e^Y = e^Y e^X e^{gamma_swap(u,v) W}
 
 The closed forms are quotients with removable singularities along u = 0,
-v = 0 and u = v; near those lines each evaluator switches to a series or
-divided-difference path and reports which path it took via CoeffValue.
+v = 0 and u = v; near them g_right and f_bch switch to divided differences
+of exp (_dd_exp), phi1 and gamma_swap to a series, reported via CoeffValue.
 """
 
 from __future__ import annotations
@@ -43,10 +43,22 @@ __all__ = [
 # relative error under 1e-12 on both sides of the seam.
 SWITCH = 0.25
 
-# Series accumulation stops once a term falls below REL_EPS of the partial
+# The phi1 series stops once a term falls below REL_EPS of the partial
 # sum, or at MAX_TERMS, whichever comes first.
 REL_EPS = 1e-18
 MAX_TERMS = 64
+
+# Fixed Taylor length of _dd_exp.  With nodes in |z| <= 1/2,
+# |h_j(z0, z1, z2)| <= C(j+2, 2) 2^-j, so sum_j h_j/(j+2)! drops at most
+# 2^-16/(2 * 16!) ~ 3.6e-19 after 16 terms, and by Hermite-Genocchi the
+# sum is at least e^-1/2 cos(1/2)/2 ~ 0.27: the relative tail is below
+# 2^-59, well under the rounding error that the squarings amplify anyway.
+# With no stopping rule, no zero term can end the sum early.
+_DD_TERMS = 16
+_DD_COEFFS = tuple(
+    (1.0 / math.factorial(j + 1), 1.0 / math.factorial(j + 2))
+    for j in range(1, _DD_TERMS)
+)
 
 _TWO_PI = 2.0 * math.pi
 # f_bch is raised as a pole error anywhere within this distance of a
@@ -68,9 +80,9 @@ class EvalMethod(enum.Enum):
 class CoeffValue:
     """A coefficient value annotated with its evaluation path.
 
-    terms_used ==  0 exactly when method is CLOSED_FORM; otherwise it counts
-    the series terms accumulated (for the divided-difference path, the terms
-    spent inside the phi1 evaluations).
+    terms_used == 0 exactly when method is CLOSED_FORM.  For SERIES it
+    counts the Taylor terms accumulated; for DIVIDED_DIFFERENCE it is the
+    kernel's fixed Taylor length plus the number of squarings.
     """
 
     value: complex
@@ -114,35 +126,52 @@ def _g_right_closed(u: complex, v: complex) -> complex:
     return (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
 
 
-def _g_right_dd(u: complex, v: complex) -> tuple[complex, int]:
-    # Divided-difference identity g_r(u,v) = (phi1(u-v) - phi1(u))/v; exact
-    # for v != 0 and stable whenever |v| is not itself small.
-    pa, ta = _phi1_counted(u - v)
-    pb, tb = _phi1_counted(u)
-    return (pa - pb) / v, ta + tb
+def _dd_exp(x0: complex, x1: complex, x2: complex) -> tuple[complex, complex, int]:
+    """(e[x0, x1], e[x0, x1, x2], Taylor terms + squarings) for exp.
 
-
-def _g_right_series(u: complex, v: complex) -> tuple[complex, int]:
-    # Everywhere-convergent form sum_{n>=1} -p_n/(n+1)! with the power sums
-    # p_n = sum_{j=0}^{n-1} (u-v)^j u^(n-1-j), built by the recurrence
-    # p_1 = 1, p_n = (u-v) p_{n-1} + u^(n-1).  No division by u, v or u-v,
-    # so every singular line is crossed without a branch.
-    a = u - v
-    p = 1.0 + 0.0j
-    u_pow = 1.0 + 0.0j
-    fact = 2.0
-    total = -0.5 + 0.0j
-    terms = 1
-    for n in range(2, MAX_TERMS + 1):
-        u_pow *= u
-        p = a * p + u_pow
-        fact *= n + 1
-        term = -p / fact
-        total += term
-        terms = n
-        if abs(term) < REL_EPS * abs(total):
-            break
-    return total, terms
+    Entries of exp([[x0, 1, 0], [0, x1, 1], [0, 0, x2]]) (Opitz 1964), as
+    McCurdy, Ng & Parlett (1984): shift by the mean m, scale by h = 2^-s to
+    radius <= 1/2, sum a Taylor series over complete homogeneous polynomials
+    h_j, square the six-entry table s times (its diagonal from exp, as Al-Mohy
+    & Higham 2009 advise: a quarter of the error) and multiply by e^m.
+    Raises OverflowError if a result is not finite.
+    """
+    # Real nodes stay in float arithmetic: faster, and exactly real results.
+    exp = cmath.exp
+    if not (x0.imag or x1.imag or x2.imag):
+        x0, x1, x2, exp = x0.real, x1.real, x2.real, math.exp
+    mean = (x0 + x1 + x2) / 3.0
+    y0, y1, y2 = x0 - mean, x1 - mean, x2 - mean
+    s = max(0, math.frexp(max(abs(y0), abs(y1), abs(y2)))[1] + 1)
+    h = math.ldexp(1.0, -s)
+    z0, z1, z2 = y0 * h, y1 * h, y2 * h
+    # p_i = z_i^j, h01 = h_j(z0, z1), h12 = h_j(z1, z2), h012 = h_j(z0, z1, z2).
+    p0 = p1 = h01 = h12 = h012 = t01 = t12 = 1.0
+    t02 = 0.5
+    for c1, c2 in _DD_COEFFS:
+        p0 *= z0
+        p1 *= z1
+        h01 = p0 + z1 * h01
+        h12 = p1 + z2 * h12
+        h012 = h01 + z2 * h012
+        t01 += c1 * h01
+        t12 += c1 * h12
+        t02 += c2 * h012
+    t00, t11, t22 = exp(z0), exp(z1), exp(z2)
+    t01 *= h
+    t12 *= h
+    t02 *= h * h
+    for _ in range(s):
+        t02 = t02 * (t00 + t22) + t01 * t12
+        t01 *= t00 + t11
+        t12 *= t11 + t22
+        z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
+        t00, t11, t22 = exp(z0), exp(z1), exp(z2)
+    em = exp(mean)
+    d1, d2 = em * t01, em * t02
+    if not (cmath.isfinite(d1) and cmath.isfinite(d2)):
+        raise OverflowError(f"divided difference of exp overflows at {(x0, x1, x2)}")
+    return d1, d2, _DD_TERMS + s
 
 
 def g_right(u: complex, v: complex) -> CoeffValue:
@@ -157,21 +186,16 @@ def g_right(u: complex, v: complex) -> CoeffValue:
         g_r(u, u) = (u + 1 - e^u)/u**2
         g_r(0, 0) = -1/2
 
-    Path selection: closed form when min(|u|, |v|, |u-v|) >= SWITCH; the
-    phi1 divided difference when only u or u-v is small; the everywhere-
-    convergent series when v is small (full accuracy there for moderate
-    |u|; the 64-term cap degrades gracefully toward |u| ~ 50 but the value
-    stays finite).
+    Path selection: closed form when min(|u|, |v|, |u-v|) >= SWITCH;
+    otherwise the second divided difference g_r(u, v) = -e[u-v, u, 0],
+    which has no singular line and no stopping rule.
     """
     u = complex(u)
     v = complex(v)
     if min(abs(u), abs(v), abs(u - v)) >= SWITCH:
         return CoeffValue(_g_right_closed(u, v), EvalMethod.CLOSED_FORM, 0)
-    if abs(v) >= SWITCH:
-        value, terms = _g_right_dd(u, v)
-        return CoeffValue(value, EvalMethod.DIVIDED_DIFFERENCE, terms)
-    value, terms = _g_right_series(u, v)
-    return CoeffValue(value, EvalMethod.SERIES, terms)
+    _, dd2, terms = _dd_exp(u - v, u, 0.0)
+    return CoeffValue(complex(-dd2), EvalMethod.DIVIDED_DIFFERENCE, terms)
 
 
 def g_left(u: complex, v: complex) -> CoeffValue:
@@ -187,56 +211,22 @@ def g_center(u: complex, v: complex) -> CoeffValue:
     )
 
 
-def _phi1_deriv(k: int, x: complex) -> complex:
-    # k-th derivative of phi1 via sum_{j>=0} x^j/(j! (j+k+1)); the
-    # coefficients are all positive so there is no added cancellation.
-    total = complex(1.0 / (k + 1))
-    term = 1.0 + 0.0j
-    for j in range(1, MAX_TERMS + 1):
-        term *= x / j
-        piece = term / (j + k + 1)
-        total += piece
-        if abs(piece) < REL_EPS * abs(total):
-            break
-    return total
-
-
-def _f_bch_diagonal(v: complex, d: complex) -> tuple[complex, int]:
-    # Expansion of f(v + d, v) in powers of d = u - v:
-    #   f = sum_{k>=1} d^(k-1)/k! (phi1(v) - phi1_deriv_k(v)) / phi1(d)
-    # valid for |d| < SWITCH, through d = 0 where f(v, v) follows exactly.
-    pv = phi1(v)
-    pd = phi1(d)
-    d_pow = 1.0 + 0.0j
-    fact = 1.0
-    total = 0.0 + 0.0j
-    terms = 0
-    for k in range(1, MAX_TERMS + 1):
-        fact *= k
-        term = (pv - _phi1_deriv(k, v)) / fact * d_pow
-        total += term
-        terms = k
-        if k >= 2 and abs(term) < REL_EPS * abs(total):
-            break
-        d_pow *= d
-    return total / pd, terms
-
-
 def f_bch(u: complex, v: complex) -> CoeffValue:
     """Product-merge coefficient f(u, v): e^X e^Y = e^{X + Y + f W}.
 
     Generic branch [u e^u(e^v - 1) - v e^v(e^u - 1)] / [uv(e^u - e^v)],
     computed as (e^u phi1(v) - e^v phi1(u)) / (e^v (e^{u-v} - 1)) so that
-    u = 0 and v = 0 need no branch of their own.  The diagonal u = v is a
-    removable singularity handled by a series in u - v; the remaining
-    points with e^u = e^v but u != v are genuine poles and raise PoleError.
+    u = 0 and v = 0 need no branch of their own.  Near the removable diagonal
+    u = v it is phi1(v) - e^v e[u, v, 0] / e[u, v]; the remaining points
+    with e^u = e^v but u != v are genuine poles and raise PoleError.
     """
     u = complex(u)
     v = complex(v)
     d = u - v
     if abs(d) < SWITCH:
-        value, terms = _f_bch_diagonal(v, d)
-        return CoeffValue(value, EvalMethod.SERIES, terms)
+        dd1, dd2, terms = _dd_exp(u, v, 0.0)
+        value = phi1(v) - cmath.exp(v) * dd2 / dd1
+        return CoeffValue(value, EvalMethod.DIVIDED_DIFFERENCE, terms)
     k = round(d.imag / _TWO_PI)
     h = complex(d.real, d.imag - _TWO_PI * k) if k else d
     if k and abs(h) < _POLE_SHELL:

@@ -11,9 +11,11 @@ exponential memo and the one-pass C_n recurrence went in, by
     PYTHONPATH=src python tests/golden_cases.py
 
 Regenerate them only with a change that is meant to alter output (a
-correctness fix), and say so in CHANGES.md.  Known content: the 41x41
-disentangle-right sweep holds two failing rows at (+-0.1, +-0.2), where
-the g_right series stops early on a root-of-unity line; the file-given
+correctness fix), and say so in CHANGES.md.  They were regenerated once
+when g_right and the f_bch diagonal moved from their series to the
+divided-difference kernel: that removed the two failing rows at
+(+-0.1, +-0.2) of the 41x41 disentangle-right sweep, where the g_right
+series stopped early on a root-of-unity line.  Known content: the file-given
 ``overflow`` pair has ||X+Y||_1 = 800 > 700, so run_suite takes the
 relaxed tolerance and every check that needs e^{X+Y} reports the
 OverflowError.  The product sweep over u in [-2, 700], v in [-1, 1]

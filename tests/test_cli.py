@@ -292,6 +292,8 @@ def test_integral_at_origin(capsys):
         ["cn-table", "--u", "1", "--v", "inf", "--max-n", "4"],
         ["integral", "--u", "nan", "--v", "1"],
         ["verify", "--pair", "affine2", "--tol", "inf"],  # infinite tolerance
+        ["sweep", "--check", "disentangle-right", "--u-min=-1e308", "--u-max", "1e308",
+         "--v-min", "-1", "--v-max", "1", "--steps", "3", "--out", "x.csv"],  # span overflows
     ],
 )
 def test_argument_errors_exit_2(argv, capsys):
@@ -308,6 +310,43 @@ def test_argument_errors_name_the_flag_and_the_reason(capsys):
     with pytest.raises(SystemExit):
         cli.main(["coeff", "--u", "abc", "--v", "1"])
     assert "argument --u: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_sweep_span_error_names_the_flags(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--check", "swap", "--u-min", "-1", "--u-max", "1",
+                  "--v-min=-1e308", "--v-max", "1e308", "--steps", "3", "--out", str(out)])
+    assert "--v-min/--v-max: the span v_max - v_min overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_scientific_notation_needs_the_equals_form(capsys):
+    # argparse reads a separate "-1e-3" as an option; --help says so.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["coeff", "--u", "-1e-3", "--v", "1"])
+    assert excinfo.value.code == 2
+    assert "argument --u: expected one argument" in capsys.readouterr().err
+    assert cli.main(["coeff", "--u=-1e-3", "--v", "1"]) == 0
+    assert "u = -0.001, v = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("coeff", ["--u", "--u-im", "--v", "--v-im"]),
+        ("cn-table", ["--u", "--v"]),
+        ("sweep", ["--u-min", "--u-max", "--v-min", "--v-max"]),
+        ("integral", ["--u", "--v"]),
+    ],
+)
+def test_float_flag_help_shows_the_equals_form(command, flags, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "300")  # no line wrapping inside a flag
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = capsys.readouterr().out
+    for flag in flags:
+        assert f"as in {flag}=-1e-3" in text, flag
 
 
 # -------------------------------------------------------------------- JSON

@@ -11,7 +11,6 @@ from zassenhaus.coeffs import (
     EvalMethod,
     PoleError,
     _g_right_closed,
-    _g_right_series,
     _phi1_series,
     f_bch,
     g_center,
@@ -72,7 +71,7 @@ def test_g_right_frozen_values():
 def test_g_right_origin_exact_limit():
     cv = g_right(0, 0)
     assert cv.value == -0.5 + 0.0j
-    assert cv.method is EvalMethod.SERIES
+    assert cv.method is EvalMethod.DIVIDED_DIFFERENCE
 
 
 def test_g_right_near_origin():
@@ -85,24 +84,13 @@ def test_g_right_dispatch_and_term_count_invariant():
         ((1.0 + 1.0j, -2.0), EvalMethod.CLOSED_FORM),
         ((0.1, 1.0), EvalMethod.DIVIDED_DIFFERENCE),
         ((1.0, 1.1), EvalMethod.DIVIDED_DIFFERENCE),  # u - v small
-        ((1.0, 0.1), EvalMethod.SERIES),  # v small
-        ((0.0, 0.0), EvalMethod.SERIES),
+        ((1.0, 0.1), EvalMethod.DIVIDED_DIFFERENCE),  # v small
+        ((0.0, 0.0), EvalMethod.DIVIDED_DIFFERENCE),
     ]
     for (u, v), method in cases:
         cv = g_right(u, v)
         assert cv.method is method, (u, v, cv.method)
         assert (cv.terms_used == 0) == (cv.method is EvalMethod.CLOSED_FORM)
-
-
-def test_g_right_series_matches_dispatcher_everywhere():
-    # The entire-series evaluator must agree with whatever branch the
-    # dispatcher picks, across all three singular lines.
-    rng = np.random.default_rng(20250817)
-    for _ in range(1000):
-        u = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        series_val = _g_right_series(u, v)[0]
-        assert rel_err(series_val, g_right(u, v).value) < 1e-11
 
 
 def test_g_right_divided_difference_identity():
@@ -152,6 +140,21 @@ def test_g_right_finite_on_the_large_domain():
         for v in (-50.0, -20.0, 0.0, 20.0, 50.0):
             value = g_right(u, v).value
             assert cmath.isfinite(value), (u, v, value)
+
+
+def test_g_right_kernel_gives_exactly_real_values_for_real_arguments():
+    for u, v in ((0.0, 0.0), (0.1, 0.2), (-2.0, 0.0), (0.0, -2.0), (3.0, 2.9), (-40.0, 0.1)):
+        cv = g_right(u, v)
+        assert cv.method is EvalMethod.DIVIDED_DIFFERENCE
+        assert cv.value.imag == 0.0 and math.copysign(1.0, cv.value.imag) == 1.0, (u, v)
+
+
+@pytest.mark.parametrize("u, v", [(-1100.0, 0.1), (1100.0, 0.1), (-1100.0 + 1j, 0.1j)])
+def test_g_right_kernel_overflow_is_loud(u, v):
+    # The mean shift leaves e^{2|u|/3} in the squared table; past the
+    # double range that is an OverflowError, not an inf or nan value.
+    with pytest.raises(OverflowError):
+        g_right(u, v)
 
 
 # ----------------------------------------------------- g_left, g_center
@@ -210,12 +213,12 @@ def test_f_bch_is_symmetric():
         assert rel_err(f_bch(u, v).value, f_bch(v, u).value) < 1e-13
 
 
-def test_f_bch_diagonal_series_agrees_with_closed_form_at_the_seam():
+def test_f_bch_diagonal_kernel_agrees_with_closed_form_at_the_seam():
     for v in (1.0, -1.7, 2.3, 0.4 + 1.0j):
         for d in (0.249, -0.249, 0.24j, 0.17 + 0.17j):
             u = v + d
             cv = f_bch(u, v)
-            assert cv.method is EvalMethod.SERIES
+            assert cv.method is EvalMethod.DIVIDED_DIFFERENCE
             eu, ev = cmath.exp(u), cmath.exp(v)
             closed_val = (eu * phi1(v) - ev * phi1(u)) / (eu - ev)
             assert rel_err(cv.value, closed_val) < 1e-12, (u, v)
