@@ -36,7 +36,7 @@ from .realizations import (
     su11_pair,
 )
 from .recurrence import c_sequence
-from .verify import CHECKS, DEFAULT_TOL, quadrature_gr, run_suite, share_exponentials
+from .verify import CHECKS, DEFAULT_TOL, prepare, quadrature_gr, run_suite
 
 __all__ = ["main"]
 
@@ -122,6 +122,11 @@ def _json_text(obj) -> str:
     return "".join(pieces)
 
 
+def _coeff_error(exc: Exception) -> str:
+    # How coeff reports a coefficient that has no finite double value.
+    return "pole" if isinstance(exc, PoleError) else "overflow"
+
+
 def _cmd_coeff(args: argparse.Namespace) -> int:
     u = complex(args.u, args.u_im)
     v = complex(args.v, args.v_im)
@@ -135,13 +140,13 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     ):
         try:
             table.append((label, fn(u, v)))
-        except PoleError as exc:
+        except (PoleError, OverflowError) as exc:
             table.append((label, exc))
     if args.format == "json":
         coefficients = {}
         for label, cv in table:
-            if isinstance(cv, PoleError):
-                coefficients[label] = {"pole": str(cv)}
+            if isinstance(cv, Exception):
+                coefficients[label] = {_coeff_error(cv): str(cv)}
             else:
                 coefficients[label] = {
                     "value": complex(cv.value),
@@ -152,8 +157,8 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     else:
         print(f"coefficients at u = {_fmt_complex(u, 6)}, v = {_fmt_complex(v, 6)}")
         for label, cv in table:
-            if isinstance(cv, PoleError):
-                print(f"  {label:10s}  pole ({cv})")
+            if isinstance(cv, Exception):
+                print(f"  {label:10s}  {_coeff_error(cv)} ({cv})")
             else:
                 print(
                     f"  {label:10s}  {_fmt_complex(cv.value, 6):>22s}"
@@ -270,15 +275,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     for u in us:
-        # One lattice row at a time: its pairs share stacked exponentials
-        # and are dropped before the next row is built.
+        # One lattice row at a time: one expm_stack call per shape gives
+        # every exponential the row's checks read, and the row's pairs are
+        # dropped before the next row is built.
         pairs = []
         for v in vs:
             try:
                 pairs.append(_lattice_pair(float(u), float(v)))
             except Exception:  # noqa: BLE001 - the point is written as a failed row
                 pairs.append(None)
-        share_exponentials(p for p in pairs if p is not None)
+        prepare((p for p in pairs if p is not None), (args.check,))
         for v, pair in zip(vs, pairs):
             residual, passed = math.inf, False
             if pair is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -66,6 +67,9 @@ _TWO_PI = 2.0 * math.pi
 # has already lost more than half its digits, and a loud error beats a
 # quietly huge number.
 _POLE_SHELL = 1e-8
+# An exponential below the smallest normal double has lost digits to
+# underflow, or is 0.
+_TINY = sys.float_info.min
 
 
 class EvalMethod(enum.Enum):
@@ -216,7 +220,8 @@ def f_bch(u: complex, v: complex) -> CoeffValue:
 
     Generic branch [u e^u(e^v - 1) - v e^v(e^u - 1)] / [uv(e^u - e^v)],
     computed as (e^u phi1(v) - e^v phi1(u)) / (e^v (e^{u-v} - 1)) so that
-    u = 0 and v = 0 need no branch of their own.  Near the removable diagonal
+    u = 0 and v = 0 need no branch of their own, and divided through by
+    e^v where e^u or e^v underflows.  Near the removable diagonal
     u = v it is phi1(v) - e^v e[u, v, 0] / e[u, v]; the remaining points
     with e^u = e^v but u != v are genuine poles and raise PoleError.
     """
@@ -236,11 +241,15 @@ def f_bch(u: complex, v: complex) -> CoeffValue:
         )
     eu = cmath.exp(u)
     ev = cmath.exp(v)
-    num = eu * phi1(v) - ev * phi1(u)
     # e^u - e^v = e^v (e^h - 1) since h differs from u - v by 2*pi*i*k,
     # so the denominator stays accurate even just outside the pole shell.
     den = h * phi1(h) if abs(h) <= SWITCH else cmath.exp(h) - 1.0
-    return CoeffValue(num / (ev * den), EvalMethod.CLOSED_FORM, 0)
+    if abs(eu) < _TINY or abs(ev) < _TINY:
+        # Divided through by e^v (e^{u-v} = e^h), so no underflowed factor.
+        value = (cmath.exp(h) * phi1(v) - phi1(u)) / den
+    else:
+        value = (eu * phi1(v) - ev * phi1(u)) / (ev * den)
+    return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
 
 
 def gamma_swap(u: complex, v: complex) -> CoeffValue:

@@ -4,10 +4,13 @@ Matrices are plain numpy complex128 arrays, validated on entry: square,
 finite, dimension between 1 and MAX_DIM.  Everything here is a pure
 function; nothing mutates its arguments.
 
-expm is the reference matrix exponential.  expm_stack runs the same
-scaling and squaring over a stack of matrices at once, with each
-matrix's own scaling, stopping test and squarings, so every slice of its
-result is bit-identical to expm of that slice.
+expm_stack is the matrix exponential of every slice of a stack, each
+with its own scaling, stopping test and squarings; expm is its one-slice
+case, so every slice of a stack is bit-identical to expm of that slice.
+
+The public functions validate their arguments.  The underscored kernels
+(_commutator, _rel_residual, _conjugate_series) take arrays that are
+already valid matrices of one shape, for callers that built them so.
 """
 
 from __future__ import annotations
@@ -70,14 +73,13 @@ def _same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
-def _one_norm(A: np.ndarray) -> float:
-    # The reductions behind A.sum(axis=0).max(), without the method wrappers.
-    return float(np.maximum.reduce(np.add.reduce(np.abs(A), axis=0)))
-
-
 def _one_norms(A: np.ndarray) -> np.ndarray:
-    # _one_norm of each slice of an (N, n, n) stack, by the same reductions.
+    # The 1-norm of each slice of an (N, n, n) stack: max column sum.
     return np.maximum.reduce(np.add.reduce(np.abs(A), axis=1), axis=1)
+
+
+def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return A @ B - B @ A
 
 
 def commutator(A, B) -> np.ndarray:
@@ -85,47 +87,33 @@ def commutator(A, B) -> np.ndarray:
     A = as_matrix(A)
     B = as_matrix(B)
     _same_dim(A, B)
-    return A @ B - B @ A
+    return _commutator(A, B)
 
 
 def expm(A) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
-    Scales by 2^s with s = max(0, ceil(log2 ||A||_1)), accumulates the
-    Taylor series of e^{A/2^s} until the added term's 1-norm falls below
-    1e-18 of the partial sum's (or 60 terms), then squares s times.  The
-    zero matrix returns the identity exactly.  Raises OverflowError when
+    The one-slice case of expm_stack: scales by 2^s with
+    s = max(0, ceil(log2 ||A||_1)), accumulates the Taylor series of
+    e^{A/2^s} until the added term's 1-norm falls below 1e-18 of the
+    partial sum's (or 60 terms), then squares s times.  The zero matrix
+    returns the identity exactly.  Raises OverflowError when
     ||A||_1 > 700, where the result would leave double range.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    norm = _one_norm(A)
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)
+    A = as_matrix(A)[None]
+    norm = float(_one_norms(A)[0])
     if norm > _EXPM_NORM_LIMIT:
         raise OverflowError(
             f"matrix 1-norm {norm:.6g} exceeds {_EXPM_NORM_LIMIT:g}; "
             "the exponential would overflow double precision"
         )
-    s = max(0, math.ceil(math.log2(norm)))
-    B = A / (2.0**s)
-    result = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, _EXPM_MAX_TERMS + 1):
-        term = term @ B
-        term /= k
-        result += term
-        if _one_norm(term) < _EXPM_REL_EPS * _one_norm(result):
-            break
-    for _ in range(s):
-        result = result @ result
-    return result
+    return _expm_stack(A)[0]
 
 
 def expm_stack(A) -> np.ndarray:
     """expm of every slice of an (N, n, n) stack, computed together.
 
-    Each slice runs expm's own steps: its 1-norm, its scaling 2^s, the
+    Each slice runs its own steps: its 1-norm, its scaling 2^s, the
     in-place Taylor accumulation with its own stopping test (a slice
     leaves the stack as soon as it converges, so it never gets an extra
     term) and exactly s squarings.  Every slice of the result is
@@ -134,7 +122,10 @@ def expm_stack(A) -> np.ndarray:
     with NaN and leaves the other slices untouched; expm of that slice
     raises OverflowError.
     """
-    A = _as_square(A, 3, "an (N, n, n) stack")
+    return _expm_stack(_as_square(A, 3, "an (N, n, n) stack"))
+
+
+def _expm_stack(A: np.ndarray) -> np.ndarray:
     n = A.shape[1]
     norms = _one_norms(A)
     out = np.empty_like(A)
@@ -181,11 +172,14 @@ def conjugate_series(A, B, t: complex, K: int) -> np.ndarray:
     _same_dim(A, B)
     if K < 0:
         raise ValueError(f"series cutoff must be >= 0, got {K}")
-    t = complex(t)
+    return _conjugate_series(A, B, complex(t), K)
+
+
+def _conjugate_series(A: np.ndarray, B: np.ndarray, t: complex, K: int) -> np.ndarray:
     total = B.copy()
     current = B
     for k in range(1, K + 1):
-        current = commutator(A, current) * (-t / k)
+        current = _commutator(A, current) * (-t / k)
         total = total + current
     return total
 
@@ -195,8 +189,17 @@ def rel_residual(A, B) -> float:
     A = as_matrix(A)
     B = as_matrix(B)
     _same_dim(A, B)
-    scale = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    return float(np.linalg.norm(A - B)) / scale
+    return _rel_residual(A, B)
+
+
+def _rel_residual(A: np.ndarray, B: np.ndarray) -> float:
+    norm_a = float(np.linalg.norm(A))
+    norm_b = float(np.linalg.norm(B))
+    if not math.isfinite(norm_a + norm_b):
+        # A non-finite entry: raise the ValueError rel_residual raises.
+        as_matrix(A)
+        as_matrix(B)
+    return float(np.linalg.norm(A - B)) / max(1.0, norm_a, norm_b)
 
 
 def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:

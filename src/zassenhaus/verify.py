@@ -6,12 +6,24 @@ pass flag, metadata).  All checks verify against the cached W = [X, Y]
 directly, never against uX + vY + c*identity, so the central u = v = 0
 case is covered by the same code path.
 
-e^X, e^Y, e^{X+Y} and e^X e^Y are shared by most checks; each is
-computed at most once per pair (see _exponentials) and reused only where
-a check evaluates exactly that expression.  Pairs handed together to
-share_exponentials (a sweep's lattice row) compute each of the four for
-all equally shaped pairs in one expm_stack call instead, on first use;
-every slice is bit-identical to the per-pair expm, so no residual moves.
+Each suite check runs in two phases.  Its request names, by key, the
+matrices whose exponentials it reads: X, Y and X + Y, which checks share,
+and its own (g W for each coefficient, X + Y + f W, I_32 W, -tX and tX,
+and the 29 C_n W of the product).  Its finish, the public check_*
+function, computes the result from those exponentials.  run_suite gathers
+the requests of all nine checks for a pair, and prepare those of one
+check for a sweep's lattice row, into one expm_stack call per matrix
+shape; a check called on its own stacks its own request.  Every slice is
+bit-identical to expm of that matrix, so no residual moves.
+
+A pair's memo keeps its coefficients, quadrature, C_n, requested matrices
+and their read-only exponentials for as long as the pair lives; each is
+computed at most once.  Errors stay with their check and its order.  A
+request whose coefficient raises (PoleError, OverflowError) is left out
+and the finish raises again when it computes that coefficient.  A slice
+the stack cannot give (non-finite entries, or a 1-norm past 700, which
+comes back NaN) is computed by expm when the finish reaches it, and expm
+raises the same error at the same point as it would for the check alone.
 """
 
 from __future__ import annotations
@@ -28,7 +40,14 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .coeffs import f_bch, g_center, g_left, g_right, gamma_swap, integrand
-from .matrices import commutator, conjugate_series, expm, expm_stack, rel_residual
+from .matrices import (
+    _commutator,
+    _conjugate_series,
+    _rel_residual,
+    expm,
+    expm_stack,
+    rel_residual,
+)
 from .realizations import AlgebraPair, lindblad_pair
 from .recurrence import c_sequence
 
@@ -47,9 +66,9 @@ __all__ = [
     "check_lindblad_application",
     "check_swap",
     "check_truncated_product",
+    "prepare",
     "quadrature_gr",
     "run_suite",
-    "share_exponentials",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -92,112 +111,110 @@ def _result(name: str, residual: float, tol: float, metadata: dict) -> CheckResu
     return CheckResult(name, residual, float(tol), residual <= tol, metadata)
 
 
-class _PairExponentials:
-    """e^X, e^Y, e^{X+Y} and (e^X)(e^Y) of one pair, each made on first use.
-
-    A pair in a stack takes each from its slice of the stack's result.
-    Stored arrays are read-only.  A computation that raises (OverflowError
-    past the 1-norm limit) stores nothing, so every later use raises again;
-    a stacked slice past the limit is NaN and falls back to expm, which
-    raises.
-    """
-
-    def __init__(
-        self, X: np.ndarray, Y: np.ndarray, stack: _StackedExponentials | None = None, index: int = 0
-    ) -> None:
-        self._X = X
-        self._Y = Y
-        self._stack = stack
-        self._index = index
-
-    def _slice_or(self, name: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        if self._stack is not None:
-            value = getattr(self._stack, name)[self._index]
-            if not np.isnan(value).any():
-                return value
-        return _read_only(compute())
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        return self._slice_or("x", lambda: expm(self._X))
-
-    @functools.cached_property
-    def y(self) -> np.ndarray:
-        return self._slice_or("y", lambda: expm(self._Y))
-
-    @functools.cached_property
-    def x_plus_y(self) -> np.ndarray:
-        return self._slice_or("x_plus_y", lambda: expm(self._X + self._Y))
-
-    @functools.cached_property
-    def x_times_y(self) -> np.ndarray:
-        return self._slice_or("x_times_y", lambda: self.x @ self.y)
-
-
-class _StackedExponentials:
-    """The same four exponentials for a stack of equally shaped pairs.
-
-    Each is one expm_stack call (one stacked product for (e^X)(e^Y)) made
-    on first use and kept read-only; the stack holds X and Y, not pairs.
-    """
-
-    def __init__(self, X: np.ndarray, Y: np.ndarray) -> None:
-        self._X = X
-        self._Y = Y
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        return _read_only(expm_stack(self._X))
-
-    @functools.cached_property
-    def y(self) -> np.ndarray:
-        return _read_only(expm_stack(self._Y))
-
-    @functools.cached_property
-    def x_plus_y(self) -> np.ndarray:
-        return _read_only(expm_stack(self._X + self._Y))
-
-    @functools.cached_property
-    def x_times_y(self) -> np.ndarray:
-        return _read_only(self.x @ self.y)
-
-
 def _read_only(A: np.ndarray) -> np.ndarray:
     A.setflags(write=False)
     return A
 
 
+class _Memo:
+    """One pair's shared work; it holds no reference to the pair itself.
+
+    values: coefficients (by function), quadrature and C_n; matrices: every
+    matrix a request named, by key; exps: the read-only exponential of
+    each that is computed; requests: the (request, args) gathered so far.
+    A computation that raises stores nothing, so every later use raises
+    again.
+    """
+
+    def __init__(self) -> None:
+        self.values: dict = {}
+        self.matrices: dict = {}
+        self.exps: dict = {}
+        self.requests: set = set()
+
+    def value(self, name, compute: Callable[[], Any]) -> Any:
+        try:
+            return self.values[name]
+        except KeyError:
+            value = self.values[name] = compute()
+            return value
+
+    def exp(self, key) -> np.ndarray:
+        """e^M of the matrix M that a request named key; expm if not stacked."""
+        try:
+            return self.exps[key]
+        except KeyError:
+            value = self.exps[key] = _read_only(expm(self.matrices[key]))
+            return value
+
+    def x_times_y(self) -> np.ndarray:
+        return self.value("x_times_y", lambda: _read_only(self.exp("x") @ self.exp("y")))
+
+
 # Keyed by the pair itself (AlgebraPair hashes by identity), so an entry
-# lives exactly as long as its pair; the values hold X and Y, not the pair.
-_EXPONENTIALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# lives exactly as long as its pair.
+_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _exponentials(pair: AlgebraPair) -> _PairExponentials:
-    memo = _EXPONENTIALS.get(pair)
+def _memo(pair: AlgebraPair) -> _Memo:
+    memo = _MEMOS.get(pair)
     if memo is None:
-        memo = _EXPONENTIALS[pair] = _PairExponentials(pair.X, pair.Y)
+        memo = _MEMOS[pair] = _Memo()
     return memo
 
 
-def share_exponentials(pairs) -> None:
-    """Let the pairs compute e^X, e^Y, e^{X+Y} and e^X e^Y together.
+def _gather(pairs, requests) -> None:
+    """Stack every exponential the requests name for the pairs, once.
 
-    Pairs are grouped by matrix shape.  The first time a pair of a group
-    needs one of the four, it is computed for the whole group by one
-    expm_stack call; each pair keeps its read-only slice for as long as
-    the pair lives.  Slices are bit-identical to the per-pair expm, so
-    every check gives the same result; a check that needs none of the four
-    computes nothing.
+    requests holds (request, args) tuples.  Matrices no earlier request of
+    the same pair named are grouped by shape, one expm_stack call each.
+    A request that raises, a slice with a non-finite entry and a NaN
+    slice are left out: the finish raises for them (see the module
+    docstring).
     """
-    groups = defaultdict(list)
+    todo = defaultdict(list)
     for pair in pairs:
-        groups[pair.X.shape].append(pair)
-    for group in groups.values():
-        stack = _StackedExponentials(
-            np.stack([p.X for p in group]), np.stack([p.Y for p in group])
-        )
-        for index, pair in enumerate(group):
-            _EXPONENTIALS[pair] = _PairExponentials(pair.X, pair.Y, stack, index)
+        memo = _memo(pair)
+        for request in requests:
+            if request in memo.requests:
+                continue
+            memo.requests.add(request)
+            fn, args = request
+            try:
+                matrices = fn(pair, memo, *args)
+            except Exception:  # noqa: BLE001 - the finish raises it again
+                continue
+            for key, M in matrices.items():
+                if key not in memo.matrices:
+                    memo.matrices[key] = M
+                    todo[M.shape].append((memo, key))
+    for items in todo.values():
+        stack = np.stack([memo.matrices[key] for memo, key in items])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            stack = stack[finite]
+            items = [item for item, ok in zip(items, finite) if ok]
+        exps = _read_only(expm_stack(stack))
+        for (memo, key), e, nan in zip(items, exps, np.isnan(exps).any(axis=(1, 2))):
+            if not nan:
+                memo.exps[key] = e
+
+
+def _prepared(pair: AlgebraPair, fn: Callable, *args) -> _Memo:
+    """The pair's memo once the request fn(pair, memo, *args) is gathered."""
+    memo = _memo(pair)
+    if (fn, args) not in memo.requests:
+        _gather((pair,), ((fn, args),))
+    return memo
+
+
+def _coefficient(pair: AlgebraPair, memo: _Memo, fn: Callable):
+    return memo.value(fn, lambda: fn(pair.u, pair.v))
+
+
+def _side_coefficient(pair: AlgebraPair, memo: _Memo, side: Side):
+    fn = g_right if side is Side.RIGHT else g_center if side is Side.CENTER else g_left
+    return _coefficient(pair, memo, fn)
 
 
 def _coeff_meta(cv) -> dict:
@@ -208,6 +225,11 @@ def _coeff_meta(cv) -> dict:
     }
 
 
+def _request_disentangle(pair: AlgebraPair, memo: _Memo, side: Side) -> dict:
+    g = _side_coefficient(pair, memo, side).value
+    return {"x": pair.X, "y": pair.Y, "x+y": pair.X + pair.Y, side: g * pair.W}
+
+
 def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^{X+Y} against the side-placed product form.
 
@@ -215,28 +237,37 @@ def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -
     Left: e^{g_l W} e^X e^Y.
     """
     side = Side(side)
-    exps = _exponentials(pair)
+    memo = _prepared(pair, _request_disentangle, side)
+    cv = _side_coefficient(pair, memo, side)
+    exp = memo.exp
     if side is Side.RIGHT:
-        cv = g_right(pair.u, pair.v)
-        rhs = exps.x_times_y @ expm(cv.value * pair.W)
+        rhs = memo.x_times_y() @ exp(side)
     elif side is Side.CENTER:
-        cv = g_center(pair.u, pair.v)
-        rhs = exps.x @ expm(cv.value * pair.W) @ exps.y
+        rhs = exp("x") @ exp(side) @ exp("y")
     else:
-        cv = g_left(pair.u, pair.v)
-        rhs = expm(cv.value * pair.W) @ exps.x @ exps.y
-    residual = rel_residual(exps.x_plus_y, rhs)
+        rhs = exp(side) @ exp("x") @ exp("y")
+    residual = _rel_residual(exp("x+y"), rhs)
     meta = {"side": side.value, **_coeff_meta(cv)}
     return _result(f"disentangle-{side.value.lower()}", residual, tol, meta)
 
 
+def _request_swap(pair: AlgebraPair, memo: _Memo) -> dict:
+    gamma = _coefficient(pair, memo, gamma_swap).value
+    return {"x": pair.X, "y": pair.Y, "swap": gamma * pair.W}
+
+
 def check_swap(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^X e^Y against e^Y e^X e^{gamma W}."""
-    cv = gamma_swap(pair.u, pair.v)
-    exps = _exponentials(pair)
-    lhs = exps.x_times_y
-    rhs = exps.y @ exps.x @ expm(cv.value * pair.W)
-    return _result("swap", rel_residual(lhs, rhs), tol, _coeff_meta(cv))
+    memo = _prepared(pair, _request_swap)
+    cv = _coefficient(pair, memo, gamma_swap)
+    lhs = memo.x_times_y()
+    rhs = memo.exp("y") @ memo.exp("x") @ memo.exp("swap")
+    return _result("swap", _rel_residual(lhs, rhs), tol, _coeff_meta(cv))
+
+
+def _request_bch(pair: AlgebraPair, memo: _Memo) -> dict:
+    f = _coefficient(pair, memo, f_bch).value
+    return {"x": pair.X, "y": pair.Y, "bch": pair.X + pair.Y + f * pair.W}
 
 
 def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -245,10 +276,11 @@ def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     Propagates PoleError where f is genuinely undefined (e^u = e^v with
     u != v).
     """
-    cv = f_bch(pair.u, pair.v)
-    lhs = _exponentials(pair).x_times_y
-    rhs = expm(pair.X + pair.Y + cv.value * pair.W)
-    return _result("bch", rel_residual(lhs, rhs), tol, _coeff_meta(cv))
+    memo = _prepared(pair, _request_bch)
+    cv = _coefficient(pair, memo, f_bch)
+    lhs = memo.x_times_y()
+    rhs = memo.exp("bch")
+    return _result("bch", _rel_residual(lhs, rhs), tol, _coeff_meta(cv))
 
 
 def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -257,11 +289,12 @@ def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResu
     A = g_l(u,v) W and B = X + Y + f(u,v) W satisfy the same affine
     commutation structure; this checks it by direct matrix arithmetic.
     """
-    gl = g_left(pair.u, pair.v)
-    f = f_bch(pair.u, pair.v)
+    memo = _memo(pair)
+    gl = _coefficient(pair, memo, g_left)
+    f = _coefficient(pair, memo, f_bch)
     A = gl.value * pair.W
     B = pair.X + pair.Y + f.value * pair.W
-    residual = rel_residual(commutator(A, B), (pair.u - pair.v) * A)
+    residual = _rel_residual(_commutator(A, B), (pair.u - pair.v) * A)
     meta = {
         "g_left": complex(gl.value),
         "f_bch": complex(f.value),
@@ -291,6 +324,15 @@ def quadrature_gr(u: complex, v: complex, nodes: int = 32) -> complex:
     return complex(total)
 
 
+def _quadrature_32(pair: AlgebraPair, memo: _Memo) -> complex:
+    return memo.value("integral_32", lambda: quadrature_gr(pair.u, pair.v, 32))
+
+
+def _request_integral(pair: AlgebraPair, memo: _Memo) -> dict:
+    i32 = _quadrature_32(pair, memo)
+    return {"x": pair.X, "y": pair.Y, "x+y": pair.X + pair.Y, "integral": i32 * pair.W}
+
+
 def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Quadrature route to the right-sided coefficient, then the identity.
 
@@ -302,13 +344,13 @@ def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     exponential of the integral; that collapsed identity is what is
     tested.
     """
-    i32 = quadrature_gr(pair.u, pair.v, 32)
+    memo = _prepared(pair, _request_integral)
+    i32 = _quadrature_32(pair, memo)
     i16 = quadrature_gr(pair.u, pair.v, 16)
-    gr = complex(g_right(pair.u, pair.v).value)
-    exps = _exponentials(pair)
-    lhs = exps.x_plus_y
-    rhs = exps.x_times_y @ expm(i32 * pair.W)
-    identity_residual = rel_residual(lhs, rhs)
+    gr = complex(_coefficient(pair, memo, g_right).value)
+    lhs = memo.exp("x+y")
+    rhs = memo.x_times_y() @ memo.exp("integral")
+    identity_residual = _rel_residual(lhs, rhs)
     residual = max(abs(i32 - gr), identity_residual)
     meta = {
         "integral_32": i32,
@@ -318,6 +360,17 @@ def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
         "identity_residual": identity_residual,
     }
     return _result("integral", residual, tol, meta)
+
+
+def _product_coefficients(pair: AlgebraPair, memo: _Memo, N: int) -> list[complex]:
+    return memo.value(("c_sequence", N), lambda: c_sequence(N, pair.u, pair.v))
+
+
+def _request_product(pair: AlgebraPair, memo: _Memo, N: int) -> dict:
+    matrices = {"x": pair.X, "y": pair.Y, "x+y": pair.X + pair.Y}
+    for n, cn in enumerate(_product_coefficients(pair, memo, N), start=2):
+        matrices[("C_n W", n)] = cn * pair.W
+    return matrices
 
 
 def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -330,16 +383,16 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     """
     if N < 2:
         raise ValueError(f"product cutoff must be >= 2, got {N}")
-    exps = _exponentials(pair)
-    lhs = exps.x_plus_y
-    rhs = exps.x_times_y
+    memo = _prepared(pair, _request_product, N)
+    lhs = memo.exp("x+y")
+    rhs = memo.x_times_y()
     sequence = []
     coeff_sum = 0.0 + 0.0j
-    for cn in c_sequence(N, pair.u, pair.v):
+    for n, cn in enumerate(_product_coefficients(pair, memo, N), start=2):
         coeff_sum += cn
-        rhs = rhs @ expm(cn * pair.W)
-        sequence.append(rel_residual(lhs, rhs))
-    gr = complex(g_right(pair.u, pair.v).value)
+        rhs = rhs @ memo.exp(("C_n W", n))
+        sequence.append(_rel_residual(lhs, rhs))
+    gr = complex(_coefficient(pair, memo, g_right).value)
     norm_w = float(np.linalg.norm(pair.W))
     exponent = (
         float(np.linalg.norm(pair.X))
@@ -359,6 +412,10 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     return _result("product", sequence[-1], tol, meta)
 
 
+def _request_hadamard(pair: AlgebraPair, memo: _Memo, t: complex) -> dict:
+    return {("-tX", t): -t * pair.X, ("tX", t): t * pair.X}
+
+
 def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float = DEFAULT_TOL) -> CheckResult:
     """Adjoint series against the conjugation product.
 
@@ -369,9 +426,15 @@ def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float 
     it after one term).
     """
     t = complex(t)
-    series = conjugate_series(pair.X, pair.Y, t, K)
-    direct = expm(-t * pair.X) @ pair.Y @ expm(t * pair.X)
-    residual = rel_residual(series, direct)
+    if K < 0:
+        raise ValueError(f"series cutoff must be >= 0, got {K}")
+    memo = _prepared(pair, _request_hadamard, t)
+    series = _conjugate_series(pair.X, pair.Y, t, K)
+    if not np.isfinite(series).all():
+        # An ad power past double range: the error of a validated commutator.
+        raise ValueError("matrix entries must be finite")
+    direct = memo.exp(("-tX", t)) @ pair.Y @ memo.exp(("tX", t))
+    residual = _rel_residual(series, direct)
     return _result("hadamard", residual, tol, {"t": t, "K": K})
 
 
@@ -442,35 +505,74 @@ def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAU
     return CheckReport(pair.name, results, all(r.passed for r in results))
 
 
+@dataclass(frozen=True)
+class _Check:
+    """A suite entry: its request, (fn, args) as the check passes it to
+    _prepared (None when it reads no exponential), and its finish."""
+
+    request: tuple | None
+    finish: Callable[[AlgebraPair, float], CheckResult]
+
+    def __call__(self, pair: AlgebraPair, tol: float) -> CheckResult:
+        return self.finish(pair, tol)
+
+
 # The suite in report order: name -> (pair, tol) -> CheckResult.  Each
-# entry calls its check through this module's globals, so a wrapper put
+# finish calls its check through this module's globals, so a wrapper put
 # there (a tracer, a test's monkeypatch) sees every call.
-CHECKS: dict[str, Callable[[AlgebraPair, float], CheckResult]] = {
-    "disentangle-right": lambda pair, tol: check_disentangle(pair, Side.RIGHT, tol),
-    "disentangle-center": lambda pair, tol: check_disentangle(pair, Side.CENTER, tol),
-    "disentangle-left": lambda pair, tol: check_disentangle(pair, Side.LEFT, tol),
-    "swap": lambda pair, tol: check_swap(pair, tol),
-    "bch": lambda pair, tol: check_bch(pair, tol),
-    "ab-structure": lambda pair, tol: check_ab_structure(pair, tol),
-    "integral": lambda pair, tol: check_integral(pair, tol),
-    "product": lambda pair, tol: check_truncated_product(pair, 30, tol),
-    "hadamard": lambda pair, tol: check_hadamard(pair, 0.5, 40, tol),
+CHECKS: dict[str, _Check] = {
+    "disentangle-right": _Check(
+        (_request_disentangle, (Side.RIGHT,)),
+        lambda pair, tol: check_disentangle(pair, Side.RIGHT, tol),
+    ),
+    "disentangle-center": _Check(
+        (_request_disentangle, (Side.CENTER,)),
+        lambda pair, tol: check_disentangle(pair, Side.CENTER, tol),
+    ),
+    "disentangle-left": _Check(
+        (_request_disentangle, (Side.LEFT,)),
+        lambda pair, tol: check_disentangle(pair, Side.LEFT, tol),
+    ),
+    "swap": _Check((_request_swap, ()), lambda pair, tol: check_swap(pair, tol)),
+    "bch": _Check((_request_bch, ()), lambda pair, tol: check_bch(pair, tol)),
+    "ab-structure": _Check(None, lambda pair, tol: check_ab_structure(pair, tol)),
+    "integral": _Check((_request_integral, ()), lambda pair, tol: check_integral(pair, tol)),
+    "product": _Check(
+        (_request_product, (30,)), lambda pair, tol: check_truncated_product(pair, 30, tol)
+    ),
+    "hadamard": _Check(
+        (_request_hadamard, (0.5 + 0j,)), lambda pair, tol: check_hadamard(pair, 0.5, 40, tol)
+    ),
 }
+
+
+def prepare(pairs, names=None) -> None:
+    """Compute now what the named suite checks (default: all) will read.
+
+    Gathers the checks' requests for every pair and computes their
+    exponentials in one expm_stack call per matrix shape, over all the
+    pairs together.  Each pair keeps them, with its coefficients, for as
+    long as it lives; the checks then give exactly what they give alone.
+    """
+    checks = CHECKS.values() if names is None else [CHECKS[name] for name in names]
+    _gather(pairs, [c.request for c in checks if c.request is not None])
 
 
 def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
     """Run every identity check on one pair and aggregate the results.
 
+    All nine requests are gathered first, one expm_stack call per shape.
     tol = None selects the default 1e-10, relaxed to 1e-9 when
     ||expm(X+Y)||_F exceeds 1e6 (large-norm exponentials cannot do
     better in doubles).  A check that raises is converted into a failed
     result carrying the error in its metadata, so the report is always
     complete.
     """
+    prepare((pair,))
     if tol is None:
         tol = DEFAULT_TOL
         try:
-            if float(np.linalg.norm(_exponentials(pair).x_plus_y)) > NORM_RELAX_LIMIT:
+            if float(np.linalg.norm(_memo(pair).exp("x+y"))) > NORM_RELAX_LIMIT:
                 tol = RELAXED_TOL
         except OverflowError:
             tol = RELAXED_TOL

@@ -23,7 +23,9 @@ OverflowError.  The product sweep over u in [-2, 700], v in [-1, 1]
 u = -2 row: at u = 700, v = -1 and -0.5 e^{X+Y} is past the 1-norm
 limit (701 and 700.5), and every other failing point raises the
 OverflowError later, in one of the product's e^{C_n W}, so it pins the
-per-point error path of a stacked row.
+per-point error path of a stacked row.  The coeff cases at u = v = 1000
+were added later: every coefficient there is past double range, and coeff
+reports each one as overflowed with exit status 0.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ def _cases() -> dict[str, list[str]]:
             "--y", str(GOLDEN_DIR / "overflow_y.json"),
             "--format", fmt,
         ]
+    for fmt in ("json", "text"):
+        cases[f"coeff-overflow-{fmt}"] = ["coeff", "--u", "1000", "--v", "1000", "--format", fmt]
     for check in CHECKS:
         cases[f"sweep-{check}-9"] = [
             "sweep", "--check", check, *_SQUARE, "--steps", "9", "--out", OUT

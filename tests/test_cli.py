@@ -71,6 +71,15 @@ def test_coeff_reports_pole_without_failing(capsys):
     assert "g_right" in out  # the entire coefficients still print
 
 
+def test_coeff_reports_overflow_without_failing(capsys):
+    # Every coefficient at u = v = 1000 is past double range.
+    assert cli.main(["coeff", "--u", "1000", "--v", "1000", "--format", "json"]) == 0
+    coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+    assert all(set(entry) == {"overflow"} for entry in coefficients.values())
+    assert cli.main(["coeff", "--u", "1000", "--v", "1000"]) == 0
+    assert "gamma_swap  overflow (math range error)" in capsys.readouterr().out
+
+
 def test_coeff_output_is_deterministic(capsys):
     argv = ["coeff", "--u", "0.3", "--v", "-1.7", "--format", "json"]
     cli.main(argv)

@@ -232,3 +232,20 @@ def test_coeff_command_at_large_negative_u_and_small_v(capsys):
     want = reference("g_right", -40.0, 0.1)
     assert abs(value - want) <= KERNEL_TOL * abs(want)
     assert abs(want + 6.2344e-4) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        (-1100.0, -1100.5),  # e^u and e^v both underflow to 0
+        (-1100.5, -1100.0),
+        (complex(-1100.0, 1.0), complex(-1100.5, 0.3)),
+        (-709.0, -709.3),  # subnormal exponentials
+        (-700.0, -746.0),  # e^v underflows alone
+    ],
+)
+def test_f_bch_where_the_exponentials_underflow(u, v):
+    # The unscaled quotient divided by e^v (e^h - 1) = 0 here, or kept only
+    # the digits of a subnormal e^u or e^v.
+    assert f_bch(u, v).method is EvalMethod.CLOSED_FORM
+    assert_matches("f_bch", u, v)

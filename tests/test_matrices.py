@@ -173,6 +173,20 @@ def test_expm_reference_agreement_at_the_edges():
         expm(huge)
 
 
+def test_expm_is_the_one_slice_stack_with_its_own_messages():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert np.array_equal(expm(a), expm_stack(a[None])[0])
+    with pytest.raises(OverflowError) as info:
+        expm(np.full((2, 2), 400.0))
+    assert str(info.value) == (
+        "matrix 1-norm 800 exceeds 700; the exponential would overflow double precision"
+    )
+    with pytest.raises(ValueError) as info:
+        expm(np.array([[np.nan]]))
+    assert str(info.value) == "matrix entries must be finite"
+
+
 # -------------------------------------------------------------- expm_stack
 
 

@@ -14,7 +14,14 @@ MODULES = [
     "zassenhaus.verify",
 ]
 
-REMOVED = ("TruncatedSeries", "beta_step", "OrderError", "DEFAULT_ORDER", "report_to_jsonable")
+REMOVED = (
+    "TruncatedSeries",
+    "beta_step",
+    "OrderError",
+    "DEFAULT_ORDER",
+    "report_to_jsonable",
+    "share_exponentials",
+)
 
 
 @pytest.mark.parametrize("name", MODULES)

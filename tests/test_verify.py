@@ -5,16 +5,20 @@ import gc
 import json
 import math
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zassenhaus import matrices, verify
+from zassenhaus.coeffs import CoeffValue, EvalMethod
 from zassenhaus.cli import (
     _PAIR_BUILDERS,
     _build_parser,
     _json_text,
     _lattice_pair,
+    _pair_from_files,
     _report_payload,
     main,
 )
@@ -40,9 +44,9 @@ from zassenhaus.verify import (
     check_lindblad_application,
     check_swap,
     check_truncated_product,
+    prepare,
     quadrature_gr,
     run_suite,
-    share_exponentials,
 )
 
 AFFINE = affine_2x2(1.0, 2.0, 1.0, 1.0)
@@ -281,7 +285,7 @@ def test_report_serializes_numpy_scalars():
     assert meta["xs"] == [3]
 
 
-# --------------------------------------- exponentials shared within a pair
+# ------------------------------------ requests gathered into one stack
 
 
 @pytest.fixture
@@ -310,31 +314,34 @@ def expm_stack_calls(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_PAIR_BUILDERS))
 def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls, expm_stack_calls):
-    # e^X, e^Y, e^{X+Y} once each; one e^{cW} in each of the three
-    # disentangle checks, swap, bch and integral; 29 in the product; 2 in
-    # hadamard.  Nothing is stacked outside a sweep.
-    assert run_suite(_PAIR_BUILDERS[name]()).all_passed
-    assert len(expm_calls) == 40
-    assert expm_stack_calls == []
+    # e^X, e^Y, e^{X+Y}; one e^{cW} for each of the three disentangle
+    # checks, swap, bch and integral; 29 for the product; 2 for hadamard:
+    # all 40 in one expm_stack call, and no scalar expm.
+    pair = _PAIR_BUILDERS[name]()
+    assert run_suite(pair).all_passed
+    assert expm_calls == []
+    assert [a.shape for a in expm_stack_calls] == [(40, pair.dim, pair.dim)]
 
 
-def test_a_fresh_pair_recomputes_every_exponential(expm_calls):
+def test_a_fresh_pair_recomputes_every_exponential(expm_calls, expm_stack_calls):
     run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
-    assert len(expm_calls) == 40
+    assert len(expm_stack_calls) == 1
     run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
-    assert len(expm_calls) == 80
+    assert len(expm_stack_calls) == 2
     pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
     run_suite(pair)
-    run_suite(pair)  # the same pair again reuses its three exponentials
-    assert len(expm_calls) == 80 + 40 + 37
+    run_suite(pair)  # the same pair again reuses all 40 exponentials
+    assert len(expm_stack_calls) == 3
+    assert expm_calls == []
 
 
 def test_shared_exponentials_are_read_only():
     pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
     run_suite(pair)
-    exps = verify._exponentials(pair)
-    for name in ("x", "y", "x_plus_y", "x_times_y"):
-        array = getattr(exps, name)
+    memo = verify._memo(pair)
+    arrays = [memo.exp(key) for key in memo.matrices] + [memo.x_times_y()]
+    assert len(arrays) == 41
+    for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
@@ -343,13 +350,13 @@ def test_shared_exponentials_are_read_only():
 def test_shared_exponentials_die_with_their_pair():
     pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
     check_swap(pair)
-    assert pair in verify._EXPONENTIALS
-    held = len(verify._EXPONENTIALS)
+    assert pair in verify._MEMOS
+    held = len(verify._MEMOS)
     ref = weakref.ref(pair)
     del pair
     gc.collect()
     assert ref() is None
-    assert len(verify._EXPONENTIALS) <= held - 1
+    assert len(verify._MEMOS) <= held - 1
 
 
 def test_overflow_is_raised_by_every_check_that_needs_it(expm_calls):
@@ -372,7 +379,150 @@ def test_overflow_is_raised_by_every_check_that_needs_it(expm_calls):
     assert all(r.tolerance == RELAXED_TOL for r in report.results)
 
 
-# ------------------------------------- exponentials stacked over a sweep row
+# Each suite entry as a direct call of its public check.
+_ALONE = {
+    "disentangle-right": lambda pair, tol: check_disentangle(pair, Side.RIGHT, tol),
+    "disentangle-center": lambda pair, tol: check_disentangle(pair, Side.CENTER, tol),
+    "disentangle-left": lambda pair, tol: check_disentangle(pair, Side.LEFT, tol),
+    "swap": lambda pair, tol: check_swap(pair, tol),
+    "bch": lambda pair, tol: check_bch(pair, tol),
+    "ab-structure": lambda pair, tol: check_ab_structure(pair, tol),
+    "integral": lambda pair, tol: check_integral(pair, tol),
+    "product": lambda pair, tol: check_truncated_product(pair, 30, tol),
+    "hadamard": lambda pair, tol: check_hadamard(pair, 0.5, 40, tol),
+}
+
+
+def _alone(name, build, tol):
+    try:
+        return _ALONE[name](build(), tol)
+    except Exception as exc:  # noqa: BLE001 - compared with run_suite's error result
+        return CheckResult(name, math.inf, tol, False, {"error": f"{type(exc).__name__}: {exc}"})
+
+
+def _overflow_file_pair():
+    golden = Path(__file__).resolve().parent / "golden"
+    pair, error = _pair_from_files(str(golden / "overflow_x.json"), str(golden / "overflow_y.json"))
+    assert error is None
+    return pair
+
+
+@pytest.mark.parametrize("name", [*sorted(_PAIR_BUILDERS), "overflow-file"])
+def test_every_suite_result_is_the_result_of_its_check_alone(name):
+    build = _PAIR_BUILDERS.get(name, _overflow_file_pair)
+    report = run_suite(build())
+    assert list(_ALONE) == list(verify.CHECKS)
+    for result in report.results:
+        assert result == _alone(result.name, build, result.tolerance)
+
+
+def test_a_pole_fails_only_the_checks_that_need_its_coefficient():
+    # u - v = 2*pi*i: f_bch has a genuine pole, and |u - v| ~ 2*pi is past
+    # what the fixed N = 30 product cutoff resolves.  Residuals as before
+    # the requests were gathered into one stack.
+    pair = affine_2x2(complex(1.0, 2.0 * math.pi), 1.0, 1.0, 1.0)
+    pole = (
+        "PoleError: f_bch pole: exp(u) == exp(v) with u != v "
+        "(u - v within 1e-08 of 2*pi*i*1)"
+    )
+    expected = {
+        "disentangle-right": 1.5980298604371527e-15,
+        "disentangle-center": 1.3338999471885264e-15,
+        "disentangle-left": 1.3351150739459775e-15,
+        "swap": 6.256947923416927e-16,
+        "bch": math.inf,
+        "ab-structure": math.inf,
+        "integral": 4.202183320177827e-15,
+        "product": 8.78884382750589e-10,
+        "hadamard": 3.9558002283370163e-16,
+    }
+    report = run_suite(pair)
+    assert {r.name: r.residual for r in report.results} == expected
+    for r in report.results:
+        assert r.passed == (r.name not in ("bch", "ab-structure", "product"))
+        assert r.metadata.get("error") == (pole if r.name in ("bch", "ab-structure") else None)
+
+
+def _overflowing(u, v):
+    raise OverflowError("divided difference of exp overflows")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize(
+    "coefficient, replacement, failing, error",
+    [
+        # gamma W past double range: expm raises on it as on the check alone.
+        (
+            "gamma_swap",
+            lambda u, v: CoeffValue(1e308 + 0j, EvalMethod.CLOSED_FORM, 0),
+            "swap",
+            "ValueError: matrix entries must be finite",
+        ),
+        # A coefficient that raises leaves its request out.
+        (
+            "g_center",
+            _overflowing,
+            "disentangle-center",
+            "OverflowError: divided difference of exp overflows",
+        ),
+    ],
+)
+def test_a_request_that_cannot_be_built_fails_only_its_own_check(
+    coefficient, replacement, failing, error, monkeypatch, expm_stack_calls
+):
+    # The other 39 exponentials are still stacked, and every other check
+    # gives what it gives on an untouched pair.
+    expected = run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
+    monkeypatch.setattr(verify, coefficient, replacement)
+    expm_stack_calls.clear()
+    report = run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
+    assert [a.shape[0] for a in expm_stack_calls] == [39]
+    for got, want in zip(report.results, expected.results):
+        if got.name == failing:
+            assert got.metadata == {"error": error}
+            assert not got.passed
+        else:
+            assert got == want
+
+
+def test_each_coefficient_and_quadrature_is_computed_once_per_suite(monkeypatch):
+    calls = Counter()
+
+    def count(name, fn):
+        def counted(*args):
+            # quadrature_gr is counted per node count, the rest per name.
+            calls[(name, *args[2:])] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    for name in ("g_right", "g_center", "g_left", "f_bch", "gamma_swap", "quadrature_gr"):
+        count(name, getattr(verify, name))
+    run_suite(su11_pair(Ladder.LOWER_SQ, 8))
+    assert calls == {
+        ("g_right",): 1,
+        ("g_center",): 1,
+        ("g_left",): 1,
+        ("f_bch",): 1,
+        ("gamma_swap",): 1,
+        ("quadrature_gr", 32): 1,
+        ("quadrature_gr", 16): 1,
+    }
+
+
+def test_every_check_table_entry_requests_what_its_check_reads(expm_calls):
+    # A check run after its own request, on the same pair, stacks nothing
+    # more and needs no scalar expm.
+    for name, entry in verify.CHECKS.items():
+        pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
+        prepare([pair], [name])
+        requested = set(verify._memo(pair).exps)
+        entry(pair, DEFAULT_TOL)
+        assert set(verify._memo(pair).exps) == requested, name
+    assert expm_calls == []
+
+
+# ------------------------------------- requests gathered over a sweep row
 
 
 def _origin_row():
@@ -380,28 +530,36 @@ def _origin_row():
     return [_lattice_pair(0.0, float(v)) for v in np.linspace(-2.0, 2.0, 9)]
 
 
+# Exponentials per pair that each check reads.
+_SLICES = {"ab-structure": 0, "bch": 3, "swap": 3, "hadamard": 2, "product": 32}
+
+
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_shared_row_gives_the_per_pair_results(check, expm_stack_calls):
     check_fn = verify.CHECKS[check]
     row = _origin_row()
     assert sorted({p.dim for p in row}) == [2, 3]
-    share_exponentials(row)
+    prepare(row, [check])
     shared = [check_fn(pair, DEFAULT_TOL) for pair in row]
+    stacked = len(expm_stack_calls)
     alone = [check_fn(pair, DEFAULT_TOL) for pair in _origin_row()]
-    assert [(r.residual, r.passed) for r in shared] == [(r.residual, r.passed) for r in alone]
-    # One call per shape for each of e^X, e^Y, e^{X+Y} that the check uses.
-    expected = {"ab-structure": 0, "hadamard": 0, "bch": 4, "swap": 4}.get(check, 6)
-    assert len(expm_stack_calls) == expected
-    assert all(len(a) in (1, 8) for a in expm_stack_calls)
+    assert shared == alone
+    # One call per shape for the whole row, then one per pair alone.
+    slices = _SLICES.get(check, 4)
+    if slices:
+        assert [a.shape[0] for a in expm_stack_calls[:stacked]] == [8 * slices, slices]
+        assert len(expm_stack_calls) == stacked + 9
+    else:
+        assert expm_stack_calls == []
 
 
 def test_stacked_exponentials_are_read_only():
     row = _origin_row()
-    share_exponentials(row)
+    prepare(row)
     for pair in row:
-        exps = verify._exponentials(pair)
-        for name in ("x", "y", "x_plus_y", "x_times_y"):
-            array = getattr(exps, name)
+        memo = verify._memo(pair)
+        assert len(memo.exps) == 40
+        for array in [*memo.exps.values(), memo.x_times_y()]:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
@@ -412,30 +570,42 @@ def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
     Y = np.array([[0.0, 400.0], [0.0, 0.0]])
     overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
     row = [affine_2x2(1.0, 2.0, 1.0, 1.0), overflow, affine_2x2(-1.0, 0.5, 1.0, 1.0)]
-    share_exponentials(row)
+    prepare(row, ["disentangle-right"])
     with pytest.raises(OverflowError):
         check_disentangle(overflow, Side.RIGHT)
-    # e^{gW}, then the scalar e^{X+Y} that raised in place of the NaN slice.
-    assert len(expm_calls) == 2
-    assert np.array_equal(expm_calls[1], X + Y)
+    # Only the scalar e^{X+Y} that raised in place of the NaN slice.
+    assert len(expm_calls) == 1
+    assert np.array_equal(expm_calls[0], X + Y)
     assert check_disentangle(row[2], Side.RIGHT).passed
     assert check_disentangle(row[0], Side.RIGHT).passed
-    assert len(expm_calls) == 4  # only e^{gW} of each of the two
+    assert len(expm_calls) == 1
 
 
-@pytest.mark.parametrize("check", ["ab-structure", "hadamard"])
-def test_a_sweep_that_needs_no_shared_exponential_stacks_nothing(check, expm_stack_calls, tmp_path):
-    argv = ["sweep", "--check", check, "--u-min", "-2", "--u-max", "2",
+def _sweep_5(check, tmp_path):
+    return ["sweep", "--check", check, "--u-min", "-2", "--u-max", "2",
             "--v-min", "-2", "--v-max", "2", "--steps", "5", "--out", str(tmp_path / "s.csv")]
-    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("check", ["ab-structure"])
+def test_a_sweep_that_needs_no_shared_exponential_stacks_nothing(check, expm_stack_calls, tmp_path):
+    assert main(_sweep_5(check, tmp_path)) == 0
     assert expm_stack_calls == []
 
 
-def test_a_sweep_leaves_no_lattice_pair_behind(expm_stack_calls, tmp_path):
-    held = list(verify._EXPONENTIALS.keys())
-    argv = ["sweep", "--check", "disentangle-right", "--u-min", "-2", "--u-max", "2",
-            "--v-min", "-2", "--v-max", "2", "--steps", "5", "--out", str(tmp_path / "s.csv")]
-    assert main(argv) == 0
-    assert len(expm_stack_calls) == 5 * 3 + 3  # the u = 0 row has two shapes
+def test_a_hadamard_sweep_stacks_only_its_own_exponentials(expm_calls, expm_stack_calls, tmp_path):
+    # e^{-tX} and e^{tX} of every point, one call per row and shape; no
+    # e^X, e^Y or e^{X+Y}.
+    assert main(_sweep_5("hadamard", tmp_path)) == 0
+    assert [a.shape[0] for a in expm_stack_calls] == [10, 10, 8, 2, 10, 10]
+    assert expm_calls == []
+
+
+def test_a_sweep_leaves_no_lattice_pair_behind(expm_calls, expm_stack_calls, tmp_path):
+    held = list(verify._MEMOS.keys())
+    assert main(_sweep_5("disentangle-right", tmp_path)) == 0
+    # One call per row; the u = 0 row has two shapes.  X, Y, X+Y and gW
+    # of each point.
+    assert [a.shape[0] for a in expm_stack_calls] == [20, 20, 16, 4, 20, 20]
+    assert expm_calls == []
     gc.collect()
-    assert len(verify._EXPONENTIALS) == len(held)
+    assert len(verify._MEMOS) == len(held)
