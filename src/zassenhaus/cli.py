@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -77,49 +78,52 @@ def _json_text(obj) -> str:
     (strict JSON has no literal for them).
     """
     pieces: list[str] = []
-
-    def emit(node, indent: int) -> None:
-        pad = " " * indent
-        if isinstance(node, np.generic):
-            node = node.item()
-        if isinstance(node, complex):
-            node = {"re": node.real, "im": node.imag}
-        if isinstance(node, Mapping):
-            if not node:
-                pieces.append("{}")
-                return
-            pieces.append("{\n")
-            for i, (key, value) in enumerate(node.items()):
-                pieces.append(f"{pad}  {json.dumps(str(key))}: ")
-                emit(value, indent + 2)
-                pieces.append(",\n" if i < len(node) - 1 else "\n")
-            pieces.append(pad + "}")
-        elif isinstance(node, (list, tuple)):
-            if not node:
-                pieces.append("[]")
-                return
-            pieces.append("[\n")
-            for i, value in enumerate(node):
-                pieces.append(pad + "  ")
-                emit(value, indent + 2)
-                pieces.append(",\n" if i < len(node) - 1 else "\n")
-            pieces.append(pad + "]")
-        elif isinstance(node, bool):
-            pieces.append("true" if node else "false")
-        elif isinstance(node, float):
-            if math.isfinite(node):
-                pieces.append(f"{node:.17g}")
-            else:
-                pieces.append(json.dumps(_fmt_float(node, 17)))
-        elif isinstance(node, int):
-            pieces.append(str(node))
-        elif node is None:
-            pieces.append("null")
-        else:
-            pieces.append(json.dumps(str(node)))
-
-    emit(obj, 0)
+    _emit(obj, 0, pieces)
     return "".join(pieces)
+
+
+def _emit(node, indent: int, pieces: list[str]) -> None:
+    # A module-level function: a nested closure would refer to itself
+    # through its cell, and the cycle would keep pieces alive until a
+    # full garbage collection.
+    pad = " " * indent
+    if isinstance(node, np.generic):
+        node = node.item()
+    if isinstance(node, complex):
+        node = {"re": node.real, "im": node.imag}
+    if isinstance(node, Mapping):
+        if not node:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        for i, (key, value) in enumerate(node.items()):
+            pieces.append(f"{pad}  {json.dumps(str(key))}: ")
+            _emit(value, indent + 2, pieces)
+            pieces.append(",\n" if i < len(node) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, value in enumerate(node):
+            pieces.append(pad + "  ")
+            _emit(value, indent + 2, pieces)
+            pieces.append(",\n" if i < len(node) - 1 else "\n")
+        pieces.append(pad + "]")
+    elif isinstance(node, bool):
+        pieces.append("true" if node else "false")
+    elif isinstance(node, float):
+        if math.isfinite(node):
+            pieces.append(f"{node:.17g}")
+        else:
+            pieces.append(json.dumps(_fmt_float(node, 17)))
+    elif isinstance(node, int):
+        pieces.append(str(node))
+    elif node is None:
+        pieces.append("null")
+    else:
+        pieces.append(json.dumps(str(node)))
 
 
 def _coeff_error(exc: Exception) -> str:
@@ -274,17 +278,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     vs = np.linspace(args.v_min, args.v_max, args.steps)
     rows = []
     failures = 0
+    table = None
     for u in us:
         # One lattice row at a time: one expm_stack call per shape gives
         # every exponential the row's checks read, and the row's pairs are
-        # dropped before the next row is built.
+        # dropped before the next row is built.  Only the previous row's
+        # table is carried: e^Y recurs along a row, e^X down a column and
+        # e^{X+Y} along a diagonal, so the 41x41 disentangle-right sweep
+        # stacks 2527 of its 6724 matrices.
         pairs = []
         for v in vs:
             try:
                 pairs.append(_lattice_pair(float(u), float(v)))
             except Exception:  # noqa: BLE001 - the point is written as a failed row
                 pairs.append(None)
-        prepare((p for p in pairs if p is not None), (args.check,))
+        table = prepare((p for p in pairs if p is not None), (args.check,), table)
         for v, pair in zip(vs, pairs):
             residual, passed = math.inf, False
             if pair is not None:
@@ -379,7 +387,9 @@ def _add_float(parser, flag: str, text: str = "", **kwargs) -> None:
     parser.add_argument(flag, type=_finite_float, help=f"{text}; {note}" if text else note, **kwargs)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once: parse_args keeps no state between calls.
     parser = argparse.ArgumentParser(
         prog="zassenhaus",
         description=(

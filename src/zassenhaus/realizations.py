@@ -10,13 +10,14 @@ rather than allowed to pass every identity trivially.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import as_matrix, commutator
+from .matrices import _commutator, as_matrix
 
 __all__ = [
     "AlgebraPair",
@@ -83,6 +84,14 @@ def _fmt(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}i"
 
 
+def _require_finite(*entries: complex) -> None:
+    # The builders' matrices hold these entries and zeros, and AlgebraPair
+    # validates them; checking first keeps a non-finite entry out of the
+    # unvalidated commutator (and its RuntimeWarning).
+    if not all(cmath.isfinite(z) for z in entries):
+        raise ValueError("matrix entries must be finite")
+
+
 def affine_2x2(u: complex, v: complex, b: complex, d: complex) -> AlgebraPair:
     """Minimal 2x2 realization of [X,Y] = uX + vY (c = 0).
 
@@ -100,9 +109,10 @@ def affine_2x2(u: complex, v: complex, b: complex, d: complex) -> AlgebraPair:
             f"affine_2x2 needs u*b + v*d != 0, got u={_fmt(u)}, v={_fmt(v)}, "
             f"b={_fmt(b)}, d={_fmt(d)} (W would vanish)"
         )
+    _require_finite(u, v, b, d)
     X = np.array([[v, b], [0.0, 0.0]], dtype=complex)
     Y = np.array([[-u, d], [0.0, 0.0]], dtype=complex)
-    W = commutator(X, Y)
+    W = _commutator(X, Y)
     name = f"affine_2x2({_fmt(u)},{_fmt(v)},{_fmt(b)},{_fmt(d)})"
     return AlgebraPair(X, Y, u, v, 0.0 + 0.0j, W, name)
 
@@ -147,11 +157,12 @@ def heisenberg_3x3(c: complex) -> AlgebraPair:
     c = complex(c)
     if c == 0:
         raise DegenerateError("heisenberg_3x3 needs c != 0 (W would vanish)")
+    _require_finite(c)
     X = np.zeros((3, 3), dtype=complex)
     X[0, 1] = c
     Y = np.zeros((3, 3), dtype=complex)
     Y[1, 2] = 1.0
-    W = commutator(X, Y)
+    W = _commutator(X, Y)
     return AlgebraPair(X, Y, 0.0j, 0.0j, c, W, f"heisenberg_3x3({_fmt(c)})")
 
 
@@ -239,6 +250,6 @@ def lindblad_pair() -> AlgebraPair:
     d22 = _dissipator_matrix(s2, s2)
     d_up = 0.5 * (d11 + d22 + 1j * (-d12 + d21))
     d_dn = 0.5 * (d11 + d22 + 1j * (d12 - d21))
-    W = commutator(d_up, d_dn)
+    W = _commutator(d_up, d_dn)
     name = "lindblad(scale=1/sqrt2, product=lk)"
     return AlgebraPair(d_up, d_dn, 1.0 + 0.0j, -1.0 + 0.0j, 0.0j, W, name)

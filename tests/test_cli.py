@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, argument validation."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -358,6 +359,25 @@ def test_float_flag_help_shows_the_equals_form(command, flags, capsys, monkeypat
         assert f"as in {flag}=-1e-3" in text, flag
 
 
+def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "120")
+    assert cli._build_parser() is cli._build_parser()
+    fresh = cli._build_parser.__wrapped__()
+    for argv in (
+        ["--help"],
+        ["sweep", "--help"],
+        ["coeff", "--u", "nan", "--v", "1"],
+        ["verify"],
+        ["sweep", "--check", "nope"],
+    ):
+        outputs = []
+        for parse in (cli._build_parser().parse_args, fresh.parse_args):
+            with pytest.raises(SystemExit) as excinfo:
+                parse(argv)
+            outputs.append((excinfo.value.code, capsys.readouterr()))
+        assert outputs[0] == outputs[1], argv
+
+
 # -------------------------------------------------------------------- JSON
 
 
@@ -389,6 +409,19 @@ def test_json_text_emits(value, text):
 def test_json_text_floats_round_trip_exactly(x):
     back = json.loads(cli._json_text(x))
     assert back.hex() == x.hex()
+
+
+def test_json_text_leaves_no_reference_cycle():
+    payload = {"checks": [{"residual": 0.5, "metadata": {"z": 1 - 2j, "xs": [1, 2]}}]}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cli._json_text(payload)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------------ entry point

@@ -1,6 +1,7 @@
 """Concrete matrix pairs: structure relations, builders, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ def test_affine_commutator_matches_declared_structure(u, v, b, d):
 def test_affine_rejects_degenerate_bracket():
     with pytest.raises(DegenerateError):
         affine_2x2(1.0, -1.0, 1.0, 1.0)  # u*b + v*d == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: affine_2x2(math.inf, 1.0, 1.0, 1.0),
+        lambda: affine_2x2(1.0, complex(0.0, math.nan), 1.0, 1.0),
+        lambda: affine_2x2(1.0, 2.0, -math.inf, 1.0),
+        lambda: affine_2x2(1.0, 2.0, 1.0, math.nan),
+        lambda: heisenberg_3x3(math.inf),
+        lambda: heisenberg_3x3(complex(1.0, math.nan)),
+    ],
+)
+def test_a_non_finite_entry_raises_without_a_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+            build()
 
 
 def test_affine_round_trips_through_inference():

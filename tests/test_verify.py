@@ -312,15 +312,32 @@ def expm_stack_calls(monkeypatch):
     return calls
 
 
+# Distinct matrices among a built-in pair's 40 requested ones: affine2's
+# C_n W for odd n >= 3 are one matrix; heisenberg3's g W of every side,
+# I_32 W and C_2 W are -W/2, and its C_n W vanish for n >= 3.
+_DISTINCT_PER_SUITE = {
+    "affine2": 27,
+    "heisenberg3": 9,
+    "lindblad": 39,
+    "su11-lower": 38,
+    "su11-raise": 38,
+}
+
+
 @pytest.mark.parametrize("name", sorted(_PAIR_BUILDERS))
 def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls, expm_stack_calls):
     # e^X, e^Y, e^{X+Y}; one e^{cW} for each of the three disentangle
     # checks, swap, bch and integral; 29 for the product; 2 for hadamard:
-    # all 40 in one expm_stack call, and no scalar expm.
+    # 40 exponentials from one expm_stack call of the distinct matrices,
+    # and no scalar expm.
     pair = _PAIR_BUILDERS[name]()
     assert run_suite(pair).all_passed
     assert expm_calls == []
-    assert [a.shape for a in expm_stack_calls] == [(40, pair.dim, pair.dim)]
+    distinct = _DISTINCT_PER_SUITE[name]
+    assert [a.shape for a in expm_stack_calls] == [(distinct, pair.dim, pair.dim)]
+    exps = verify._memo(pair).exps
+    assert len(exps) == 40
+    assert len({id(e) for e in exps.values()}) == distinct
 
 
 def test_a_fresh_pair_recomputes_every_exponential(expm_calls, expm_stack_calls):
@@ -470,13 +487,13 @@ def _overflowing(u, v):
 def test_a_request_that_cannot_be_built_fails_only_its_own_check(
     coefficient, replacement, failing, error, monkeypatch, expm_stack_calls
 ):
-    # The other 39 exponentials are still stacked, and every other check
+    # The other distinct exponentials are still stacked, and every other check
     # gives what it gives on an untouched pair.
     expected = run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
     monkeypatch.setattr(verify, coefficient, replacement)
     expm_stack_calls.clear()
     report = run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
-    assert [a.shape[0] for a in expm_stack_calls] == [39]
+    assert [a.shape[0] for a in expm_stack_calls] == [_DISTINCT_PER_SUITE["affine2"] - 1]
     for got, want in zip(report.results, expected.results):
         if got.name == failing:
             assert got.metadata == {"error": error}
@@ -532,6 +549,10 @@ def _origin_row():
 
 # Exponentials per pair that each check reads.
 _SLICES = {"ab-structure": 0, "bch": 3, "swap": 3, "hadamard": 2, "product": 32}
+# Distinct matrices the u = 0 row stacks, 2x2 then 3x3: the eight 2x2
+# pairs share one Y = [[-0, 1], [0, 0]], and the origin's C_n W vanish
+# for n >= 3.
+_ROW_SLICES = {"bch": [17, 3], "swap": [17, 3], "hadamard": [16, 2], "product": [248, 5]}
 
 
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
@@ -547,8 +568,11 @@ def test_a_shared_row_gives_the_per_pair_results(check, expm_stack_calls):
     # One call per shape for the whole row, then one per pair alone.
     slices = _SLICES.get(check, 4)
     if slices:
-        assert [a.shape[0] for a in expm_stack_calls[:stacked]] == [8 * slices, slices]
-        assert len(expm_stack_calls) == stacked + 9
+        assert [a.shape[0] for a in expm_stack_calls[:stacked]] == _ROW_SLICES.get(check, [25, 4])
+        per_pair = [slices] * 9
+        if check == "product":
+            per_pair[4] = 5  # the origin
+        assert [a.shape[0] for a in expm_stack_calls[stacked:]] == per_pair
     else:
         assert expm_stack_calls == []
 
@@ -593,19 +617,102 @@ def test_a_sweep_that_needs_no_shared_exponential_stacks_nothing(check, expm_sta
 
 
 def test_a_hadamard_sweep_stacks_only_its_own_exponentials(expm_calls, expm_stack_calls, tmp_path):
-    # e^{-tX} and e^{tX} of every point, one call per row and shape; no
-    # e^X, e^Y or e^{X+Y}.
+    # e^{-tX} and e^{tX}, no e^X, e^Y or e^{X+Y}.  X depends on v alone,
+    # so after the first row only the origin's 3x3 pair (row u = 0) and
+    # the 2x2 pair it replaced (row u = 1) are new.
     assert main(_sweep_5("hadamard", tmp_path)) == 0
-    assert [a.shape[0] for a in expm_stack_calls] == [10, 10, 8, 2, 10, 10]
+    assert [a.shape[0] for a in expm_stack_calls] == [10, 2, 2]
     assert expm_calls == []
 
 
 def test_a_sweep_leaves_no_lattice_pair_behind(expm_calls, expm_stack_calls, tmp_path):
     held = list(verify._MEMOS.keys())
     assert main(_sweep_5("disentangle-right", tmp_path)) == 0
-    # One call per row; the u = 0 row has two shapes.  X, Y, X+Y and gW
-    # of each point.
-    assert [a.shape[0] for a in expm_stack_calls] == [20, 20, 16, 4, 20, 20]
+    # One call per row; the u = 0 row has two shapes.  The distinct X, Y,
+    # X+Y and gW of each row that the previous row's table does not hold.
+    assert [a.shape[0] for a in expm_stack_calls] == [17, 9, 7, 4, 11, 9]
     assert expm_calls == []
     gc.collect()
     assert len(verify._MEMOS) == len(held)
+
+
+def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(expm_calls, expm_stack_calls, tmp_path):
+    # 6724 requested exponentials (X, Y, X+Y and gW of 1681 points), of
+    # which 1983 are distinct.  With only the previous row's table carried
+    # across rows, 2527 are stacked, in one call per row and shape.
+    argv = ["sweep", "--check", "disentangle-right", "--u-min=-2", "--u-max", "2",
+            "--v-min=-2", "--v-max", "2", "--steps", "41", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert sum(a.shape[0] for a in expm_stack_calls) == 2527
+    assert len(expm_stack_calls) == 42
+    assert expm_calls == []
+
+
+def test_equal_matrices_share_one_exponential():
+    # Y depends on u alone; X + Y = [[v - u, 2], [0, 0]] on v - u alone.
+    a = affine_2x2(1.0, 2.0, 1.0, 1.0)
+    b = affine_2x2(1.0, 3.0, 1.0, 1.0)
+    c = affine_2x2(2.0, 3.0, 1.0, 1.0)
+    table = prepare([a, b, c], ["disentangle-right"])
+    ea, eb, ec = (verify._memo(p).exp for p in (a, b, c))
+    assert ea("y") is eb("y")
+    assert eb("x") is ec("x")
+    assert ea("x+y") is ec("x+y")
+    assert ea("x+y") is not eb("x+y")
+    for pair in (a, b, c):
+        memo = verify._memo(pair)
+        for key in ("x", "y", "x+y", Side.RIGHT):
+            assert np.array_equal(memo.exp(key), matrices.expm(memo.matrices[key]))
+    # Two X, two Y, two X+Y and three gW.
+    assert len(table) == 9
+
+
+def test_plus_and_minus_zero_are_not_merged():
+    # affine_2x2(0, ...) has Y = [[-0, 1], [0, 0]]; the same pair with +0.
+    minus = affine_2x2(0.0, 1.0, 1.0, 1.0)
+    assert math.copysign(1.0, minus.Y[0, 0].real) == -1.0
+    plus_y = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    plus = AlgebraPair(minus.X, plus_y, minus.u, minus.v, minus.c, minus.W, "plus-zero")
+    table = prepare([minus, plus], ["swap"])
+    assert verify._memo(minus).exp("y") is not verify._memo(plus).exp("y")
+    assert ((2, 2), minus.Y.tobytes()) in table
+    assert ((2, 2), plus_y.tobytes()) in table
+
+
+def test_a_table_owns_its_arrays_and_carries_them_to_the_next_call(expm_stack_calls):
+    first = [affine_2x2(1.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
+    table = prepare(first, ["disentangle-right"])
+    for e in table.values():
+        assert e.base is None
+        assert not e.flags.writeable
+    # The next row reuses every X and stacks only what it adds.
+    second = [affine_2x2(2.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
+    expm_stack_calls.clear()
+    carried = prepare(second, ["disentangle-right"], table)
+    assert all(verify._memo(p).exp("x") is verify._memo(q).exp("x") for p, q in zip(first, second))
+    # One Y, two X+Y and three gW: X + Y at v = 1.5 (v - u = -0.5) is the
+    # first row's at v = 0.5.
+    assert verify._memo(second[1]).exp("x+y") is verify._memo(first[0]).exp("x+y")
+    assert [a.shape[0] for a in expm_stack_calls] == [6]
+    assert all(e.base is None for e in carried.values())
+    for pair in second:
+        assert check_disentangle(pair, Side.RIGHT) == check_disentangle(
+            affine_2x2(pair.u, pair.v, 1.0, 1.0), Side.RIGHT
+        )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_no_non_finite_matrix_or_nan_result_enters_the_table():
+    X = np.array([[1.0, 400.0], [0.0, 0.0]])
+    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
+    overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+    table = prepare([overflow], ["disentangle-right"])
+    # e^{X+Y} came back NaN from the stack: neither the memo nor the table
+    # holds it, so the check's scalar expm raises as it does alone.
+    assert ((2, 2), (overflow.X + overflow.Y).tobytes()) not in table
+    assert "x+y" not in verify._memo(overflow).exps
+    with pytest.raises(OverflowError):
+        check_disentangle(overflow, Side.RIGHT)
+    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
+    assert verify._gather([pair], [(verify._request_hadamard, (1e308 + 0j,))]) == {}
+    assert verify._memo(pair).exps == {}
