@@ -16,7 +16,6 @@ byte-identical output.  Exit codes: 0 when every executed check passed,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -37,7 +36,7 @@ from .realizations import (
     su11_pair,
 )
 from .recurrence import c_sequence
-from .verify import CHECKS, DEFAULT_TOL, prepare, quadrature_gr, run_suite
+from .verify import CHECKS, DEFAULT_TOL, quadrature_gr, run_suite
 
 __all__ = ["main"]
 
@@ -273,53 +272,43 @@ def _lattice_pair(u: float, v: float):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    check = CHECKS[args.check]
-    us = np.linspace(args.u_min, args.u_max, args.steps)
-    vs = np.linspace(args.v_min, args.v_max, args.steps)
-    rows = []
+    # Imported here, so that no other command compiles the row path.
+    from .sweep import lattice_row, stack_residuals
+
+    us = np.linspace(args.u_min, args.u_max, args.steps).tolist()
+    vs = np.linspace(args.v_min, args.v_max, args.steps).tolist()
+    # Each coordinate is formatted once; u_im and v_im are always 0.
+    v_texts = [_fmt_float(v, 17) for v in vs]
+    zero = _fmt_float(0.0, 17)
+    lines = ["u_re,u_im,v_re,v_im,residual,passed"]
     failures = 0
     table = None
     for u in us:
-        # One lattice row at a time: one expm_stack call per shape gives
-        # every exponential the row's checks read, and the row's pairs are
-        # dropped before the next row is built.  Only the previous row's
-        # table is carried: e^Y recurs along a row, e^X down a column and
-        # e^{X+Y} along a diagonal, so the 41x41 disentangle-right sweep
-        # stacks 2527 of its 6724 matrices.
-        pairs = []
-        for v in vs:
-            try:
-                pairs.append(_lattice_pair(float(u), float(v)))
-            except Exception:  # noqa: BLE001 - the point is written as a failed row
-                pairs.append(None)
-        table = prepare((p for p in pairs if p is not None), (args.check,), table)
-        for v, pair in zip(vs, pairs):
-            residual, passed = math.inf, False
-            if pair is not None:
-                try:
-                    result = check(pair, DEFAULT_TOL)
-                    residual, passed = result.residual, result.passed
-                except Exception:  # noqa: BLE001 - a sweep row must never abort the grid
-                    pass
+        # One lattice row at a time, checked as stacks: one expm_stack
+        # call per shape gives every exponential the row reads, and the
+        # products and residuals run once over each stack.  Only the
+        # previous row's table is carried: e^Y recurs along a row, e^X
+        # down a column and e^{X+Y} along a diagonal, so the 41x41
+        # disentangle-right sweep stacks 2527 of its 6724 matrices.
+        groups = lattice_row(u, vs)
+        residuals, table = stack_residuals(args.check, [stack for _, stack in groups], table)
+        row = [math.inf] * len(vs)
+        for (positions, _), values in zip(groups, residuals):
+            for i, residual in zip(positions, values.tolist()):
+                row[i] = residual
+        u_text = _fmt_float(u, 17)
+        for v_text, residual in zip(v_texts, row):
+            passed = residual <= DEFAULT_TOL
             if not passed:
                 failures += 1
-            rows.append((float(u), 0.0, float(v), 0.0, residual, passed))
+            passed_text = "true" if passed else "false"
+            lines.append(f"{u_text},{zero},{v_text},{zero},{_fmt_float(residual, 17)},{passed_text}")
+    # No field needs quoting, so the lines are the csv module's excel
+    # dialect without the import that every command would pay for.
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u_re", "u_im", "v_re", "v_im", "residual", "passed"])
-        for u_re, u_im, v_re, v_im, residual, passed in rows:
-            writer.writerow(
-                [
-                    _fmt_float(u_re, 17),
-                    _fmt_float(u_im, 17),
-                    _fmt_float(v_re, 17),
-                    _fmt_float(v_im, 17),
-                    _fmt_float(residual, 17),
-                    "true" if passed else "false",
-                ]
-            )
+        fh.write("".join(line + "\r\n" for line in lines))
     print(
-        f"sweep {args.check}: wrote {len(rows)} rows to {args.out}; "
+        f"sweep {args.check}: wrote {len(lines) - 1} rows to {args.out}; "
         f"failures: {failures}"
     )
     return 0 if failures == 0 else 1

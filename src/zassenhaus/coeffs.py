@@ -230,7 +230,11 @@ def f_bch(u: complex, v: complex) -> CoeffValue:
     d = u - v
     if abs(d) < SWITCH:
         dd1, dd2, terms = _dd_exp(u, v, 0.0)
-        value = phi1(v) - cmath.exp(v) * dd2 / dd1
+        if abs(dd1) < _TINY:
+            # e[u, v] = e^v phi1(u - v) underflows: e^v / e[u, v] = 1 / phi1(d).
+            value = phi1(v) - dd2 / phi1(d)
+        else:
+            value = phi1(v) - cmath.exp(v) * dd2 / dd1
         return CoeffValue(value, EvalMethod.DIVIDED_DIFFERENCE, terms)
     k = round(d.imag / _TWO_PI)
     h = complex(d.real, d.imag - _TWO_PI * k) if k else d
@@ -243,7 +247,15 @@ def f_bch(u: complex, v: complex) -> CoeffValue:
     ev = cmath.exp(v)
     # e^u - e^v = e^v (e^h - 1) since h differs from u - v by 2*pi*i*k,
     # so the denominator stays accurate even just outside the pole shell.
-    den = h * phi1(h) if abs(h) <= SWITCH else cmath.exp(h) - 1.0
+    if abs(h) <= SWITCH:
+        den = h * phi1(h)
+    else:
+        try:
+            den = cmath.exp(h) - 1.0
+        except OverflowError:
+            # e^h past double range: divided through by e^u instead.
+            eh = cmath.exp(-h)
+            return CoeffValue((phi1(v) - eh * phi1(u)) / (1.0 - eh), EvalMethod.CLOSED_FORM, 0)
     if abs(eu) < _TINY or abs(ev) < _TINY:
         # Divided through by e^v (e^{u-v} = e^h), so no underflowed factor.
         value = (cmath.exp(h) * phi1(v) - phi1(u)) / den

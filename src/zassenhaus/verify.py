@@ -6,19 +6,23 @@ pass flag, metadata).  All checks verify against the cached W = [X, Y]
 directly, never against uX + vY + c*identity, so the central u = v = 0
 case is covered by the same code path.
 
-Each suite check runs in two phases.  Its request names, by key, the
+Each suite check runs in two phases, each written once for matrices with
+or without leading stack dimensions.  Its request names, by key, the
 matrices whose exponentials it reads: X, Y and X + Y, which checks share,
 and its own (g W for each coefficient, X + Y + f W, I_32 W, -tX and tX,
-and the 29 C_n W of the product).  Its finish, the public check_*
-function, computes the result from those exponentials.  run_suite gathers
-the requests of all nine checks for a pair, and prepare those of one
-check for a sweep's lattice row, into one expm_stack call per matrix
-shape; a check called on its own stacks its own request.  Matrices are
-keyed by content, so each distinct one is stacked once and its owners
-share the result: a suite stacks 27 of affine2's 40 matrices and 9 of
-heisenberg3's.  prepare also takes and returns a table of exponentials
-by content, which a sweep carries from one row to the next.  Every slice
-is bit-identical to expm of that matrix, so no residual moves.
+and the 29 C_n W of the product).  Its arithmetic computes the products
+and the relative residual from those exponentials.  Both read a subject:
+a pair's memo here, where each matrix is one n x n array and each
+coefficient a number, or a stack of a sweep's lattice points (the sweep
+module), where they are (N, n, n) and (N, 1, 1) arrays.
+
+The public check_* functions run both phases on a pair's memo.  run_suite
+gathers the requests of all nine checks for a pair into one expm_stack
+call per matrix shape; a check called on its own stacks its own request.
+Matrices are keyed by content, so each distinct one is stacked once and
+its owners share the result: a suite stacks 27 of affine2's 40 matrices
+and 9 of heisenberg3's.  Every slice is bit-identical to expm of that
+matrix, so no residual moves.
 
 A pair's memo keeps its coefficients, quadrature, C_n, requested matrices
 and their read-only exponentials for as long as the pair lives; each is
@@ -47,6 +51,7 @@ from .coeffs import f_bch, g_center, g_left, g_right, gamma_swap, integrand
 from .matrices import (
     _commutator,
     _conjugate_series,
+    _frobenius,
     _rel_residual,
     expm,
     expm_stack,
@@ -70,7 +75,6 @@ __all__ = [
     "check_lindblad_application",
     "check_swap",
     "check_truncated_product",
-    "prepare",
     "quadrature_gr",
     "run_suite",
 ]
@@ -120,29 +124,79 @@ def _read_only(A: np.ndarray) -> np.ndarray:
     return A
 
 
-class _Memo:
-    """One pair's shared work; it holds no reference to the pair itself.
+def _exponentials(items, known=None) -> dict:
+    """Content key -> read-only e^M for the distinct matrices among items.
 
-    values: coefficients (by function), quadrature and C_n; matrices: every
-    matrix a request named, by key; exps: the read-only exponential of
-    each that is computed, one array for all owners of equal matrices;
-    requests: the (request, args) gathered so far.
-    A computation that raises stores nothing, so every later use raises
-    again.
+    items are (content, stack, i): the matrix M = stack[i] (i is ... for a
+    matrix on its own) and its content key (M.shape, M.tobytes()), raw
+    bytes, so -0.0 and +0.0 stay apart.  An exponential found in known, a
+    table an earlier call returned, is taken from there; the others are
+    computed once, in one expm_stack call per shape (shapes in order of
+    first appearance).  A matrix with a non-finite entry, and one whose
+    exponential comes back NaN (a 1-norm past 700), gets no entry.  Each
+    new array is a copy that owns its memory, so a carried table keeps no
+    whole stack alive.
+    """
+    known = known or {}
+    table = {}
+    # shape -> content key -> (stack, i)
+    todo = defaultdict(dict)
+    for content, stack, i in items:
+        if content in table:
+            continue
+        e = known.get(content)
+        if e is not None:
+            table[content] = e
+        else:
+            todo[content[0]].setdefault(content, (stack, i))
+    for distinct in todo.values():
+        contents = list(distinct)
+        stack = np.array([M[i] for M, i in distinct.values()])
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            stack = stack[finite]
+            contents = [content for content, ok in zip(contents, finite) if ok]
+            if not contents:
+                continue
+        exps = expm_stack(stack)
+        for content, e, nan in zip(contents, exps, np.isnan(exps).any(axis=(1, 2))):
+            if not nan:
+                table[content] = _read_only(e.copy())
+    return table
+
+
+class _Memo:
+    """One pair's subject and shared work; it holds no reference to the pair.
+
+    X, Y, W, u, v: the pair's.  values: coefficients (by function, as
+    CoeffValue), quadrature and C_n; matrices: every matrix a request
+    named, by key; exps: the read-only exponential of each that is
+    computed, one array for all owners of equal matrices; requests: the
+    (request, args) gathered so far.  A computation that raises stores
+    nothing, so every later use raises again.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pair: AlgebraPair) -> None:
+        self.X, self.Y, self.W, self.u, self.v = pair.X, pair.Y, pair.W, pair.u, pair.v
         self.values: dict = {}
         self.matrices: dict = {}
         self.exps: dict = {}
         self.requests: set = set()
+        self.xy = None
 
-    def value(self, name, compute: Callable[[], Any]) -> Any:
+    def value(self, name, compute: Callable[[complex, complex], Any]) -> Any:
         try:
             return self.values[name]
         except KeyError:
-            value = self.values[name] = compute()
+            value = self.values[name] = compute(self.u, self.v)
             return value
+
+    def coefficient_value(self, fn: Callable):
+        """The CoeffValue of fn at the pair's (u, v)."""
+        return self.value(fn, fn)
+
+    def coefficient(self, fn: Callable):
+        return self.coefficient_value(fn).value
 
     def exp(self, key) -> np.ndarray:
         """e^M of the matrix M that a request named key; expm if not stacked."""
@@ -153,7 +207,17 @@ class _Memo:
             return value
 
     def x_times_y(self) -> np.ndarray:
-        return self.value("x_times_y", lambda: _read_only(self.exp("x") @ self.exp("y")))
+        if self.xy is None:
+            self.xy = _read_only(self.exp("x") @ self.exp("y"))
+        return self.xy
+
+    def require_finite(self, A: np.ndarray) -> None:
+        if not np.isfinite(A).all():
+            # An ad power past double range: the error of a validated commutator.
+            raise ValueError("matrix entries must be finite")
+
+    def residual(self, A: np.ndarray, B: np.ndarray) -> float:
+        return _rel_residual(A, B)
 
 
 # Keyed by the pair itself (AlgebraPair hashes by identity), so an entry
@@ -164,84 +228,55 @@ _MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _memo(pair: AlgebraPair) -> _Memo:
     memo = _MEMOS.get(pair)
     if memo is None:
-        memo = _MEMOS[pair] = _Memo()
+        memo = _MEMOS[pair] = _Memo(pair)
     return memo
 
 
-def _gather(pairs, requests, known=None) -> dict:
-    """Stack every distinct exponential the requests name for the pairs, once.
+def _gather(pair: AlgebraPair, requests) -> None:
+    """Stack every distinct exponential the requests name for the pair, once.
 
-    requests holds (request, args) tuples.  Each matrix that no earlier
-    request of the same pair named is keyed by its content, (shape, raw
-    bytes), so -0.0 and +0.0 stay apart.  The exponential of a key is
-    taken from known, a table an earlier call returned, or else computed
-    once in one expm_stack call per shape; every owner of the key gets
-    the same read-only array.  Returns this call's table, content key ->
-    exponential, each array owning its memory.  A request that raises, a
-    matrix with a non-finite entry and a NaN result enter neither the
-    memo nor the table: the finish raises for them (see the module
-    docstring).
+    requests holds (request, args) tuples; one that was gathered before,
+    or whose request raises, is skipped (the finish raises it again).
+    Every owner of equal matrices gets the same read-only array.
     """
-    known = known or {}
-    table = {}
-    # shape -> content key -> (matrix, [(memo, key) of every owner])
-    todo = defaultdict(dict)
-    for pair in pairs:
-        memo = _memo(pair)
-        for request in requests:
-            if request in memo.requests:
-                continue
-            memo.requests.add(request)
-            fn, args = request
-            try:
-                matrices = fn(pair, memo, *args)
-            except Exception:  # noqa: BLE001 - the finish raises it again
-                continue
-            for key, M in matrices.items():
-                if key in memo.matrices:
-                    continue
+    memo = _memo(pair)
+    named = []
+    for request in requests:
+        if request in memo.requests:
+            continue
+        memo.requests.add(request)
+        fn, args = request
+        try:
+            matrices = fn(memo, *args)
+        except Exception:  # noqa: BLE001 - the finish raises it again
+            continue
+        for key, M in matrices.items():
+            if key not in memo.matrices:
                 memo.matrices[key] = M
-                content = (M.shape, M.tobytes())
-                e = table.get(content)
-                if e is None and content in known:
-                    e = table[content] = known[content]
-                if e is not None:
-                    memo.exps[key] = e
-                else:
-                    todo[M.shape].setdefault(content, (M, []))[1].append((memo, key))
-    for distinct in todo.values():
-        items = list(distinct.items())
-        stack = np.stack([M for _, (M, _) in items])
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            stack = stack[finite]
-            items = [item for item, ok in zip(items, finite) if ok]
-        exps = expm_stack(stack)
-        for (content, (_, owners)), e, nan in zip(items, exps, np.isnan(exps).any(axis=(1, 2))):
-            if nan:
-                continue
-            # A copy, so that a carried table keeps no whole stack alive.
-            e = table[content] = _read_only(e.copy())
-            for memo, key in owners:
-                memo.exps[key] = e
-    return table
+                named.append((key, (M.shape, M.tobytes())))
+    table = _exponentials((content, memo.matrices[key], ...) for key, content in named)
+    for key, content in named:
+        e = table.get(content)
+        if e is not None:
+            memo.exps[key] = e
 
 
 def _prepared(pair: AlgebraPair, fn: Callable, *args) -> _Memo:
-    """The pair's memo once the request fn(pair, memo, *args) is gathered."""
+    """The pair's memo once the request fn(memo, *args) is gathered."""
     memo = _memo(pair)
     if (fn, args) not in memo.requests:
-        _gather((pair,), ((fn, args),))
+        _gather(pair, ((fn, args),))
     return memo
 
 
-def _coefficient(pair: AlgebraPair, memo: _Memo, fn: Callable):
-    return memo.value(fn, lambda: fn(pair.u, pair.v))
+# The checks.  Each _request_<check>(s, *args) returns the matrices whose
+# exponentials the check reads, by key, and each _<check>(s, *args) does
+# its arithmetic; s is a pair's memo or a sweep._Stack.  The public
+# check_* runs both on a pair's memo.
 
 
-def _side_coefficient(pair: AlgebraPair, memo: _Memo, side: Side):
-    fn = g_right if side is Side.RIGHT else g_center if side is Side.CENTER else g_left
-    return _coefficient(pair, memo, fn)
+def _side_coefficient(side: Side) -> Callable:
+    return g_right if side is Side.RIGHT else g_center if side is Side.CENTER else g_left
 
 
 def _coeff_meta(cv) -> dict:
@@ -252,9 +287,20 @@ def _coeff_meta(cv) -> dict:
     }
 
 
-def _request_disentangle(pair: AlgebraPair, memo: _Memo, side: Side) -> dict:
-    g = _side_coefficient(pair, memo, side).value
-    return {"x": pair.X, "y": pair.Y, "x+y": pair.X + pair.Y, side: g * pair.W}
+def _request_disentangle(s, side: Side) -> dict:
+    g = s.coefficient(_side_coefficient(side))
+    return {"x": s.X, "y": s.Y, "x+y": s.X + s.Y, side: g * s.W}
+
+
+def _disentangle(s, side: Side):
+    exp = s.exp
+    if side is Side.RIGHT:
+        rhs = s.x_times_y() @ exp(side)
+    elif side is Side.CENTER:
+        rhs = exp("x") @ exp(side) @ exp("y")
+    else:
+        rhs = exp(side) @ exp("x") @ exp("y")
+    return s.residual(exp("x+y"), rhs)
 
 
 def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -265,36 +311,33 @@ def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -
     """
     side = Side(side)
     memo = _prepared(pair, _request_disentangle, side)
-    cv = _side_coefficient(pair, memo, side)
-    exp = memo.exp
-    if side is Side.RIGHT:
-        rhs = memo.x_times_y() @ exp(side)
-    elif side is Side.CENTER:
-        rhs = exp("x") @ exp(side) @ exp("y")
-    else:
-        rhs = exp(side) @ exp("x") @ exp("y")
-    residual = _rel_residual(exp("x+y"), rhs)
+    cv = memo.coefficient_value(_side_coefficient(side))
+    residual = _disentangle(memo, side)
     meta = {"side": side.value, **_coeff_meta(cv)}
     return _result(f"disentangle-{side.value.lower()}", residual, tol, meta)
 
 
-def _request_swap(pair: AlgebraPair, memo: _Memo) -> dict:
-    gamma = _coefficient(pair, memo, gamma_swap).value
-    return {"x": pair.X, "y": pair.Y, "swap": gamma * pair.W}
+def _request_swap(s) -> dict:
+    return {"x": s.X, "y": s.Y, "swap": s.coefficient(gamma_swap) * s.W}
+
+
+def _swap(s):
+    return s.residual(s.x_times_y(), s.exp("y") @ s.exp("x") @ s.exp("swap"))
 
 
 def check_swap(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^X e^Y against e^Y e^X e^{gamma W}."""
     memo = _prepared(pair, _request_swap)
-    cv = _coefficient(pair, memo, gamma_swap)
-    lhs = memo.x_times_y()
-    rhs = memo.exp("y") @ memo.exp("x") @ memo.exp("swap")
-    return _result("swap", _rel_residual(lhs, rhs), tol, _coeff_meta(cv))
+    cv = memo.coefficient_value(gamma_swap)
+    return _result("swap", _swap(memo), tol, _coeff_meta(cv))
 
 
-def _request_bch(pair: AlgebraPair, memo: _Memo) -> dict:
-    f = _coefficient(pair, memo, f_bch).value
-    return {"x": pair.X, "y": pair.Y, "bch": pair.X + pair.Y + f * pair.W}
+def _request_bch(s) -> dict:
+    return {"x": s.X, "y": s.Y, "bch": s.X + s.Y + s.coefficient(f_bch) * s.W}
+
+
+def _bch(s):
+    return s.residual(s.x_times_y(), s.exp("bch"))
 
 
 def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -304,10 +347,14 @@ def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     u != v).
     """
     memo = _prepared(pair, _request_bch)
-    cv = _coefficient(pair, memo, f_bch)
-    lhs = memo.x_times_y()
-    rhs = memo.exp("bch")
-    return _result("bch", _rel_residual(lhs, rhs), tol, _coeff_meta(cv))
+    cv = memo.coefficient_value(f_bch)
+    return _result("bch", _bch(memo), tol, _coeff_meta(cv))
+
+
+def _ab_structure(s):
+    A = s.coefficient(g_left) * s.W
+    B = s.X + s.Y + s.coefficient(f_bch) * s.W
+    return s.residual(_commutator(A, B), (s.u - s.v) * A)
 
 
 def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -317,11 +364,9 @@ def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResu
     commutation structure; this checks it by direct matrix arithmetic.
     """
     memo = _memo(pair)
-    gl = _coefficient(pair, memo, g_left)
-    f = _coefficient(pair, memo, f_bch)
-    A = gl.value * pair.W
-    B = pair.X + pair.Y + f.value * pair.W
-    residual = _rel_residual(_commutator(A, B), (pair.u - pair.v) * A)
+    gl = memo.coefficient_value(g_left)
+    f = memo.coefficient_value(f_bch)
+    residual = _ab_structure(memo)
     meta = {
         "g_left": complex(gl.value),
         "f_bch": complex(f.value),
@@ -351,13 +396,23 @@ def quadrature_gr(u: complex, v: complex, nodes: int = 32) -> complex:
     return complex(total)
 
 
-def _quadrature_32(pair: AlgebraPair, memo: _Memo) -> complex:
-    return memo.value("integral_32", lambda: quadrature_gr(pair.u, pair.v, 32))
+def _quadrature(s, nodes: int):
+    return s.value(("quadrature", nodes), lambda u, v: quadrature_gr(u, v, nodes))
 
 
-def _request_integral(pair: AlgebraPair, memo: _Memo) -> dict:
-    i32 = _quadrature_32(pair, memo)
-    return {"x": pair.X, "y": pair.Y, "x+y": pair.X + pair.Y, "integral": i32 * pair.W}
+def _request_integral(s) -> dict:
+    return {"x": s.X, "y": s.Y, "x+y": s.X + s.Y, "integral": _quadrature(s, 32) * s.W}
+
+
+def _integral(s):
+    """(residual, identity residual, I_32, I_16, g_r)."""
+    i32 = _quadrature(s, 32)
+    i16 = _quadrature(s, 16)
+    gr = s.coefficient(g_right)
+    identity = s.residual(s.exp("x+y"), s.x_times_y() @ s.exp("integral"))
+    error = abs(i32 - gr)
+    # max(error, identity): error unless identity is larger.
+    return np.where(identity > error, identity, error), identity, i32, i16, gr
 
 
 def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -372,32 +427,37 @@ def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     tested.
     """
     memo = _prepared(pair, _request_integral)
-    i32 = _quadrature_32(pair, memo)
-    i16 = quadrature_gr(pair.u, pair.v, 16)
-    gr = complex(_coefficient(pair, memo, g_right).value)
-    lhs = memo.exp("x+y")
-    rhs = memo.x_times_y() @ memo.exp("integral")
-    identity_residual = _rel_residual(lhs, rhs)
-    residual = max(abs(i32 - gr), identity_residual)
+    residual, identity_residual, i32, i16, gr = _integral(memo)
     meta = {
         "integral_32": i32,
         "integral_16": i16,
         "quadrature_error_estimate": abs(i32 - i16),
-        "closed_form": gr,
+        "closed_form": complex(gr),
         "identity_residual": identity_residual,
     }
     return _result("integral", residual, tol, meta)
 
 
-def _product_coefficients(pair: AlgebraPair, memo: _Memo, N: int) -> list[complex]:
-    return memo.value(("c_sequence", N), lambda: c_sequence(N, pair.u, pair.v))
+def _product_coefficients(s, N: int):
+    return s.value(("c_sequence", N), lambda u, v: c_sequence(N, u, v))
 
 
-def _request_product(pair: AlgebraPair, memo: _Memo, N: int) -> dict:
-    matrices = {"x": pair.X, "y": pair.Y, "x+y": pair.X + pair.Y}
-    for n, cn in enumerate(_product_coefficients(pair, memo, N), start=2):
-        matrices[("C_n W", n)] = cn * pair.W
+def _request_product(s, N: int) -> dict:
+    matrices = {"x": s.X, "y": s.Y, "x+y": s.X + s.Y}
+    for n, cn in enumerate(_product_coefficients(s, N), start=2):
+        matrices[("C_n W", n)] = cn * s.W
     return matrices
+
+
+def _product(s, N: int):
+    """(residual after each partial product, g_r)."""
+    lhs = s.exp("x+y")
+    rhs = s.x_times_y()
+    sequence = []
+    for n in range(2, N + 1):
+        rhs = rhs @ s.exp(("C_n W", n))
+        sequence.append(s.residual(lhs, rhs))
+    return sequence, s.coefficient(g_right)
 
 
 def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -411,21 +471,13 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     if N < 2:
         raise ValueError(f"product cutoff must be >= 2, got {N}")
     memo = _prepared(pair, _request_product, N)
-    lhs = memo.exp("x+y")
-    rhs = memo.x_times_y()
-    sequence = []
+    sequence, gr = _product(memo, N)
+    gr = complex(gr)
     coeff_sum = 0.0 + 0.0j
-    for n, cn in enumerate(_product_coefficients(pair, memo, N), start=2):
+    for cn in _product_coefficients(memo, N):
         coeff_sum += cn
-        rhs = rhs @ memo.exp(("C_n W", n))
-        sequence.append(_rel_residual(lhs, rhs))
-    gr = complex(_coefficient(pair, memo, g_right).value)
-    norm_w = float(np.linalg.norm(pair.W))
-    exponent = (
-        float(np.linalg.norm(pair.X))
-        + float(np.linalg.norm(pair.Y))
-        + abs(gr) * norm_w
-    )
+    norm_w = _frobenius(pair.W)
+    exponent = _frobenius(pair.X) + _frobenius(pair.Y) + abs(gr) * norm_w
     tail = abs(gr - coeff_sum) * norm_w * (
         math.exp(exponent) if exponent < 700.0 else math.inf
     )
@@ -439,8 +491,15 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     return _result("product", sequence[-1], tol, meta)
 
 
-def _request_hadamard(pair: AlgebraPair, memo: _Memo, t: complex) -> dict:
-    return {("-tX", t): -t * pair.X, ("tX", t): t * pair.X}
+def _request_hadamard(s, t: complex) -> dict:
+    return {("-tX", t): -t * s.X, ("tX", t): t * s.X}
+
+
+def _hadamard(s, t: complex, K: int):
+    series = _conjugate_series(s.X, s.Y, t, K)
+    s.require_finite(series)
+    direct = s.exp(("-tX", t)) @ s.Y @ s.exp(("tX", t))
+    return s.residual(series, direct)
 
 
 def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -456,13 +515,7 @@ def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float 
     if K < 0:
         raise ValueError(f"series cutoff must be >= 0, got {K}")
     memo = _prepared(pair, _request_hadamard, t)
-    series = _conjugate_series(pair.X, pair.Y, t, K)
-    if not np.isfinite(series).all():
-        # An ad power past double range: the error of a validated commutator.
-        raise ValueError("matrix entries must be finite")
-    direct = memo.exp(("-tX", t)) @ pair.Y @ memo.exp(("tX", t))
-    residual = _rel_residual(series, direct)
-    return _result("hadamard", residual, tol, {"t": t, "K": K})
+    return _result("hadamard", _hadamard(memo, t, K), tol, {"t": t, "K": K})
 
 
 def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -532,13 +585,13 @@ def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAU
     return CheckReport(pair.name, results, all(r.passed for r in results))
 
 
-@dataclass(frozen=True)
 class _Check:
     """A suite entry: its request, (fn, args) as the check passes it to
-    _prepared (None when it reads no exponential), and its finish."""
+    _prepared (None when it reads no exponential), and its finish.  A
+    plain class: a dataclass would cost a millisecond at every import."""
 
-    request: tuple | None
-    finish: Callable[[AlgebraPair, float], CheckResult]
+    def __init__(self, request: tuple | None, finish: Callable[[AlgebraPair, float], CheckResult]) -> None:
+        self.request, self.finish = request, finish
 
     def __call__(self, pair: AlgebraPair, tol: float) -> CheckResult:
         return self.finish(pair, tol)
@@ -573,24 +626,6 @@ CHECKS: dict[str, _Check] = {
 }
 
 
-def prepare(pairs, names=None, known=None) -> dict:
-    """Compute now what the named suite checks (default: all) will read.
-
-    Gathers the checks' requests for every pair and computes each
-    distinct exponential once, in one expm_stack call per matrix shape
-    over all the pairs together.  known is a table that an earlier call
-    returned: an exponential found there is not computed again.  Each
-    pair keeps its exponentials, with its coefficients, for as long as it
-    lives; the checks then give exactly what they give alone.  Returns
-    this call's table, content key -> read-only exponential, for the
-    next call's known.  The 41x41 disentangle-right sweep requests 6724
-    exponentials, 1983 of them distinct; passing each row's table to the
-    next row's call, it stacks 2527.
-    """
-    checks = CHECKS.values() if names is None else [CHECKS[name] for name in names]
-    return _gather(pairs, [c.request for c in checks if c.request is not None], known)
-
-
 def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
     """Run every identity check on one pair and aggregate the results.
 
@@ -601,11 +636,11 @@ def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
     result carrying the error in its metadata, so the report is always
     complete.
     """
-    prepare((pair,))
+    _gather(pair, [c.request for c in CHECKS.values() if c.request is not None])
     if tol is None:
         tol = DEFAULT_TOL
         try:
-            if float(np.linalg.norm(_memo(pair).exp("x+y"))) > NORM_RELAX_LIMIT:
+            if _frobenius(_memo(pair).exp("x+y")) > NORM_RELAX_LIMIT:
                 tol = RELAXED_TOL
         except OverflowError:
             tol = RELAXED_TOL

@@ -23,7 +23,12 @@ OverflowError.  The product sweep over u in [-2, 700], v in [-1, 1]
 u = -2 row: at u = 700, v = -1 and -0.5 e^{X+Y} is past the 1-norm
 limit (701 and 700.5), and every other failing point raises the
 OverflowError later, in one of the product's e^{C_n W}, so it pins the
-per-point error path of a stacked row.  The coeff cases at u = v = 1000
+per-point error path of a stacked row.  The four ``sweep-<check>-failures-5``
+cases (disentangle-right, bch, integral, hadamard; captured before each
+lattice row was checked as stacks) pin rows that mix passing points with
+points that fail: an exponential past the 1-norm limit, a non-finite
+X + Y + fW, an infinite or NaN residual, or a truncated adjoint series far
+from the conjugation product.  The coeff cases at u = v = 1000
 were added later: every coefficient there is past double range, and coeff
 reports each one as overflowed with exit status 0.
 """
@@ -54,6 +59,17 @@ CHECKS = (
     "swap",
 )
 _SQUARE = ["--u-min", "-2", "--u-max", "2", "--v-min", "-2", "--v-max", "2"]
+# Windows whose rows mix passing points with failing ones: a gW, I_32 W
+# or X + Y + fW past the 1-norm limit (OverflowError), a non-finite
+# X + Y + fW (ValueError), an infinite residual, and hadamard's truncated
+# series far from the conjugation product.  |u|, |v| and |u - v| stay
+# <= 700, where e^u, e^v and e^{u - v} are normal doubles.
+_FAILURE_WINDOWS = {
+    "disentangle-right": ["--u-min", "-4", "--u-max", "12", "--v-min", "-6", "--v-max", "690"],
+    "bch": ["--u-min", "-175", "--u-max", "350", "--v-min", "0", "--v-max", "525"],
+    "integral": ["--u-min", "-4", "--u-max", "12", "--v-min", "-6", "--v-max", "690"],
+    "hadamard": ["--u-min", "-2", "--u-max", "2", "--v-min", "-10", "--v-max", "30"],
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -81,6 +97,8 @@ def _cases() -> dict[str, list[str]]:
         "sweep", "--check", "product", "--u-min", "-2", "--u-max", "700",
         "--v-min", "-1", "--v-max", "1", "--steps", "5", "--out", OUT,
     ]
+    for check, window in _FAILURE_WINDOWS.items():
+        cases[f"sweep-{check}-failures-5"] = ["sweep", "--check", check, *window, "--steps", "5", "--out", OUT]
     return cases
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import zassenhaus
-from zassenhaus import cli
+from zassenhaus import cli, sweep
 
 
 def _write_matrix(path, re, im=None):
@@ -227,14 +227,18 @@ def test_sweep_covers_the_degenerate_diagonal(tmp_path, capsys):
 def test_sweep_writes_a_point_whose_pair_cannot_be_built_as_a_failed_row(
     tmp_path, capsys, monkeypatch
 ):
-    build = cli._lattice_pair
+    build = sweep.lattice_row
 
-    def failing_build(u, v):
-        if (u, v) == (0.0, 1.0):
-            raise ValueError("unbuildable point")
-        return build(u, v)
+    def failing_build(u, vs):
+        # The point (0, 1) cannot be built, so it is in no stack.
+        groups = []
+        for positions, (X, Y, W, us, stack_vs) in build(u, vs):
+            keep = [j for j, i in enumerate(positions) if (u, vs[i]) != (0.0, 1.0)]
+            stack = (X[keep], Y[keep], W[keep], [us[j] for j in keep], [stack_vs[j] for j in keep])
+            groups.append(([positions[j] for j in keep], stack))
+        return groups
 
-    monkeypatch.setattr(cli, "_lattice_pair", failing_build)
+    monkeypatch.setattr(sweep, "lattice_row", failing_build)
     out_path = tmp_path / "grid.csv"
     code = cli.main(
         [

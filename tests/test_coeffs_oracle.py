@@ -249,3 +249,19 @@ def test_f_bch_where_the_exponentials_underflow(u, v):
     # the digits of a subnormal e^u or e^v.
     assert f_bch(u, v).method is EvalMethod.CLOSED_FORM
     assert_matches("f_bch", u, v)
+
+
+@pytest.mark.parametrize(
+    "u, v, method",
+    [
+        # The diagonal: e[u, v] underflows to 0, so e^v / e[u, v] is 1 / phi1(u - v).
+        (-800.0, -800.1, EvalMethod.DIVIDED_DIFFERENCE),
+        (-800.1, -800.0, EvalMethod.DIVIDED_DIFFERENCE),
+        # e^{u - v} past double range: the quotient is divided through by e^u.
+        (0.0, -1100.0, EvalMethod.CLOSED_FORM),
+        (complex(-300.0, 2.0), -1100.0, EvalMethod.CLOSED_FORM),
+    ],
+)
+def test_f_bch_where_an_exponential_leaves_double_range(u, v, method):
+    assert f_bch(u, v).method is method
+    assert_matches("f_bch", u, v)

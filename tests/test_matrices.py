@@ -9,6 +9,8 @@ import scipy.linalg
 
 from zassenhaus.matrices import (
     MAX_DIM,
+    _frobenius,
+    _rel_residual,
     DimensionMismatch,
     as_matrix,
     commutator,
@@ -19,6 +21,7 @@ from zassenhaus.matrices import (
     load_matrix,
     rel_residual,
 )
+from zassenhaus.sweep import _frobenius_stack, _rel_residuals
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -383,3 +386,61 @@ def test_load_matrix_rejects_shape_mismatch(tmp_path):
     path.write_text(json.dumps({"dim": 3, "re": [[1.0, 0.0], [0.0, 1.0]]}))
     with pytest.raises((ValueError, DimensionMismatch)):
         load_matrix(path)
+
+
+# ------------------------------------------------------- Frobenius norms
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _seeded_matrices():
+    rng = np.random.default_rng(2024)
+    for d in (1, 2, 3, 4, 8, 16):
+        yield np.zeros((d, d), dtype=complex)
+        for exponent in (-300, -150, -8, 0, 8, 150, 300):
+            A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * 10.0**exponent
+            yield A
+            yield A.T  # a transposed view: not C-contiguous
+        # Entries from 1e-300 to 1e300 in one matrix.
+        spread = 10.0 ** rng.uniform(-300.0, 300.0, (2, d, d))
+        A = rng.standard_normal((d, d)) * spread[0] + 1j * rng.standard_normal((d, d)) * spread[1]
+        yield A
+        yield A.T
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frobenius_has_the_bits_of_numpy_norm():
+    matrices = list(_seeded_matrices())
+    assert len(matrices) == 6 * 17
+    for A in matrices:
+        assert _bits(_frobenius(A)) == _bits(np.linalg.norm(A))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 64])
+def test_stacked_norms_and_residuals_have_the_bits_of_each_slice(d):
+    rng = np.random.default_rng(d)
+    N = 12
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, (N, 1, 1))
+    A = (rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))) * scale
+    B = A * (1.0 + 1e-12 * rng.standard_normal((N, d, d)))
+    B[1] = rng.standard_normal((d, d))  # unrelated
+    B[2, 0, 0] = np.inf  # rel_residual raises
+    B[3, -1, -1] = np.nan
+    A[4] = 0.0
+    B[4] = 0.0
+    for i in range(N):
+        assert _bits(_frobenius_stack(A)[i]) == _bits(_frobenius(A[i]))
+    residuals, finite = _rel_residuals(A, B)
+    for i in range(N):
+        try:
+            want = _rel_residual(A[i], B[i])
+        except ValueError:
+            assert not finite[i]
+        else:
+            assert finite[i]
+            assert _bits(residuals[i]) == _bits(want)
+    assert finite.tolist() == [i not in (2, 3) for i in range(N)]

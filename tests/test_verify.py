@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from zassenhaus import matrices, verify
-from zassenhaus.coeffs import CoeffValue, EvalMethod
+from zassenhaus.sweep import lattice_row, stack_residuals
+from zassenhaus.coeffs import CoeffValue, EvalMethod, g_right
 from zassenhaus.cli import (
     _PAIR_BUILDERS,
     _build_parser,
+    _fmt_float,
     _json_text,
     _lattice_pair,
     _pair_from_files,
@@ -44,7 +46,6 @@ from zassenhaus.verify import (
     check_lindblad_application,
     check_swap,
     check_truncated_product,
-    prepare,
     quadrature_gr,
     run_suite,
 )
@@ -532,21 +533,51 @@ def test_every_check_table_entry_requests_what_its_check_reads(expm_calls):
     # more and needs no scalar expm.
     for name, entry in verify.CHECKS.items():
         pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
-        prepare([pair], [name])
+        verify._gather(pair, [entry.request] if entry.request else [])
         requested = set(verify._memo(pair).exps)
         entry(pair, DEFAULT_TOL)
         assert set(verify._memo(pair).exps) == requested, name
     assert expm_calls == []
 
 
-# ------------------------------------- requests gathered over a sweep row
+# ------------------------------------------------- a sweep row as stacks
 
 
-def _origin_row():
-    # The u = 0 row of the 9x9 sweep: eight 2x2 pairs and the 3x3 origin.
-    return [_lattice_pair(0.0, float(v)) for v in np.linspace(-2.0, 2.0, 9)]
+def _bits(x):
+    return np.float64(x).tobytes()
 
 
+def _stack(pairs):
+    """Pairs of one shape as one stack, the way stack_residuals takes it."""
+    return (
+        np.stack([p.X for p in pairs]),
+        np.stack([p.Y for p in pairs]),
+        np.stack([p.W for p in pairs]),
+        [p.u for p in pairs],
+        [p.v for p in pairs],
+    )
+
+
+def _row_residuals(check, u, vs, known=None):
+    """stack_residuals over the lattice row u, by position, and its table."""
+    groups = lattice_row(u, vs)
+    residuals, table = stack_residuals(check, [stack for _, stack in groups], known)
+    row = [math.inf] * len(vs)
+    for (positions, _), values in zip(groups, residuals):
+        for i, residual in zip(positions, values.tolist()):
+            row[i] = residual
+    return row, table
+
+
+def _alone_residuals(check, u, vs):
+    """The public check's residual on each point's pair; inf where it raises."""
+    return [
+        _alone(check, lambda v=v: _lattice_pair(u, v), DEFAULT_TOL).residual for v in vs
+    ]
+
+
+# The u = 0 row of the 9x9 sweep: eight 2x2 points and the 3x3 origin.
+_ORIGIN_ROW = np.linspace(-2.0, 2.0, 9).tolist()
 # Exponentials per pair that each check reads.
 _SLICES = {"ab-structure": 0, "bch": 3, "swap": 3, "hadamard": 2, "product": 32}
 # Distinct matrices the u = 0 row stacks, 2x2 then 3x3: the eight 2x2
@@ -555,16 +586,39 @@ _SLICES = {"ab-structure": 0, "bch": 3, "swap": 3, "hadamard": 2, "product": 32}
 _ROW_SLICES = {"bch": [17, 3], "swap": [17, 3], "hadamard": [16, 2], "product": [248, 5]}
 
 
+def test_a_lattice_row_holds_the_matrices_of_its_pairs():
+    # Every u + v = 0 point (d = -1), the origin and u = 0 (Y[0, 0] = -0).
+    for u in (-2.0, -0.5, 0.0, 1.5, 2.0):
+        groups = lattice_row(u, _ORIGIN_ROW)
+        assert sorted(i for positions, _ in groups for i in positions) == list(range(9))
+        for positions, (X, Y, W, us, vs) in groups:
+            for j, i in enumerate(positions):
+                pair = _lattice_pair(u, _ORIGIN_ROW[i])
+                for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
+                    assert got[j].tobytes() == want.tobytes()
+                assert (us[j], vs[j]) == (pair.u, pair.v)
+    assert [len(positions) for positions, _ in lattice_row(0.0, _ORIGIN_ROW)] == [8, 1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_point_whose_pair_cannot_be_built_is_in_no_stack():
+    # u = v = 5e199: uv overflows, so W[0, 0] = -uv + uv is NaN and
+    # AlgebraPair refuses the pair.
+    with pytest.raises(ValueError):
+        _lattice_pair(5e199, 5e199)
+    groups = lattice_row(5e199, [0.0, 5e199, 1.0])
+    assert [positions for positions, _ in groups] == [[0, 2]]
+
+
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_shared_row_gives_the_per_pair_results(check, expm_stack_calls):
-    check_fn = verify.CHECKS[check]
-    row = _origin_row()
-    assert sorted({p.dim for p in row}) == [2, 3]
-    prepare(row, [check])
-    shared = [check_fn(pair, DEFAULT_TOL) for pair in row]
+    # The mixed-shape u = 0 row: every slice's residual has the bits of the
+    # public check's on that point's pair.
+    row, _ = _row_residuals(check, 0.0, _ORIGIN_ROW)
     stacked = len(expm_stack_calls)
-    alone = [check_fn(pair, DEFAULT_TOL) for pair in _origin_row()]
-    assert shared == alone
+    alone = _alone_residuals(check, 0.0, _ORIGIN_ROW)
+    assert [_bits(r) for r in row] == [_bits(r) for r in alone]
+    assert all(r < DEFAULT_TOL for r in row)
     # One call per shape for the whole row, then one per pair alone.
     slices = _SLICES.get(check, 4)
     if slices:
@@ -577,16 +631,48 @@ def test_a_shared_row_gives_the_per_pair_results(check, expm_stack_calls):
         assert expm_stack_calls == []
 
 
+def _g_right_raising_at_half(u, v):
+    if v == 0.5:
+        raise OverflowError("divided difference of exp overflows")
+    return g_right(u, v)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "check, u, vs, error",
+    [
+        # The coefficient raises.
+        ("disentangle-right", 1.0, [-1.0, 0.5, 2.0], "OverflowError: divided difference"),
+        # X + Y + fW has an entry past double range.
+        ("bch", 218.75, [0.0, 525.0, 1.0], "ValueError: matrix entries must be finite"),
+        # gW is past the 1-norm limit, so its exponential comes back NaN.
+        ("disentangle-right", 4.0, [-6.0, 168.0], "OverflowError: matrix 1-norm"),
+        # e^X e^Y overflows, so the residual raises; the others are NaN.
+        ("swap", -700.0, [700.0, 0.0, 1.0], "ValueError: matrix entries must be finite"),
+        # An ad power of the series is past double range.
+        ("hadamard", 1.0, [0.5, 1e200], "ValueError: matrix entries must be finite"),
+    ],
+)
+def test_a_point_that_cannot_be_computed_fails_alone(check, u, vs, error, monkeypatch):
+    monkeypatch.setattr(verify, "g_right", _g_right_raising_at_half)
+    row, _ = _row_residuals(check, u, vs)
+    results = [_alone(check, lambda v=v: _lattice_pair(u, v), DEFAULT_TOL) for v in vs]
+    assert [_bits(r) for r in row] == [_bits(r.residual) for r in results]
+    # One point raises alone, and the rest of the row is still computed.
+    assert any(r.metadata.get("error", "").startswith(error) for r in results)
+    assert any("error" not in r.metadata for r in results)
+
+
 def test_stacked_exponentials_are_read_only():
-    row = _origin_row()
-    prepare(row)
-    for pair in row:
-        memo = verify._memo(pair)
-        assert len(memo.exps) == 40
-        for array in [*memo.exps.values(), memo.x_times_y()]:
-            assert not array.flags.writeable
+    # The tables a row returns, for every check.
+    for check in sorted(verify.CHECKS):
+        _, table = _row_residuals(check, 0.0, _ORIGIN_ROW)
+        assert (len(table) == 0) == (check == "ab-structure")
+        for e in table.values():
+            assert e.base is None
+            assert not e.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+                e[0, 0] = 0.0
 
 
 def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
@@ -594,15 +680,17 @@ def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
     Y = np.array([[0.0, 400.0], [0.0, 0.0]])
     overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
     row = [affine_2x2(1.0, 2.0, 1.0, 1.0), overflow, affine_2x2(-1.0, 0.5, 1.0, 1.0)]
-    prepare(row, ["disentangle-right"])
+    (residuals,), table = stack_residuals("disentangle-right", [_stack(row)])
+    assert expm_calls == []
+    assert ((2, 2), (overflow.X + overflow.Y).tobytes()) not in table
+    assert residuals[1] == math.inf
+    for i in (0, 2):
+        assert residuals[i] == check_disentangle(row[i], Side.RIGHT).residual
+    # On its own, only the scalar e^{X+Y} that raised in place of the NaN slice.
     with pytest.raises(OverflowError):
         check_disentangle(overflow, Side.RIGHT)
-    # Only the scalar e^{X+Y} that raised in place of the NaN slice.
     assert len(expm_calls) == 1
     assert np.array_equal(expm_calls[0], X + Y)
-    assert check_disentangle(row[2], Side.RIGHT).passed
-    assert check_disentangle(row[0], Side.RIGHT).passed
-    assert len(expm_calls) == 1
 
 
 def _sweep_5(check, tmp_path):
@@ -648,23 +736,54 @@ def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(expm_calls, expm
     assert expm_calls == []
 
 
-def test_equal_matrices_share_one_exponential():
+def _per_pair_csv(check, window, steps):
+    """The sweep's CSV as the public check on each point's pair gives it."""
+    u_min, u_max, v_min, v_max = window
+    lines = ["u_re,u_im,v_re,v_im,residual,passed"]
+    for u in np.linspace(u_min, u_max, steps).tolist():
+        for v in np.linspace(v_min, v_max, steps).tolist():
+            try:
+                result = verify.CHECKS[check](_lattice_pair(u, v), DEFAULT_TOL)
+                residual, passed = result.residual, result.passed
+            except Exception:  # noqa: BLE001 - a failed point, as the sweep writes it
+                residual, passed = math.inf, False
+            fields = (u, 0.0, v, 0.0, residual)
+            lines.append(",".join([*(_fmt_float(x, 17) for x in fields), str(passed).lower()]))
+    return "".join(line + "\r\n" for line in lines)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "window",
+    [
+        (-2.0, 2.0, -2.0, 2.0),  # the origin and u + v = 0
+        (-4.0, 12.0, -6.0, 690.0),  # exponentials past the 1-norm limit, infinite residuals
+        (0.0, 1e200, 0.0, 1e200),  # pairs that cannot be built
+        (-1.0, 1.0, 0.0, 0.0),  # v = 0 at every point: five origins in the u = 0 row
+    ],
+)
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_sweep_writes_what_the_public_checks_give_point_by_point(check, window, tmp_path):
+    out = tmp_path / "s.csv"
+    u_min, u_max, v_min, v_max = (f"{x!r}" for x in window)
+    main(["sweep", "--check", check, f"--u-min={u_min}", f"--u-max={u_max}",
+          f"--v-min={v_min}", f"--v-max={v_max}", "--steps", "5", "--out", str(out)])
+    assert out.read_bytes().decode("utf-8") == _per_pair_csv(check, window, 5)
+
+
+def test_equal_matrices_share_one_exponential(expm_stack_calls):
     # Y depends on u alone; X + Y = [[v - u, 2], [0, 0]] on v - u alone.
     a = affine_2x2(1.0, 2.0, 1.0, 1.0)
     b = affine_2x2(1.0, 3.0, 1.0, 1.0)
     c = affine_2x2(2.0, 3.0, 1.0, 1.0)
-    table = prepare([a, b, c], ["disentangle-right"])
-    ea, eb, ec = (verify._memo(p).exp for p in (a, b, c))
-    assert ea("y") is eb("y")
-    assert eb("x") is ec("x")
-    assert ea("x+y") is ec("x+y")
-    assert ea("x+y") is not eb("x+y")
-    for pair in (a, b, c):
-        memo = verify._memo(pair)
-        for key in ("x", "y", "x+y", Side.RIGHT):
-            assert np.array_equal(memo.exp(key), matrices.expm(memo.matrices[key]))
-    # Two X, two Y, two X+Y and three gW.
+    (residuals,), table = stack_residuals("disentangle-right", [_stack([a, b, c])])
+    # Two X, two Y, two X+Y and three gW, in one call.
+    assert [s.shape[0] for s in expm_stack_calls] == [9]
     assert len(table) == 9
+    for pair, residual in zip((a, b, c), residuals.tolist()):
+        assert residual == check_disentangle(pair, Side.RIGHT).residual
+        for M in (pair.X, pair.Y, pair.X + pair.Y):
+            assert np.array_equal(table[(M.shape, M.tobytes())], matrices.expm(M))
 
 
 def test_plus_and_minus_zero_are_not_merged():
@@ -673,32 +792,34 @@ def test_plus_and_minus_zero_are_not_merged():
     assert math.copysign(1.0, minus.Y[0, 0].real) == -1.0
     plus_y = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     plus = AlgebraPair(minus.X, plus_y, minus.u, minus.v, minus.c, minus.W, "plus-zero")
-    table = prepare([minus, plus], ["swap"])
-    assert verify._memo(minus).exp("y") is not verify._memo(plus).exp("y")
+    _, table = stack_residuals("swap", [_stack([minus, plus])])
     assert ((2, 2), minus.Y.tobytes()) in table
     assert ((2, 2), plus_y.tobytes()) in table
+    memo_minus = verify._prepared(minus, verify._request_swap)
+    memo_plus = verify._prepared(plus, verify._request_swap)
+    assert memo_minus.exp("y") is not memo_plus.exp("y")
 
 
 def test_a_table_owns_its_arrays_and_carries_them_to_the_next_call(expm_stack_calls):
     first = [affine_2x2(1.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
-    table = prepare(first, ["disentangle-right"])
+    _, table = stack_residuals("disentangle-right", [_stack(first)])
     for e in table.values():
         assert e.base is None
         assert not e.flags.writeable
     # The next row reuses every X and stacks only what it adds.
     second = [affine_2x2(2.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
     expm_stack_calls.clear()
-    carried = prepare(second, ["disentangle-right"], table)
-    assert all(verify._memo(p).exp("x") is verify._memo(q).exp("x") for p, q in zip(first, second))
+    (residuals,), carried = stack_residuals("disentangle-right", [_stack(second)], table)
+    for p, q in zip(first, second):
+        assert carried[(q.X.shape, q.X.tobytes())] is table[(p.X.shape, p.X.tobytes())]
     # One Y, two X+Y and three gW: X + Y at v = 1.5 (v - u = -0.5) is the
     # first row's at v = 0.5.
-    assert verify._memo(second[1]).exp("x+y") is verify._memo(first[0]).exp("x+y")
+    xy = second[1].X + second[1].Y
+    assert carried[(xy.shape, xy.tobytes())] is table[(xy.shape, xy.tobytes())]
     assert [a.shape[0] for a in expm_stack_calls] == [6]
     assert all(e.base is None for e in carried.values())
-    for pair in second:
-        assert check_disentangle(pair, Side.RIGHT) == check_disentangle(
-            affine_2x2(pair.u, pair.v, 1.0, 1.0), Side.RIGHT
-        )
+    for pair, residual in zip(second, residuals.tolist()):
+        assert residual == check_disentangle(affine_2x2(pair.u, pair.v, 1.0, 1.0), Side.RIGHT).residual
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
@@ -706,13 +827,15 @@ def test_no_non_finite_matrix_or_nan_result_enters_the_table():
     X = np.array([[1.0, 400.0], [0.0, 0.0]])
     Y = np.array([[0.0, 400.0], [0.0, 0.0]])
     overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
-    table = prepare([overflow], ["disentangle-right"])
-    # e^{X+Y} came back NaN from the stack: neither the memo nor the table
-    # holds it, so the check's scalar expm raises as it does alone.
+    _, table = stack_residuals("disentangle-right", [_stack([overflow])])
     assert ((2, 2), (overflow.X + overflow.Y).tobytes()) not in table
+    verify._gather(overflow, [verify.CHECKS["disentangle-right"].request])
+    # e^{X+Y} came back NaN from the stack: neither the table nor the memo
+    # holds it, so the check's scalar expm raises as it does alone.
     assert "x+y" not in verify._memo(overflow).exps
     with pytest.raises(OverflowError):
         check_disentangle(overflow, Side.RIGHT)
+    # t X has an entry past double range: nothing is stacked.
     pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
-    assert verify._gather([pair], [(verify._request_hadamard, (1e308 + 0j,))]) == {}
+    verify._gather(pair, [(verify._request_hadamard, (1e308 + 0j,))])
     assert verify._memo(pair).exps == {}
