@@ -257,23 +257,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _lattice_pair(u: float, v: float):
-    """Exact realization for one lattice point of a sweep.
-
-    affine_2x2(u, v, 1, 1) except where u + v = 0 makes it degenerate:
-    then b = 1, d = -1 (nonzero since u = -v != 0), and the origin falls
-    back to the central 3x3 pair.
-    """
-    if u == 0.0 and v == 0.0:
-        return heisenberg_3x3(1)
-    if u + v != 0.0:
-        return affine_2x2(u, v, 1, 1)
-    return affine_2x2(u, v, 1, -1)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Imported here, so that no other command compiles the row path.
-    from .sweep import lattice_row, stack_residuals
+    # Imported here, so that no other command compiles the block plan.
+    from .sweep import lattice_residuals
 
     us = np.linspace(args.u_min, args.u_max, args.steps).tolist()
     vs = np.linspace(args.v_min, args.v_max, args.steps).tolist()
@@ -282,22 +268,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     zero = _fmt_float(0.0, 17)
     lines = ["u_re,u_im,v_re,v_im,residual,passed"]
     failures = 0
-    table = None
+    # The residuals come row by row from blocks of points checked as
+    # stacks: each distinct exponential of a block is computed once, in
+    # one expm_stack call per shape, so the 41x41 disentangle-right sweep
+    # stacks 2339 of its 6724 requested matrices in five calls.
+    residuals = lattice_residuals(args.check, us, vs)
     for u in us:
-        # One lattice row at a time, checked as stacks: one expm_stack
-        # call per shape gives every exponential the row reads, and the
-        # products and residuals run once over each stack.  Only the
-        # previous row's table is carried: e^Y recurs along a row, e^X
-        # down a column and e^{X+Y} along a diagonal, so the 41x41
-        # disentangle-right sweep stacks 2527 of its 6724 matrices.
-        groups = lattice_row(u, vs)
-        residuals, table = stack_residuals(args.check, [stack for _, stack in groups], table)
-        row = [math.inf] * len(vs)
-        for (positions, _), values in zip(groups, residuals):
-            for i, residual in zip(positions, values.tolist()):
-                row[i] = residual
         u_text = _fmt_float(u, 17)
-        for v_text, residual in zip(v_texts, row):
+        # zip draws from v_texts first, so it stops at the end of a row
+        # without taking the next row's first residual.
+        for v_text, residual in zip(v_texts, residuals):
             passed = residual <= DEFAULT_TOL
             if not passed:
                 failures += 1

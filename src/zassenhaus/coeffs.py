@@ -126,8 +126,25 @@ def phi1(x: complex) -> complex:
 
 
 def _g_right_closed(u: complex, v: complex) -> complex:
-    eu = cmath.exp(u)
-    return (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
+    try:
+        eu = cmath.exp(u)
+        value = (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    # e^u or e^{u-v} is past double range, or a product with it is: the
+    # quotient factored by e^m, m = max(0, Re u, Re(u - v)), then scaled
+    # by e^{m/2} twice.  Where e^{m/2} itself overflows (m > 1419.5), g_r
+    # is in range only if |uv(u - v)| is past about e^{m - 710} > 1e308.
+    m = max(0.0, u.real, (u - v).real)
+    eu = cmath.exp(u - m)
+    value = (u * (cmath.exp(u - v - m) - eu) + v * (eu - math.exp(-m))) / (u * v * (u - v))
+    half = math.exp(m / 2.0)
+    value = value * half * half
+    if not cmath.isfinite(value):
+        raise OverflowError(f"g_right overflows at {(u, v)}")
+    return value
 
 
 def _dd_exp(x0: complex, x1: complex, x2: complex) -> tuple[complex, complex, int]:
@@ -192,7 +209,10 @@ def g_right(u: complex, v: complex) -> CoeffValue:
 
     Path selection: closed form when min(|u|, |v|, |u-v|) >= SWITCH;
     otherwise the second divided difference g_r(u, v) = -e[u-v, u, 0],
-    which has no singular line and no stopping rule.
+    which has no singular line and no stopping rule.  Where e^u, e^{u-v}
+    or a product with one of them leaves double range, the closed form is
+    factored by e^m, m = max(0, Re u, Re(u-v)), so OverflowError is raised
+    only where g_r itself leaves it.
     """
     u = complex(u)
     v = complex(v)

@@ -1,22 +1,26 @@
-"""A sweep's lattice rows, each checked as stacks.
+"""A sweep's lattice, checked in blocks of points as stacks.
 
-lattice_row builds one row of the (u, v) lattice as stacks of points of
-one shape: its 2x2 affine points as one (N, 2, 2) stack of X, Y and W, and
-the origin's 3x3 Heisenberg pair as another.  stack_residuals runs one
-suite check over the stacks.  The coefficients come point by point from
-the same scalar functions as for one pair, and the exponentials from one
-expm_stack call per shape, keyed by content (verify._exponentials).  Then
-the check's products and relative residual run once over each stack,
-through the same request and arithmetic that the public check runs on one
-pair (see verify).  A stacked @, commutator or scalar multiple is
+lattice_residuals walks the (u, v) lattice row by row in blocks of at
+most BLOCK_SLICES requested matrices.  lattice_points builds a block as
+stacks of points of one shape: its 2x2 affine points as one (N, 2, 2)
+stack of X, Y and W, and the origin's 3x3 Heisenberg pair as another.
+stack_residuals runs one suite check over the stacks.  The coefficients
+come point by point from the same scalar functions as for one pair.  The
+check's request runs once over each stack, and every matrix it names is
+keyed by its raw bytes in one np.unique call, so each distinct one is
+exponentiated once, in one expm_stack call per shape per block.  Then the
+check's products and relative residual run once over each stack, through
+the same request and arithmetic that the public check runs on one pair
+(see verify).  A stacked @, commutator or scalar multiple is
 bit-identical to the same operation on each slice, and so is each stacked
-Frobenius norm, so every residual has the bits of the public check's on
-that point's pair.
+Frobenius norm and each expm_stack slice, so every residual has the bits
+of the public check's on that point's pair.
 
 A point that cannot be computed drops out of its stack with an infinite
 residual, and the others go on: its coefficient raises, a requested
 matrix is non-finite, its exponential comes back NaN, or its residual
-raises.
+raises.  The stacked arithmetic runs with numpy's overflow and invalid
+warnings off, since such a point is already written inf,false.
 
 The sweep command imports this module when it runs, so that no other
 command pays for compiling it.
@@ -33,7 +37,14 @@ from .matrices import _commutator
 from .realizations import heisenberg_3x3
 from .verify import Side
 
-__all__ = ["lattice_row", "stack_residuals"]
+__all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals", "stack_residuals"]
+
+# The matrices that a block may request, over all its points: this bounds
+# a block's memory whatever the lattice size.  The 41x41 disentangle-right
+# sweep (4 per point) runs in four blocks of at most 512 points.  Sized by
+# measurement on that sweep: its peak memory stays where the one-row plan
+# had it, where 4096 adds about 0.9 MiB and one block for the lattice 2 MiB.
+BLOCK_SLICES = 2048
 
 
 def _frobenius_stack(A: np.ndarray) -> np.ndarray:
@@ -71,10 +82,9 @@ class _Stack:
 
     def __init__(self, X, Y, W, u, v) -> None:
         self.X, self.Y, self.W = X, Y, W
-        self.points = list(zip(u, v))
-        self.u = np.array(u, dtype=complex)[:, None, None]
-        self.v = np.array(v, dtype=complex)[:, None, None]
-        self.ok = np.ones(len(self.points), dtype=bool)
+        self.u = np.asarray(u, dtype=complex)[:, None, None]
+        self.v = np.asarray(v, dtype=complex)[:, None, None]
+        self.ok = np.ones(len(X), dtype=bool)
         self.values = {}
         self.exps = {}
         self.xy = None
@@ -82,10 +92,11 @@ class _Stack:
     def value(self, name, compute):
         """compute(u, v) at every point: (N, 1, 1), or (m, N, 1, 1) for m-long results."""
         if name not in self.values:
-            results = [None] * len(self.points)
-            for i in np.flatnonzero(self.ok):
+            us, vs = self.u.ravel().tolist(), self.v.ravel().tolist()
+            results = [None] * len(us)
+            for i in np.flatnonzero(self.ok).tolist():
                 try:
-                    results[i] = compute(*self.points[i])
+                    results[i] = compute(us[i], vs[i])
                 except Exception:  # noqa: BLE001 - the point fails, the stack goes on
                     self.ok[i] = False
             fill = np.zeros_like(next((r for r in results if r is not None), 0j), dtype=complex)
@@ -113,106 +124,124 @@ class _Stack:
         return residuals[:, None, None]
 
 
-def _gather(stacks, request, known) -> dict:
-    """The exponentials that request names for every computable point.
+def _gather(s: _Stack, request) -> None:
+    """The read-only exponentials that request names, at every point of s.
 
-    Content keys as for a pair, one expm_stack call per shape over all
-    the stacks.  A point still computable after the request has all its
-    matrices stacked; one with a matrix that gets no exponential is marked
-    off.  Returns this call's table.
+    Every matrix the request names for a computable point is keyed by its
+    raw bytes (so -0.0 and +0.0 stay apart) in one np.unique call, and the
+    finite distinct ones are stacked in one expm_stack call.  A point with
+    a requested matrix that is non-finite or whose exponential comes back
+    NaN is marked off; every point marked off gets the identity.
     """
     fn, args = request
-    named = []
-    for stack in stacks:
-        for key, M in fn(stack, *args).items():
-            raw, size = M.tobytes(), M[0].nbytes
-            live = enumerate(stack.ok.tolist())
-            contents = [(M.shape[1:], raw[i * size:(i + 1) * size]) if ok else None for i, ok in live]
-            named.append((stack, key, M, contents))
-    items = [(c, M, i) for _, _, M, contents in named for i, c in enumerate(contents) if c]
-    table = verify._exponentials(items, known)
-    # One pool per shape: its exponentials in the table, then the identity,
-    # which points marked off get in place of theirs.
-    pools = {}
-    for stack, key, M, contents in named:
-        shape = M.shape[1:]
-        if shape not in pools:
-            own = [c for c in table if c[0] == shape]
-            pool = np.array([*(table[c] for c in own), np.eye(shape[-1], dtype=complex)])
-            pools[shape] = dict(zip(own, range(len(own)))), pool
-        index, pool = pools[shape]
-        positions = np.array([index.get(c, -1) for c in contents])
-        stack.ok &= positions >= 0
-        stack.exps[key] = pool[positions]
-    return table
+    named = fn(s, *args)
+    N, n = len(s.ok), s.X.shape[-1]
+    A = np.concatenate(list(named.values()))
+    live = np.flatnonzero(np.tile(s.ok, len(named)) & np.isfinite(A).all(axis=(1, 2)))
+    rows = A[live].reshape(len(live), n * n)
+    # One raw-bytes key per requested matrix: the row of its n*n entries.
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n * n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # Through verify's binding, which the tests' and the benchmark's call
+    # counters wrap, as for a pair's exponentials.
+    exps = verify.expm_stack(rows[first].reshape(-1, n, n)) if live.size else A[:0]
+    # The pool: each distinct exponential, then the identity at its end.
+    pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
+    identity = len(exps)
+    where = np.full(len(A), identity)
+    where[live] = np.where(np.isnan(exps).any(axis=(1, 2)), identity, np.arange(identity))[inverse]
+    where = where.reshape(len(named), N)
+    s.ok &= (where != identity).all(axis=0)
+    for key, positions in zip(named, where):
+        s.exps[key] = verify._read_only(pool[positions])
 
 
-# Each suite check's residual on a stack, from its arithmetic in verify.
-_RESIDUALS = {
-    "disentangle-right": lambda s: verify._disentangle(s, Side.RIGHT),
-    "disentangle-center": lambda s: verify._disentangle(s, Side.CENTER),
-    "disentangle-left": lambda s: verify._disentangle(s, Side.LEFT),
-    "swap": lambda s: verify._swap(s),
-    "bch": lambda s: verify._bch(s),
-    "ab-structure": lambda s: verify._ab_structure(s),
-    "integral": lambda s: verify._integral(s)[0],
-    "product": lambda s: verify._product(s, 30)[0][-1],
-    "hadamard": lambda s: verify._hadamard(s, 0.5 + 0j, 40),
+# Each suite check: the matrices its request names per point, which size
+# a block, and its residual on a stack, from its arithmetic in verify.
+_CHECKS = {
+    "disentangle-right": (4, lambda s: verify._disentangle(s, Side.RIGHT)),
+    "disentangle-center": (4, lambda s: verify._disentangle(s, Side.CENTER)),
+    "disentangle-left": (4, lambda s: verify._disentangle(s, Side.LEFT)),
+    "swap": (3, lambda s: verify._swap(s)),
+    "bch": (3, lambda s: verify._bch(s)),
+    "ab-structure": (0, lambda s: verify._ab_structure(s)),
+    "integral": (4, lambda s: verify._integral(s)[0]),
+    "product": (32, lambda s: verify._product(s, 30)[0][-1]),
+    "hadamard": (2, lambda s: verify._hadamard(s, 0.5 + 0j, 40)),
 }
 
 
-def stack_residuals(name: str, stacks, known=None) -> tuple[list[np.ndarray], dict]:
+def stack_residuals(name: str, stacks) -> list[np.ndarray]:
     """The named suite check's residual at every point of the stacks.
 
     stacks holds (X, Y, W, u, v) per matrix shape: (N, n, n) arrays X, Y
-    and W = [X, Y], and the N points' u and v as complex numbers.  Each
-    residual is bit-identical to the residual of the public check on the
-    pair of that point, and inf where that check raises.  known is a
-    table that an earlier call returned: an exponential found there is not
-    computed again.  Returns the residuals, one float array per stack, and
-    this call's table, content key -> read-only exponential, for the next
-    call's known.  The 41x41 disentangle-right sweep requests 6724
-    exponentials, 1983 of them distinct; passing each row's table to the
-    next row's call, it stacks 2527.
+    and W = [X, Y], and the N points' u and v.  Each residual is
+    bit-identical to the residual of the public check on the pair of that
+    point, and inf where that check raises.  Returns one float array per
+    stack.  Every distinct matrix that the check requests is
+    exponentiated once, in one expm_stack call per stack.
     """
     request = verify.CHECKS[name].request
-    subjects = [_Stack(*stack) for stack in stacks]
-    table = _gather(subjects, request, known) if request is not None else {}
-    residuals = []
-    for s in subjects:
-        residual = _RESIDUALS[name](s).reshape(len(s.points))
-        residuals.append(np.where(s.ok, residual, math.inf))
-    return residuals, table
+    residual = _CHECKS[name][1]
+    results = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stack in stacks:
+            s = _Stack(*stack)
+            if request is not None:
+                _gather(s, request)
+            results.append(np.where(s.ok, residual(s).reshape(len(s.ok)), math.inf))
+    return results
 
 
-def lattice_row(u: float, vs) -> list[tuple[list[int], tuple]]:
-    """One lattice row of a sweep as stacks: (positions, stack) per shape.
+def lattice_points(u: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, tuple]]:
+    """The points (u[i], v[i]) as stacks: (positions, stack) per shape.
 
-    Each point gets the matrices of cli._lattice_pair(u, v), built as
-    stacks: the 2x2 affine points as one (N, 2, 2) stack, the origin's 3x3
-    pair as another (a stack of one unless v_min = v_max = 0), in the order
-    of their first point.  A stack is (X, Y, W, u, v) as stack_residuals
-    takes it.  A point whose W has a non-finite entry, where AlgebraPair
-    would refuse the pair, is in no stack.
+    Each point gets the matrices of affine_2x2(u, v, 1, 1), or of
+    affine_2x2(u, v, 1, -1) where u + v = 0, built as stacks: the 2x2
+    affine points as one (N, 2, 2) stack, and the origin's 3x3 Heisenberg
+    pair heisenberg_3x3(1) as another, in the order of their first point.
+    A stack is (X, Y, W, u, v) as stack_residuals takes it.  A point whose
+    W has a non-finite entry, where AlgebraPair would refuse the pair, is
+    in no stack.
     """
-    v = np.array(vs, dtype=float)
-    X = np.zeros((len(v), 2, 2), dtype=complex)
+    X = np.zeros((len(u), 2, 2), dtype=complex)
     Y = np.zeros_like(X)
     X[:, 0, 0] = v
     X[:, 0, 1] = 1.0
-    Y[:, 0, 0] = -complex(u)
+    Y[:, 0, 0] = -u.astype(complex)
     Y[:, 0, 1] = np.where(u + v != 0.0, 1.0, -1.0)
-    W = _commutator(X, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = _commutator(X, Y)
     origin = (u == 0.0) & (v == 0.0)
     groups = []
     affine = np.flatnonzero(~origin & np.isfinite(W).all(axis=(1, 2)))
     if affine.size:
-        us, points = [complex(u)] * affine.size, [complex(x) for x in v[affine].tolist()]
-        groups.append((affine.tolist(), (X[affine], Y[affine], W[affine], us, points)))
-    origin = np.flatnonzero(origin).tolist()
-    if origin:
+        groups.append((affine, (X[affine], Y[affine], W[affine], u[affine], v[affine])))
+    origin = np.flatnonzero(origin)
+    if origin.size:
         pair = heisenberg_3x3(1)
         k = len(origin)
         X, Y, W = (np.repeat(M[None], k, axis=0) for M in (pair.X, pair.Y, pair.W))
-        groups.append((origin, (X, Y, W, [pair.u] * k, [pair.v] * k)))
+        groups.append((origin, (X, Y, W, np.full(k, pair.u), np.full(k, pair.v))))
     return sorted(groups, key=lambda group: group[0][0])
+
+
+def lattice_residuals(name: str, us, vs):
+    """The named check's residual at each point of the lattice us x vs.
+
+    Yields one float per point, row by row (u major), inf where the check
+    raises.  The points run in blocks of at most BLOCK_SLICES requested
+    matrices, each built by lattice_points and checked by stack_residuals;
+    a block may end inside a row.
+    """
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    size = max(1, BLOCK_SLICES // max(1, _CHECKS[name][0]))
+    total = len(us) * len(vs)
+    for start in range(0, total, size):
+        flat = np.arange(start, min(start + size, total))
+        u, v = us[flat // len(vs)], vs[flat % len(vs)]
+        groups = lattice_points(u, v)
+        residuals = np.full(len(flat), math.inf)
+        for (positions, _), values in zip(groups, stack_residuals(name, [s for _, s in groups])):
+            residuals[positions] = values
+        yield from residuals.tolist()

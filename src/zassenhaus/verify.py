@@ -124,31 +124,21 @@ def _read_only(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _exponentials(items, known=None) -> dict:
+def _exponentials(items) -> dict:
     """Content key -> read-only e^M for the distinct matrices among items.
 
     items are (content, stack, i): the matrix M = stack[i] (i is ... for a
     matrix on its own) and its content key (M.shape, M.tobytes()), raw
-    bytes, so -0.0 and +0.0 stay apart.  An exponential found in known, a
-    table an earlier call returned, is taken from there; the others are
-    computed once, in one expm_stack call per shape (shapes in order of
-    first appearance).  A matrix with a non-finite entry, and one whose
-    exponential comes back NaN (a 1-norm past 700), gets no entry.  Each
-    new array is a copy that owns its memory, so a carried table keeps no
-    whole stack alive.
+    bytes, so -0.0 and +0.0 stay apart.  Each distinct matrix is computed
+    once, in one expm_stack call per shape (shapes in order of first
+    appearance).  A matrix with a non-finite entry, and one whose
+    exponential comes back NaN (a 1-norm past 700), gets no entry.
     """
-    known = known or {}
     table = {}
     # shape -> content key -> (stack, i)
     todo = defaultdict(dict)
     for content, stack, i in items:
-        if content in table:
-            continue
-        e = known.get(content)
-        if e is not None:
-            table[content] = e
-        else:
-            todo[content[0]].setdefault(content, (stack, i))
+        todo[content[0]].setdefault(content, (stack, i))
     for distinct in todo.values():
         contents = list(distinct)
         stack = np.array([M[i] for M, i in distinct.values()])
@@ -161,7 +151,7 @@ def _exponentials(items, known=None) -> dict:
         exps = expm_stack(stack)
         for content, e, nan in zip(contents, exps, np.isnan(exps).any(axis=(1, 2))):
             if not nan:
-                table[content] = _read_only(e.copy())
+                table[content] = _read_only(e)
     return table
 
 

@@ -227,18 +227,17 @@ def test_sweep_covers_the_degenerate_diagonal(tmp_path, capsys):
 def test_sweep_writes_a_point_whose_pair_cannot_be_built_as_a_failed_row(
     tmp_path, capsys, monkeypatch
 ):
-    build = sweep.lattice_row
+    build = sweep.lattice_points
 
-    def failing_build(u, vs):
+    def failing_build(u, v):
         # The point (0, 1) cannot be built, so it is in no stack.
         groups = []
-        for positions, (X, Y, W, us, stack_vs) in build(u, vs):
-            keep = [j for j, i in enumerate(positions) if (u, vs[i]) != (0.0, 1.0)]
-            stack = (X[keep], Y[keep], W[keep], [us[j] for j in keep], [stack_vs[j] for j in keep])
-            groups.append(([positions[j] for j in keep], stack))
+        for positions, (X, Y, W, us, vs) in build(u, v):
+            keep = (u[positions] != 0.0) | (v[positions] != 1.0)
+            groups.append((positions[keep], (X[keep], Y[keep], W[keep], us[keep], vs[keep])))
         return groups
 
-    monkeypatch.setattr(sweep, "lattice_row", failing_build)
+    monkeypatch.setattr(sweep, "lattice_points", failing_build)
     out_path = tmp_path / "grid.csv"
     code = cli.main(
         [

@@ -265,3 +265,24 @@ def test_f_bch_where_the_exponentials_underflow(u, v):
 def test_f_bch_where_an_exponential_leaves_double_range(u, v, method):
     assert f_bch(u, v).method is method
     assert_matches("f_bch", u, v)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        (720.0, 715.0),  # e^u past double range; the value is -9.56e306
+        (712.0, 3.0),  # e^u past double range; the value is -7.34e305
+        (3.0, -708.0),  # e^{u - v} past double range
+        (709.0, 3.0),  # e^u in range, u e^u not: the unfactored quotient is NaN
+    ],
+)
+def test_g_right_where_an_exponential_leaves_double_range(u, v):
+    assert g_right(u, v).method is EvalMethod.CLOSED_FORM
+    assert_matches("g_right", u, v)
+    assert_matches("g_left", v, u)
+
+
+def test_g_right_raises_where_its_value_leaves_double_range():
+    assert abs(reference("g_right", 730.0, 3.0)) == math.inf  # -4.70e313
+    with pytest.raises(OverflowError):
+        g_right(730.0, 3.0)

@@ -28,6 +28,7 @@ REMOVED = (
     "report_to_jsonable",
     "share_exponentials",
     "prepare",
+    "lattice_row",
 )
 
 # What ``import zassenhaus`` adds to sys.modules in a fresh interpreter

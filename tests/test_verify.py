@@ -4,22 +4,24 @@ import argparse
 import gc
 import json
 import math
+import tempfile
 import weakref
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zassenhaus import matrices, verify
-from zassenhaus.sweep import lattice_row, stack_residuals
+from zassenhaus import matrices, sweep, verify
+from zassenhaus.sweep import lattice_points, stack_residuals
 from zassenhaus.coeffs import CoeffValue, EvalMethod, g_right
 from zassenhaus.cli import (
     _PAIR_BUILDERS,
     _build_parser,
     _fmt_float,
     _json_text,
-    _lattice_pair,
     _pair_from_files,
     _report_payload,
     main,
@@ -540,7 +542,21 @@ def test_every_check_table_entry_requests_what_its_check_reads(expm_calls):
     assert expm_calls == []
 
 
-# ------------------------------------------------- a sweep row as stacks
+# ------------------------------------------ a sweep's lattice as stacks
+
+
+def _lattice_pair(u, v):
+    """The pair of one sweep lattice point, as the public checks take it.
+
+    affine_2x2(u, v, 1, 1) except where u + v = 0 makes it degenerate:
+    then b = 1, d = -1 (nonzero since u = -v != 0), and the origin falls
+    back to the central 3x3 pair.
+    """
+    if u == 0.0 and v == 0.0:
+        return heisenberg_3x3(1)
+    if u + v != 0.0:
+        return affine_2x2(u, v, 1, 1)
+    return affine_2x2(u, v, 1, -1)
 
 
 def _bits(x):
@@ -558,15 +574,28 @@ def _stack(pairs):
     )
 
 
-def _row_residuals(check, u, vs, known=None):
-    """stack_residuals over the lattice row u, by position, and its table."""
-    groups = lattice_row(u, vs)
-    residuals, table = stack_residuals(check, [stack for _, stack in groups], known)
+def _gathered(check, pairs):
+    """A stack of the pairs once the check's request is gathered."""
+    s = sweep._Stack(*_stack(pairs))
+    sweep._gather(s, verify.CHECKS[check].request)
+    return s
+
+
+def _points(rows, vs):
+    """The lattice points of the rows u in rows, as lattice_points takes them."""
+    u = np.repeat(np.array(rows, dtype=float), len(vs))
+    return u, np.tile(np.array(vs, dtype=float), len(rows))
+
+
+def _row_residuals(check, u, vs):
+    """stack_residuals over the lattice row u, by position."""
+    groups = lattice_points(*_points([u], vs))
+    residuals = stack_residuals(check, [stack for _, stack in groups])
     row = [math.inf] * len(vs)
     for (positions, _), values in zip(groups, residuals):
-        for i, residual in zip(positions, values.tolist()):
+        for i, residual in zip(positions.tolist(), values.tolist()):
             row[i] = residual
-    return row, table
+    return row
 
 
 def _alone_residuals(check, u, vs):
@@ -586,18 +615,20 @@ _SLICES = {"ab-structure": 0, "bch": 3, "swap": 3, "hadamard": 2, "product": 32}
 _ROW_SLICES = {"bch": [17, 3], "swap": [17, 3], "hadamard": [16, 2], "product": [248, 5]}
 
 
-def test_a_lattice_row_holds_the_matrices_of_its_pairs():
-    # Every u + v = 0 point (d = -1), the origin and u = 0 (Y[0, 0] = -0).
-    for u in (-2.0, -0.5, 0.0, 1.5, 2.0):
-        groups = lattice_row(u, _ORIGIN_ROW)
-        assert sorted(i for positions, _ in groups for i in positions) == list(range(9))
-        for positions, (X, Y, W, us, vs) in groups:
-            for j, i in enumerate(positions):
-                pair = _lattice_pair(u, _ORIGIN_ROW[i])
-                for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
-                    assert got[j].tobytes() == want.tobytes()
-                assert (us[j], vs[j]) == (pair.u, pair.v)
-    assert [len(positions) for positions, _ in lattice_row(0.0, _ORIGIN_ROW)] == [8, 1]
+def test_a_block_holds_the_matrices_of_its_pairs():
+    # Five rows at once: every u + v = 0 point (d = -1), the origin and
+    # u = 0 (Y[0, 0] = -0).
+    u, v = _points([-2.0, -0.5, 0.0, 1.5, 2.0], _ORIGIN_ROW)
+    groups = lattice_points(u, v)
+    assert sorted(i for positions, _ in groups for i in positions.tolist()) == list(range(45))
+    for positions, (X, Y, W, us, vs) in groups:
+        for j, i in enumerate(positions.tolist()):
+            pair = _lattice_pair(u.tolist()[i], v.tolist()[i])
+            for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
+                assert got[j].tobytes() == want.tobytes()
+            assert (complex(us[j]), complex(vs[j])) == (pair.u, pair.v)
+    assert [len(positions) for positions, _ in groups] == [44, 1]
+    assert [len(positions) for positions, _ in lattice_points(*_points([0.0], _ORIGIN_ROW))] == [8, 1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -606,15 +637,22 @@ def test_a_point_whose_pair_cannot_be_built_is_in_no_stack():
     # AlgebraPair refuses the pair.
     with pytest.raises(ValueError):
         _lattice_pair(5e199, 5e199)
-    groups = lattice_row(5e199, [0.0, 5e199, 1.0])
-    assert [positions for positions, _ in groups] == [[0, 2]]
+    groups = lattice_points(*_points([5e199], [0.0, 5e199, 1.0]))
+    assert [positions.tolist() for positions, _ in groups] == [[0, 2]]
+
+
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_block_is_sized_by_what_its_check_requests(check):
+    request = verify.CHECKS[check].request
+    named = request[0](verify._memo(affine_2x2(1.0, 2.0, 1.0, 1.0)), *request[1]) if request else {}
+    assert sweep._CHECKS[check][0] == len(named)
 
 
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_shared_row_gives_the_per_pair_results(check, expm_stack_calls):
     # The mixed-shape u = 0 row: every slice's residual has the bits of the
     # public check's on that point's pair.
-    row, _ = _row_residuals(check, 0.0, _ORIGIN_ROW)
+    row = _row_residuals(check, 0.0, _ORIGIN_ROW)
     stacked = len(expm_stack_calls)
     alone = _alone_residuals(check, 0.0, _ORIGIN_ROW)
     assert [_bits(r) for r in row] == [_bits(r) for r in alone]
@@ -655,7 +693,7 @@ def _g_right_raising_at_half(u, v):
 )
 def test_a_point_that_cannot_be_computed_fails_alone(check, u, vs, error, monkeypatch):
     monkeypatch.setattr(verify, "g_right", _g_right_raising_at_half)
-    row, _ = _row_residuals(check, u, vs)
+    row = _row_residuals(check, u, vs)
     results = [_alone(check, lambda v=v: _lattice_pair(u, v), DEFAULT_TOL) for v in vs]
     assert [_bits(r) for r in row] == [_bits(r.residual) for r in results]
     # One point raises alone, and the rest of the row is still computed.
@@ -664,15 +702,19 @@ def test_a_point_that_cannot_be_computed_fails_alone(check, u, vs, error, monkey
 
 
 def test_stacked_exponentials_are_read_only():
-    # The tables a row returns, for every check.
+    # What a gathered stack of the u = 0 row's 2x2 points holds, for every
+    # check that reads an exponential.
+    pairs = [_lattice_pair(0.0, v) for v in _ORIGIN_ROW if v]
     for check in sorted(verify.CHECKS):
-        _, table = _row_residuals(check, 0.0, _ORIGIN_ROW)
-        assert (len(table) == 0) == (check == "ab-structure")
-        for e in table.values():
-            assert e.base is None
+        if verify.CHECKS[check].request is None:
+            continue
+        s = _gathered(check, pairs)
+        assert len(s.exps) == sweep._CHECKS[check][0]
+        for e in s.exps.values():
+            assert e.shape == (8, 2, 2)
             assert not e.flags.writeable
             with pytest.raises(ValueError):
-                e[0, 0] = 0.0
+                e[0, 0, 0] = 0.0
 
 
 def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
@@ -680,9 +722,8 @@ def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
     Y = np.array([[0.0, 400.0], [0.0, 0.0]])
     overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
     row = [affine_2x2(1.0, 2.0, 1.0, 1.0), overflow, affine_2x2(-1.0, 0.5, 1.0, 1.0)]
-    (residuals,), table = stack_residuals("disentangle-right", [_stack(row)])
+    (residuals,) = stack_residuals("disentangle-right", [_stack(row)])
     assert expm_calls == []
-    assert ((2, 2), (overflow.X + overflow.Y).tobytes()) not in table
     assert residuals[1] == math.inf
     for i in (0, 2):
         assert residuals[i] == check_disentangle(row[i], Side.RIGHT).residual
@@ -693,47 +734,67 @@ def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
     assert np.array_equal(expm_calls[0], X + Y)
 
 
-def _sweep_5(check, tmp_path):
-    return ["sweep", "--check", check, "--u-min", "-2", "--u-max", "2",
-            "--v-min", "-2", "--v-max", "2", "--steps", "5", "--out", str(tmp_path / "s.csv")]
+def _sweep_argv(check, steps, out, window=(-2.0, 2.0, -2.0, 2.0)):
+    u_min, u_max, v_min, v_max = (f"{x!r}" for x in window)
+    return ["sweep", "--check", check, f"--u-min={u_min}", f"--u-max={u_max}",
+            f"--v-min={v_min}", f"--v-max={v_max}", "--steps", str(steps), "--out", str(out)]
 
 
 @pytest.mark.parametrize("check", ["ab-structure"])
 def test_a_sweep_that_needs_no_shared_exponential_stacks_nothing(check, expm_stack_calls, tmp_path):
-    assert main(_sweep_5(check, tmp_path)) == 0
+    assert main(_sweep_argv(check, 5, tmp_path / "s.csv")) == 0
     assert expm_stack_calls == []
 
 
 def test_a_hadamard_sweep_stacks_only_its_own_exponentials(expm_calls, expm_stack_calls, tmp_path):
-    # e^{-tX} and e^{tX}, no e^X, e^Y or e^{X+Y}.  X depends on v alone,
-    # so after the first row only the origin's 3x3 pair (row u = 0) and
-    # the 2x2 pair it replaced (row u = 1) are new.
-    assert main(_sweep_5("hadamard", tmp_path)) == 0
-    assert [a.shape[0] for a in expm_stack_calls] == [10, 2, 2]
+    # e^{-tX} and e^{tX}, no e^X, e^Y or e^{X+Y}.  The 5x5 lattice is one
+    # block; X depends on v alone, so the 24 2x2 points have five distinct
+    # X, and the origin's 3x3 pair has its own two.
+    assert main(_sweep_argv("hadamard", 5, tmp_path / "s.csv")) == 0
+    assert [a.shape[0] for a in expm_stack_calls] == [10, 2]
     assert expm_calls == []
 
 
 def test_a_sweep_leaves_no_lattice_pair_behind(expm_calls, expm_stack_calls, tmp_path):
     held = list(verify._MEMOS.keys())
-    assert main(_sweep_5("disentangle-right", tmp_path)) == 0
-    # One call per row; the u = 0 row has two shapes.  The distinct X, Y,
-    # X+Y and gW of each row that the previous row's table does not hold.
-    assert [a.shape[0] for a in expm_stack_calls] == [17, 9, 7, 4, 11, 9]
+    assert main(_sweep_argv("disentangle-right", 5, tmp_path / "s.csv")) == 0
+    # One block, one call per shape: the distinct X (5), Y (9), X+Y (11)
+    # and gW (24) of the 24 2x2 points, then the origin's X, Y, X+Y and gW.
+    assert [a.shape[0] for a in expm_stack_calls] == [49, 4]
     assert expm_calls == []
     gc.collect()
     assert len(verify._MEMOS) == len(held)
 
 
-def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(expm_calls, expm_stack_calls, tmp_path):
+def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(
+    expm_calls, expm_stack_calls, tmp_path, monkeypatch
+):
     # 6724 requested exponentials (X, Y, X+Y and gW of 1681 points), of
-    # which 1983 are distinct.  With only the previous row's table carried
-    # across rows, 2527 are stacked, in one call per row and shape.
-    argv = ["sweep", "--check", "disentangle-right", "--u-min=-2", "--u-max", "2",
-            "--v-min=-2", "--v-max", "2", "--steps", "41", "--out", str(tmp_path / "s.csv")]
-    assert main(argv) == 0
-    assert sum(a.shape[0] for a in expm_stack_calls) == 2527
-    assert len(expm_stack_calls) == 42
+    # which 1983 are distinct: 1979 2x2 and the origin's four 3x3.  When the
+    # lattice is one block, each is stacked once, in one call per shape.
+    monkeypatch.setattr(sweep, "BLOCK_SLICES", 4 * 41 * 41)
+    assert main(_sweep_argv("disentangle-right", 41, tmp_path / "s.csv")) == 0
+    assert [a.shape for a in expm_stack_calls] == [(1979, 2, 2), (4, 3, 3)]
     assert expm_calls == []
+
+
+def test_a_41_by_41_sweep_runs_in_four_blocks(expm_calls, expm_stack_calls, tmp_path):
+    # 512 points per block at 4 requests each; the origin is in the second.
+    assert sweep.BLOCK_SLICES == 2048
+    assert main(_sweep_argv("disentangle-right", 41, tmp_path / "s.csv")) == 0
+    assert [a.shape[0] for a in expm_stack_calls] == [684, 694, 4, 686, 271]
+    assert expm_calls == []
+
+
+@pytest.mark.parametrize("check, steps", [("disentangle-right", 60), ("product", 20), ("hadamard", 70)])
+def test_no_stack_holds_more_than_the_block_budget(check, steps, expm_stack_calls, tmp_path):
+    # More requested matrices than one block may hold; a product block of
+    # 64 points ends inside a row of 20.
+    assert main(_sweep_argv(check, steps, tmp_path / "s.csv")) == 0
+    sizes = [a.shape[0] for a in expm_stack_calls if a.shape[1] == 2]
+    requested = steps * steps * sweep._CHECKS[check][0]
+    assert len(sizes) == math.ceil(requested / sweep.BLOCK_SLICES) > 1
+    assert max(sizes) <= sweep.BLOCK_SLICES
 
 
 def _per_pair_csv(check, window, steps):
@@ -752,23 +813,39 @@ def _per_pair_csv(check, window, steps):
     return "".join(line + "\r\n" for line in lines)
 
 
+_WINDOWS = [
+    (-2.0, 2.0, -2.0, 2.0),  # the origin and u + v = 0
+    (-4.0, 12.0, -6.0, 690.0),  # exponentials past the 1-norm limit, infinite residuals
+    (0.0, 1e200, 0.0, 1e200),  # pairs that cannot be built
+    (-1.0, 1.0, 0.0, 0.0),  # v = 0 at every point: five origins in the u = 0 row
+]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "window",
-    [
-        (-2.0, 2.0, -2.0, 2.0),  # the origin and u + v = 0
-        (-4.0, 12.0, -6.0, 690.0),  # exponentials past the 1-norm limit, infinite residuals
-        (0.0, 1e200, 0.0, 1e200),  # pairs that cannot be built
-        (-1.0, 1.0, 0.0, 0.0),  # v = 0 at every point: five origins in the u = 0 row
-    ],
-)
+@pytest.mark.parametrize("window", _WINDOWS)
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_sweep_writes_what_the_public_checks_give_point_by_point(check, window, tmp_path):
     out = tmp_path / "s.csv"
-    u_min, u_max, v_min, v_max = (f"{x!r}" for x in window)
-    main(["sweep", "--check", check, f"--u-min={u_min}", f"--u-max={u_max}",
-          f"--v-min={v_min}", f"--v-max={v_max}", "--steps", "5", "--out", str(out)])
+    main(_sweep_argv(check, 5, out, window))
     assert out.read_bytes().decode("utf-8") == _per_pair_csv(check, window, 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    check=st.sampled_from(sorted(verify.CHECKS)),
+    window=st.sampled_from([*_WINDOWS, (-400.0, 400.0, -400.0, 400.0), (-0.3, 0.3, -0.3, 0.3)]),
+    steps=st.integers(1, 6),
+    budget=st.integers(1, 70),
+)
+def test_a_lattice_in_many_blocks_writes_what_the_public_checks_give(check, window, steps, budget):
+    # A budget this small splits the lattice into blocks of 1 to 70 points,
+    # which end inside rows and split the origin's row.
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(sweep, "BLOCK_SLICES", budget)
+        out = Path(tmp) / "s.csv"
+        main(_sweep_argv(check, steps, out, window))
+        assert out.read_bytes().decode("utf-8") == _per_pair_csv(check, window, steps)
 
 
 def test_equal_matrices_share_one_exponential(expm_stack_calls):
@@ -776,49 +853,42 @@ def test_equal_matrices_share_one_exponential(expm_stack_calls):
     a = affine_2x2(1.0, 2.0, 1.0, 1.0)
     b = affine_2x2(1.0, 3.0, 1.0, 1.0)
     c = affine_2x2(2.0, 3.0, 1.0, 1.0)
-    (residuals,), table = stack_residuals("disentangle-right", [_stack([a, b, c])])
+    s = _gathered("disentangle-right", [a, b, c])
     # Two X, two Y, two X+Y and three gW, in one call.
-    assert [s.shape[0] for s in expm_stack_calls] == [9]
-    assert len(table) == 9
+    assert [a.shape[0] for a in expm_stack_calls] == [9]
+    for i, pair in enumerate((a, b, c)):
+        for key, M in (("x", pair.X), ("y", pair.Y), ("x+y", pair.X + pair.Y)):
+            assert s.exp(key)[i].tobytes() == matrices.expm(M).tobytes()
+    (residuals,) = stack_residuals("disentangle-right", [_stack([a, b, c])])
     for pair, residual in zip((a, b, c), residuals.tolist()):
         assert residual == check_disentangle(pair, Side.RIGHT).residual
-        for M in (pair.X, pair.Y, pair.X + pair.Y):
-            assert np.array_equal(table[(M.shape, M.tobytes())], matrices.expm(M))
 
 
-def test_plus_and_minus_zero_are_not_merged():
+def test_plus_and_minus_zero_are_not_merged(expm_stack_calls):
     # affine_2x2(0, ...) has Y = [[-0, 1], [0, 0]]; the same pair with +0.
     minus = affine_2x2(0.0, 1.0, 1.0, 1.0)
     assert math.copysign(1.0, minus.Y[0, 0].real) == -1.0
     plus_y = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     plus = AlgebraPair(minus.X, plus_y, minus.u, minus.v, minus.c, minus.W, "plus-zero")
-    _, table = stack_residuals("swap", [_stack([minus, plus])])
-    assert ((2, 2), minus.Y.tobytes()) in table
-    assert ((2, 2), plus_y.tobytes()) in table
+    s = _gathered("swap", [minus, plus])
+    # One X, one gamma W and the two Y.
+    assert [a.shape[0] for a in expm_stack_calls] == [4]
+    assert s.exp("y")[0].tobytes() == matrices.expm(minus.Y).tobytes()
+    assert s.exp("y")[1].tobytes() == matrices.expm(plus_y).tobytes()
     memo_minus = verify._prepared(minus, verify._request_swap)
     memo_plus = verify._prepared(plus, verify._request_swap)
     assert memo_minus.exp("y") is not memo_plus.exp("y")
 
 
-def test_a_table_owns_its_arrays_and_carries_them_to_the_next_call(expm_stack_calls):
+def test_a_block_shares_exponentials_across_its_rows(expm_stack_calls):
     first = [affine_2x2(1.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
-    _, table = stack_residuals("disentangle-right", [_stack(first)])
-    for e in table.values():
-        assert e.base is None
-        assert not e.flags.writeable
-    # The next row reuses every X and stacks only what it adds.
     second = [affine_2x2(2.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
-    expm_stack_calls.clear()
-    (residuals,), carried = stack_residuals("disentangle-right", [_stack(second)], table)
-    for p, q in zip(first, second):
-        assert carried[(q.X.shape, q.X.tobytes())] is table[(p.X.shape, p.X.tobytes())]
-    # One Y, two X+Y and three gW: X + Y at v = 1.5 (v - u = -0.5) is the
-    # first row's at v = 0.5.
-    xy = second[1].X + second[1].Y
-    assert carried[(xy.shape, xy.tobytes())] is table[(xy.shape, xy.tobytes())]
-    assert [a.shape[0] for a in expm_stack_calls] == [6]
-    assert all(e.base is None for e in carried.values())
-    for pair, residual in zip(second, residuals.tolist()):
+    (residuals,) = stack_residuals("disentangle-right", [_stack(first + second)])
+    # The first row's three X, one Y, three X+Y and three gW; the second
+    # row shares every X and adds one Y, two X+Y and three gW: X + Y at
+    # v = 1.5 (v - u = -0.5) is the first row's at v = 0.5.
+    assert [a.shape[0] for a in expm_stack_calls] == [16]
+    for pair, residual in zip(first + second, residuals.tolist()):
         assert residual == check_disentangle(affine_2x2(pair.u, pair.v, 1.0, 1.0), Side.RIGHT).residual
 
 
@@ -827,11 +897,14 @@ def test_no_non_finite_matrix_or_nan_result_enters_the_table():
     X = np.array([[1.0, 400.0], [0.0, 0.0]])
     Y = np.array([[0.0, 400.0], [0.0, 0.0]])
     overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
-    _, table = stack_residuals("disentangle-right", [_stack([overflow])])
-    assert ((2, 2), (overflow.X + overflow.Y).tobytes()) not in table
+    # e^{X+Y} comes back NaN from a sweep's stack: the point is marked off,
+    # with the identity in place of its exponentials.
+    s = _gathered("disentangle-right", [overflow])
+    assert not s.ok[0]
+    assert s.exp("x+y")[0].tobytes() == np.eye(2, dtype=complex).tobytes()
     verify._gather(overflow, [verify.CHECKS["disentangle-right"].request])
-    # e^{X+Y} came back NaN from the stack: neither the table nor the memo
-    # holds it, so the check's scalar expm raises as it does alone.
+    # Neither does the memo hold it, so the check's scalar expm raises as
+    # it does alone.
     assert "x+y" not in verify._memo(overflow).exps
     with pytest.raises(OverflowError):
         check_disentangle(overflow, Side.RIGHT)
