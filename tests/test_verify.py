@@ -734,6 +734,32 @@ def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
     assert np.array_equal(expm_calls[0], X + Y)
 
 
+def _block_residuals(check, pairs):
+    """The check's residual at each of the pairs, checked as one sweep block."""
+    (residuals,) = stack_residuals(check, [_stack(pairs)])
+    return residuals
+
+
+def test_a_check_fails_at_the_first_failed_exponential_it_reads(monkeypatch):
+    # g W (1-norm 400000) and X + Y (1-norm 800) are both past the limit.
+    # The right-sided check reads e^{gW} before e^{X+Y}, so its error names
+    # g W's norm alone, in a suite as alone, and the block's point is inf.
+    monkeypatch.setattr(verify, "g_right", lambda u, v: CoeffValue(1000 + 0j, EvalMethod.CLOSED_FORM, 0))
+    X = np.array([[1.0, 400.0], [0.0, 0.0]])
+    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
+    overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+    error = (
+        "OverflowError: matrix 1-norm 400000 exceeds 700; "
+        "the exponential would overflow double precision"
+    )
+    with pytest.raises(OverflowError) as raised:
+        check_disentangle(overflow, Side.RIGHT)
+    assert f"{type(raised.value).__name__}: {raised.value}" == error
+    (result, *_) = run_suite(overflow).results
+    assert (result.name, result.metadata) == ("disentangle-right", {"error": error})
+    assert _block_residuals("disentangle-right", [overflow]).tolist() == [math.inf]
+
+
 def _sweep_argv(check, steps, out, window=(-2.0, 2.0, -2.0, 2.0)):
     u_min, u_max, v_min, v_max = (f"{x!r}" for x in window)
     return ["sweep", "--check", check, f"--u-min={u_min}", f"--u-max={u_max}",
