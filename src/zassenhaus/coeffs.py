@@ -147,21 +147,23 @@ def _g_right_closed(u: complex, v: complex) -> complex:
     return value
 
 
-def _dd_exp(x0: complex, x1: complex, x2: complex) -> tuple[complex, complex, int]:
+def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[complex, complex, int]:
     """(e[x0, x1], e[x0, x1, x2], Taylor terms + squarings) for exp.
 
     Entries of exp([[x0, 1, 0], [0, x1, 1], [0, 0, x2]]) (Opitz 1964), as
     McCurdy, Ng & Parlett (1984): shift by the mean m, scale by h = 2^-s to
     radius <= 1/2, sum a Taylor series over complete homogeneous polynomials
     h_j, square the six-entry table s times (its diagonal from exp, as Al-Mohy
-    & Higham 2009 advise: a quarter of the error) and multiply by e^m.
-    Raises OverflowError if a result is not finite.
+    & Higham 2009 advise: a quarter of the error) and multiply by e^m.  Where
+    that overflows or is not finite, m is the largest real part of a node
+    instead (top; Higham 2008, ch. 10), so no exponential in the table
+    exceeds 1.  Raises OverflowError if a result is not finite.
     """
     # Real nodes stay in float arithmetic: faster, and exactly real results.
     exp = cmath.exp
     if not (x0.imag or x1.imag or x2.imag):
         x0, x1, x2, exp = x0.real, x1.real, x2.real, math.exp
-    mean = (x0 + x1 + x2) / 3.0
+    mean = max(x0.real, x1.real, x2.real) if top else (x0 + x1 + x2) / 3.0
     y0, y1, y2 = x0 - mean, x1 - mean, x2 - mean
     s = max(0, math.frexp(max(abs(y0), abs(y1), abs(y2)))[1] + 1)
     h = math.ldexp(1.0, -s)
@@ -182,15 +184,20 @@ def _dd_exp(x0: complex, x1: complex, x2: complex) -> tuple[complex, complex, in
     t01 *= h
     t12 *= h
     t02 *= h * h
-    for _ in range(s):
-        t02 = t02 * (t00 + t22) + t01 * t12
-        t01 *= t00 + t11
-        t12 *= t11 + t22
-        z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
-        t00, t11, t22 = exp(z0), exp(z1), exp(z2)
-    em = exp(mean)
+    try:
+        for _ in range(s):
+            t02 = t02 * (t00 + t22) + t01 * t12
+            t01 *= t00 + t11
+            t12 *= t11 + t22
+            z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
+            t00, t11, t22 = exp(z0), exp(z1), exp(z2)
+        em = exp(mean)
+    except OverflowError:
+        em = math.inf
     d1, d2 = em * t01, em * t02
     if not (cmath.isfinite(d1) and cmath.isfinite(d2)):
+        if not top:
+            return _dd_exp(x0, x1, x2, True)
         raise OverflowError(f"divided difference of exp overflows at {(x0, x1, x2)}")
     return d1, d2, _DD_TERMS + s
 

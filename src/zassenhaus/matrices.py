@@ -9,11 +9,11 @@ with its own scaling, stopping test and squarings; expm is its one-slice
 case, so every slice of a stack is bit-identical to expm of that slice.
 
 The public functions validate their arguments.  The underscored kernels
-(_commutator, _frobenius, _rel_residual, _conjugate_series) take arrays
-that are already valid complex matrices of one shape, for callers that
-built them so.  _commutator and _conjugate_series also take (N, n, n)
-stacks, and each slice of their result is bit-identical to their result
-for that slice alone.
+(_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
+take arrays that are already valid complex matrices of one shape, for
+callers that built them so.  _commutator, _conjugate_series and
+_rel_residuals also take (N, n, n) stacks, and each slice of their
+result is bit-identical to their result for that slice alone.
 """
 
 from __future__ import annotations
@@ -210,6 +210,22 @@ def _rel_residual(A: np.ndarray, B: np.ndarray) -> float:
         as_matrix(A)
         as_matrix(B)
     return _frobenius(A - B) / max(1.0, norm_a, norm_b)
+
+
+def _frobenius_stack(A: np.ndarray) -> np.ndarray:
+    # _frobenius of each matrix of a C-contiguous (..., n, n) array: the
+    # float64 loop of np.vecdot runs ndarray.dot's kernel on each row.
+    x = A.reshape(*A.shape[:-2], -1)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _rel_residuals(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residuals, finite): _rel_residual of each matrix pair of two
+    C-contiguous (..., n, n) arrays that broadcast, with its bits wherever
+    finite; finite is False where _rel_residual raises."""
+    finite = np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1))
+    scale = np.maximum(np.maximum(1.0, _frobenius_stack(A)), _frobenius_stack(B))
+    return _frobenius_stack(A - B) / scale, finite
 
 
 def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:

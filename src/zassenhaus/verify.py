@@ -6,32 +6,24 @@ pass flag, metadata).  All checks verify against the cached W = [X, Y]
 directly, never against uX + vY + c*identity, so the central u = v = 0
 case is covered by the same code path.
 
-Each suite check runs in two phases, each written once for matrices with
-or without leading stack dimensions.  Its request names, by key, the
-matrices whose exponentials it reads: X, Y and X + Y, which checks share,
-and its own (g W for each coefficient, X + Y + f W, I_32 W, -tX and tX,
-and the 29 C_n W of the product).  Its arithmetic computes the products
-and the relative residual from those exponentials.  Both read a subject:
-a pair's memo here, where each matrix is one n x n array and each
-coefficient a number, or a stack of a sweep's lattice points (the sweep
-module), where they are (N, n, n) and (N, 1, 1) arrays.
+A check reads a subject: one pair (n x n matrices, numbers for values)
+or a block of a sweep's points (a leading points axis).  Its request
+names by key the matrices whose exponentials it reads: X, Y and X + Y,
+which checks share, and its own (g W per coefficient, X + Y + f W,
+I_32 W, -tX and tX, the 29 C_n W); its arithmetic computes the products
+and residuals.  Both are written once for either subject, in CHECKS.  A
+subject gathers its requests at once: each distinct matrix, keyed by
+content, is exponentiated once in one expm_stack call, each slice
+bit-identical to expm of its matrix.  run_suite gathers all nine checks
+of a pair (27 of affine2's 40 matrices are distinct, 9 of
+heisenberg3's); a check called on a pair gathers its own.
 
-The public check_* functions run both phases on a pair's memo.  run_suite
-gathers the requests of all nine checks for a pair into one expm_stack
-call per matrix shape; a check called on its own stacks its own request.
-Matrices are keyed by content, so each distinct one is stacked once and
-its owners share the result: a suite stacks 27 of affine2's 40 matrices
-and 9 of heisenberg3's.  Every slice is bit-identical to expm of that
-matrix, so no residual moves.
-
-A pair's memo keeps its coefficients, quadrature, C_n, requested matrices
-and their read-only exponentials for as long as the pair lives; each is
-computed at most once.  Errors stay with their check and its order.  A
-request whose coefficient raises (PoleError, OverflowError) is left out
-and the finish raises again when it computes that coefficient.  A slice
-the stack cannot give (non-finite entries, or a 1-norm past 700, which
-comes back NaN) is computed by expm when the finish reaches it, and expm
-raises the same error at the same point as it would for the check alone.
+Errors stay with their check and its order.  A subject records each
+failure by item and point: a value that raises (PoleError,
+OverflowError), a matrix built from it, a non-finite matrix, and one
+whose exponential comes back NaN (a 1-norm past 700).  A check fails at
+the first failed item it reads: a pair raises that error (for an
+exponential, what expm raises on its matrix); a block's point fails alone.
 """
 
 from __future__ import annotations
@@ -40,8 +32,6 @@ import cmath
 import enum
 import functools
 import math
-import weakref
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -53,6 +43,7 @@ from .matrices import (
     _conjugate_series,
     _frobenius,
     _rel_residual,
+    _rel_residuals,
     expm,
     expm_stack,
     rel_residual,
@@ -124,145 +115,144 @@ def _read_only(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _exponentials(items) -> dict:
-    """Content key -> read-only e^M for the distinct matrices among items.
+class _Subject:
+    """The points a check reads: one pair, or a block of a sweep's points.
 
-    items are (content, stack, i): the matrix M = stack[i] (i is ... for a
-    matrix on its own) and its content key (M.shape, M.tobytes()), raw
-    bytes, so -0.0 and +0.0 stay apart.  Each distinct matrix is computed
-    once, in one expm_stack call per shape (shapes in order of first
-    appearance).  A matrix with a non-finite entry, and one whose
-    exponential comes back NaN (a 1-norm past 700), gets no entry.
-    """
-    table = {}
-    # shape -> content key -> (stack, i)
-    todo = defaultdict(dict)
-    for content, stack, i in items:
-        todo[content[0]].setdefault(content, (stack, i))
-    for distinct in todo.values():
-        contents = list(distinct)
-        stack = np.array([M[i] for M, i in distinct.values()])
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            stack = stack[finite]
-            contents = [content for content, ok in zip(contents, finite) if ok]
-            if not contents:
-                continue
-        exps = expm_stack(stack)
-        for content, e, nan in zip(contents, exps, np.isnan(exps).any(axis=(1, 2))):
-            if not nan:
-                table[content] = _read_only(e)
-    return table
-
-
-class _Memo:
-    """One pair's subject and shared work; it holds no reference to the pair.
-
-    X, Y, W, u, v: the pair's.  values: coefficients (by function, as
-    CoeffValue), quadrature and C_n; matrices: every matrix a request
-    named, by key; exps: the read-only exponential of each that is
-    computed, one array for all owners of equal matrices; requests: the
-    (request, args) gathered so far.  A computation that raises stores
-    nothing, so every later use raises again.
+    A pair's X, Y and W are n x n arrays and its u, v and values numbers;
+    a block's are (N, n, n) stacks and (N, 1, 1) arrays.  values (by name),
+    cvs (a pair's CoeffValues) and exps (read-only, by key) are computed
+    once.  failed: item -> {point: the exception, or the matrix whose
+    exponential the stack could not give}; errors: point -> the first
+    failure a block's check read.  It holds no reference to a pair.
     """
 
-    def __init__(self, pair: AlgebraPair) -> None:
-        self.X, self.Y, self.W, self.u, self.v = pair.X, pair.Y, pair.W, pair.u, pair.v
-        self.values: dict = {}
-        self.matrices: dict = {}
-        self.exps: dict = {}
-        self.requests: set = set()
-        self.xy = None
+    def __init__(self, X, Y, W, u, v) -> None:
+        self.X, self.Y, self.W, self.block = X, Y, W, X.ndim == 3
+        self.size = len(X) if self.block else 1
+        if self.block:
+            u, v = (np.asarray(a, dtype=complex)[:, None, None] for a in (u, v))
+        self.u, self.v = u, v
+        self.values, self.cvs, self.exps, self.failed, self.errors = {}, {}, {}, {}, {}
+        # The values that a request reads while it is gathered.
+        self.reads = None
 
-    def value(self, name, compute: Callable[[complex, complex], Any]) -> Any:
-        try:
-            return self.values[name]
-        except KeyError:
-            value = self.values[name] = compute(self.u, self.v)
-            return value
+    def _fail(self, failures: dict) -> None:
+        # What the check read failed at these points: a pair raises its
+        # failure, a block keeps each point's first.
+        if failures and not self.block:
+            if isinstance(failures[0], np.ndarray):
+                expm(failures[0])  # raises what expm raises on that matrix
+            raise failures[0]
+        for i, failure in failures.items():
+            self.errors.setdefault(i, failure)
 
-    def coefficient_value(self, fn: Callable):
-        """The CoeffValue of fn at the pair's (u, v)."""
-        return self.value(fn, fn)
+    def _read(self, item) -> None:
+        if self.reads is None:
+            self._fail(self.failed.get(item, {}))
+        else:
+            self.reads.append(item)
+
+    def fail_unless(self, finite: np.ndarray) -> None:
+        """expm's ValueError wherever finite (one bool per matrix) is False."""
+        bad = np.flatnonzero(~finite.reshape(-1, self.size).all(axis=0)).tolist()
+        self._fail({i: ValueError("matrix entries must be finite") for i in bad})
+
+    def value(self, name, compute: Callable[[complex, complex], Any], fill: Any = 0j) -> Any:
+        """compute(u, v) at each point, fill where it raises; for a block
+        (N, 1, 1), or (m, N, 1, 1) for m-long results."""
+        if name not in self.values:
+            points = zip(self.u.ravel().tolist(), self.v.ravel().tolist()) if self.block else [(self.u, self.v)]
+            results = []
+            for i, (u, v) in enumerate(points):
+                try:
+                    results.append(compute(u, v))
+                except Exception as exc:  # noqa: BLE001 - recorded for the point
+                    self.failed.setdefault(name, {})[i] = exc
+                    results.append(fill)
+            self.values[name] = (
+                np.moveaxis(np.array(results, dtype=complex), 0, -1)[..., None, None] if self.block else results[0]
+            )
+        self._read(name)
+        return self.values[name]
 
     def coefficient(self, fn: Callable):
-        return self.coefficient_value(fn).value
+        if self.block:
+            return self.value(fn, lambda u, v: fn(u, v).value)
+        return self.value(fn, lambda u, v: self.cvs.setdefault(fn, fn(u, v)).value)
+
+    def coefficient_value(self, fn: Callable):
+        """The CoeffValue of fn at a pair's (u, v)."""
+        self.coefficient(fn)
+        return self.cvs[fn]
 
     def exp(self, key) -> np.ndarray:
-        """e^M of the matrix M that a request named key; expm if not stacked."""
-        try:
-            return self.exps[key]
-        except KeyError:
-            value = self.exps[key] = _read_only(expm(self.matrices[key]))
-            return value
+        self._read(key)
+        return self.exps[key]
 
     def x_times_y(self) -> np.ndarray:
-        if self.xy is None:
-            self.xy = _read_only(self.exp("x") @ self.exp("y"))
-        return self.xy
+        return self.exp("x") @ self.exp("y")
 
-    def require_finite(self, A: np.ndarray) -> None:
-        if not np.isfinite(A).all():
-            # An ad power past double range: the error of a validated commutator.
-            raise ValueError("matrix entries must be finite")
+    def residual(self, A: np.ndarray, B: np.ndarray):
+        """Relative residual of A against B, or against each matrix along
+        B's extra leading axis in one call."""
+        if not self.block and B.ndim == 2:
+            return _rel_residual(A, B)
+        residuals, finite = _rel_residuals(A, B)
+        self.fail_unless(finite)
+        return residuals[..., None, None] if self.block else residuals
 
-    def residual(self, A: np.ndarray, B: np.ndarray) -> float:
-        return _rel_residual(A, B)
-
-
-# Keyed by the pair itself (AlgebraPair hashes by identity), so an entry
-# lives exactly as long as its pair.
-_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _memo(pair: AlgebraPair) -> _Memo:
-    memo = _MEMOS.get(pair)
-    if memo is None:
-        memo = _MEMOS[pair] = _Memo(pair)
-    return memo
-
-
-def _gather(pair: AlgebraPair, requests) -> None:
-    """Stack every distinct exponential the requests name for the pair, once.
-
-    requests holds (request, args) tuples; one that was gathered before,
-    or whose request raises, is skipped (the finish raises it again).
-    Every owner of equal matrices gets the same read-only array.
-    """
-    memo = _memo(pair)
-    named = []
-    for request in requests:
-        if request in memo.requests:
-            continue
-        memo.requests.add(request)
-        fn, args = request
-        try:
-            matrices = fn(memo, *args)
-        except Exception:  # noqa: BLE001 - the finish raises it again
-            continue
-        for key, M in matrices.items():
-            if key not in memo.matrices:
-                memo.matrices[key] = M
-                named.append((key, (M.shape, M.tobytes())))
-    table = _exponentials((content, memo.matrices[key], ...) for key, content in named)
-    for key, content in named:
-        e = table.get(content)
-        if e is not None:
-            memo.exps[key] = e
-
-
-def _prepared(pair: AlgebraPair, fn: Callable, *args) -> _Memo:
-    """The pair's memo once the request fn(memo, *args) is gathered."""
-    memo = _memo(pair)
-    if (fn, args) not in memo.requests:
-        _gather(pair, ((fn, args),))
-    return memo
+    def gather(self, requests) -> None:
+        """Exponentiate each distinct matrix that the requests ((fn, args)
+        or None) name, once: keyed by raw bytes (-0.0 and +0.0 stay apart)
+        in one np.unique call, in one expm_stack call.  A matrix other than
+        X, Y and X + Y fails where a value its request read failed; one
+        with a non-finite entry or a NaN exponential fails; a failed
+        exponential is the identity."""
+        named, inherited = {}, {}
+        for request in filter(None, requests):
+            self.reads = []
+            matrices = request[0](self, *request[1])
+            failed = {}
+            for name in reversed(self.reads):
+                failed.update(self.failed.get(name, {}))
+            self.reads = None
+            for key, M in matrices.items():
+                if key not in named:
+                    named[key] = M
+                    if failed and key not in ("x", "y", "x+y"):
+                        inherited[key] = failed
+        if not named:
+            return
+        keys, n, N = list(named), self.X.shape[-1], self.size
+        A = np.array(list(named.values())).reshape(-1, n, n)
+        ok = np.isfinite(A).all(axis=(1, 2))
+        for k, key in enumerate(keys):
+            for i in inherited.get(key, ()):
+                ok[k * N + i] = False
+        live = np.flatnonzero(ok)
+        rows = A[live].reshape(len(live), n * n)
+        # One raw-bytes key per matrix: the row of its n*n entries.
+        content = rows.view(np.dtype((np.void, rows.itemsize * n * n))).ravel()
+        _, first, inverse = np.unique(content, return_index=True, return_inverse=True)
+        exps = expm_stack(rows[first].reshape(-1, n, n)) if live.size else A[:0]
+        # The pool: each distinct exponential, then the identity at its end.
+        pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
+        identity = len(exps)
+        where = np.full(len(A), identity)
+        where[live] = np.where(np.isnan(exps).any(axis=(1, 2)), identity, np.arange(identity))[inverse]
+        for p in np.flatnonzero(where == identity).tolist():
+            key, i = keys[p // N], p % N
+            self.failed.setdefault(key, {})[i] = inherited.get(key, {}).get(i, A[p])
+        self.exps.update(zip(keys, _read_only(pool[where.reshape(len(keys), *self.X.shape[:-2])])))
 
 
-# The checks.  Each _request_<check>(s, *args) returns the matrices whose
-# exponentials the check reads, by key, and each _<check>(s, *args) does
-# its arithmetic; s is a pair's memo or a sweep._Stack.  The public
-# check_* runs both on a pair's memo.
+def _subject(pair, *request) -> _Subject:
+    """A subject run_suite prepared, or the pair's own with (fn, *args) gathered."""
+    if isinstance(pair, _Subject):
+        return pair
+    s = _Subject(pair.X, pair.Y, pair.W, pair.u, pair.v)
+    s.gather([(request[0], request[1:])] if request else [])
+    return s
 
 
 def _side_coefficient(side: Side) -> Callable:
@@ -270,11 +260,7 @@ def _side_coefficient(side: Side) -> Callable:
 
 
 def _coeff_meta(cv) -> dict:
-    return {
-        "coefficient": complex(cv.value),
-        "method": cv.method.value,
-        "terms_used": cv.terms_used,
-    }
+    return {"coefficient": complex(cv.value), "method": cv.method.value, "terms_used": cv.terms_used}
 
 
 def _request_disentangle(s, side: Side) -> dict:
@@ -300,9 +286,9 @@ def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -
     Left: e^{g_l W} e^X e^Y.
     """
     side = Side(side)
-    memo = _prepared(pair, _request_disentangle, side)
-    cv = memo.coefficient_value(_side_coefficient(side))
-    residual = _disentangle(memo, side)
+    s = _subject(pair, _request_disentangle, side)
+    cv = s.coefficient_value(_side_coefficient(side))
+    residual = _disentangle(s, side)
     meta = {"side": side.value, **_coeff_meta(cv)}
     return _result(f"disentangle-{side.value.lower()}", residual, tol, meta)
 
@@ -317,9 +303,9 @@ def _swap(s):
 
 def check_swap(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^X e^Y against e^Y e^X e^{gamma W}."""
-    memo = _prepared(pair, _request_swap)
-    cv = memo.coefficient_value(gamma_swap)
-    return _result("swap", _swap(memo), tol, _coeff_meta(cv))
+    s = _subject(pair, _request_swap)
+    cv = s.coefficient_value(gamma_swap)
+    return _result("swap", _swap(s), tol, _coeff_meta(cv))
 
 
 def _request_bch(s) -> dict:
@@ -336,9 +322,9 @@ def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     Propagates PoleError where f is genuinely undefined (e^u = e^v with
     u != v).
     """
-    memo = _prepared(pair, _request_bch)
-    cv = memo.coefficient_value(f_bch)
-    return _result("bch", _bch(memo), tol, _coeff_meta(cv))
+    s = _subject(pair, _request_bch)
+    cv = s.coefficient_value(f_bch)
+    return _result("bch", _bch(s), tol, _coeff_meta(cv))
 
 
 def _ab_structure(s):
@@ -353,15 +339,11 @@ def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResu
     A = g_l(u,v) W and B = X + Y + f(u,v) W satisfy the same affine
     commutation structure; this checks it by direct matrix arithmetic.
     """
-    memo = _memo(pair)
-    gl = memo.coefficient_value(g_left)
-    f = memo.coefficient_value(f_bch)
-    residual = _ab_structure(memo)
-    meta = {
-        "g_left": complex(gl.value),
-        "f_bch": complex(f.value),
-        "u_minus_v": complex(pair.u - pair.v),
-    }
+    s = _subject(pair)
+    gl = s.coefficient_value(g_left)
+    f = s.coefficient_value(f_bch)
+    residual = _ab_structure(s)
+    meta = {"g_left": complex(gl.value), "f_bch": complex(f.value), "u_minus_v": complex(s.u - s.v)}
     return _result("ab-structure", residual, tol, meta)
 
 
@@ -416,8 +398,7 @@ def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     exponential of the integral; that collapsed identity is what is
     tested.
     """
-    memo = _prepared(pair, _request_integral)
-    residual, identity_residual, i32, i16, gr = _integral(memo)
+    residual, identity_residual, i32, i16, gr = _integral(_subject(pair, _request_integral))
     meta = {
         "integral_32": i32,
         "integral_16": i16,
@@ -429,7 +410,7 @@ def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
 
 
 def _product_coefficients(s, N: int):
-    return s.value(("c_sequence", N), lambda u, v: c_sequence(N, u, v))
+    return s.value(("c_sequence", N), lambda u, v: c_sequence(N, u, v), [0j] * (N - 1))
 
 
 def _request_product(s, N: int) -> dict:
@@ -443,11 +424,11 @@ def _product(s, N: int):
     """(residual after each partial product, g_r)."""
     lhs = s.exp("x+y")
     rhs = s.x_times_y()
-    sequence = []
+    partials = []
     for n in range(2, N + 1):
         rhs = rhs @ s.exp(("C_n W", n))
-        sequence.append(s.residual(lhs, rhs))
-    return sequence, s.coefficient(g_right)
+        partials.append(rhs)
+    return s.residual(lhs, np.array(partials)), s.coefficient(g_right)
 
 
 def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -460,14 +441,14 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     """
     if N < 2:
         raise ValueError(f"product cutoff must be >= 2, got {N}")
-    memo = _prepared(pair, _request_product, N)
-    sequence, gr = _product(memo, N)
+    s = _subject(pair, _request_product, N)
+    sequence, gr = _product(s, N)
     gr = complex(gr)
     coeff_sum = 0.0 + 0.0j
-    for cn in _product_coefficients(memo, N):
+    for cn in _product_coefficients(s, N):
         coeff_sum += cn
-    norm_w = _frobenius(pair.W)
-    exponent = _frobenius(pair.X) + _frobenius(pair.Y) + abs(gr) * norm_w
+    norm_w = _frobenius(s.W)
+    exponent = _frobenius(s.X) + _frobenius(s.Y) + abs(gr) * norm_w
     tail = abs(gr - coeff_sum) * norm_w * (
         math.exp(exponent) if exponent < 700.0 else math.inf
     )
@@ -487,7 +468,8 @@ def _request_hadamard(s, t: complex) -> dict:
 
 def _hadamard(s, t: complex, K: int):
     series = _conjugate_series(s.X, s.Y, t, K)
-    s.require_finite(series)
+    # An ad power past double range: the error of a validated commutator.
+    s.fail_unless(np.isfinite(series).all(axis=(-2, -1)))
     direct = s.exp(("-tX", t)) @ s.Y @ s.exp(("tX", t))
     return s.residual(series, direct)
 
@@ -504,8 +486,7 @@ def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float 
     t = complex(t)
     if K < 0:
         raise ValueError(f"series cutoff must be >= 0, got {K}")
-    memo = _prepared(pair, _request_hadamard, t)
-    return _result("hadamard", _hadamard(memo, t, K), tol, {"t": t, "K": K})
+    return _result("hadamard", _hadamard(_subject(pair, _request_hadamard, t), t, K), tol, {"t": t, "K": K})
 
 
 def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -576,14 +557,15 @@ def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAU
 
 
 class _Check:
-    """A suite entry: its request, (fn, args) as the check passes it to
-    _prepared (None when it reads no exponential), and its finish.  A
-    plain class: a dataclass would cost a millisecond at every import."""
+    """A suite entry: the matrices its request names per point (slices),
+    the request (fn, args) or None, its residual on a subject, and its
+    finish, (pair or subject, tol) -> CheckResult.  A plain class: a
+    dataclass would cost a millisecond at every import."""
 
-    def __init__(self, request: tuple | None, finish: Callable[[AlgebraPair, float], CheckResult]) -> None:
-        self.request, self.finish = request, finish
+    def __init__(self, slices: int, request: tuple | None, residual: Callable, finish: Callable) -> None:
+        self.slices, self.request, self.residual, self.finish = slices, request, residual, finish
 
-    def __call__(self, pair: AlgebraPair, tol: float) -> CheckResult:
+    def __call__(self, pair, tol: float) -> CheckResult:
         return self.finish(pair, tol)
 
 
@@ -591,27 +573,26 @@ class _Check:
 # finish calls its check through this module's globals, so a wrapper put
 # there (a tracer, a test's monkeypatch) sees every call.
 CHECKS: dict[str, _Check] = {
-    "disentangle-right": _Check(
-        (_request_disentangle, (Side.RIGHT,)),
-        lambda pair, tol: check_disentangle(pair, Side.RIGHT, tol),
+    **{
+        f"disentangle-{side.value.lower()}": _Check(
+            4, (_request_disentangle, (side,)), lambda s, side=side: _disentangle(s, side),
+            lambda pair, tol, side=side: check_disentangle(pair, side, tol),
+        )
+        for side in Side
+    },
+    "swap": _Check(3, (_request_swap, ()), _swap, lambda pair, tol: check_swap(pair, tol)),
+    "bch": _Check(3, (_request_bch, ()), _bch, lambda pair, tol: check_bch(pair, tol)),
+    "ab-structure": _Check(0, None, _ab_structure, lambda pair, tol: check_ab_structure(pair, tol)),
+    "integral": _Check(
+        4, (_request_integral, ()), lambda s: _integral(s)[0], lambda pair, tol: check_integral(pair, tol)
     ),
-    "disentangle-center": _Check(
-        (_request_disentangle, (Side.CENTER,)),
-        lambda pair, tol: check_disentangle(pair, Side.CENTER, tol),
-    ),
-    "disentangle-left": _Check(
-        (_request_disentangle, (Side.LEFT,)),
-        lambda pair, tol: check_disentangle(pair, Side.LEFT, tol),
-    ),
-    "swap": _Check((_request_swap, ()), lambda pair, tol: check_swap(pair, tol)),
-    "bch": _Check((_request_bch, ()), lambda pair, tol: check_bch(pair, tol)),
-    "ab-structure": _Check(None, lambda pair, tol: check_ab_structure(pair, tol)),
-    "integral": _Check((_request_integral, ()), lambda pair, tol: check_integral(pair, tol)),
     "product": _Check(
-        (_request_product, (30,)), lambda pair, tol: check_truncated_product(pair, 30, tol)
+        32, (_request_product, (30,)), lambda s: _product(s, 30)[0][-1],
+        lambda pair, tol: check_truncated_product(pair, 30, tol),
     ),
     "hadamard": _Check(
-        (_request_hadamard, (0.5 + 0j,)), lambda pair, tol: check_hadamard(pair, 0.5, 40, tol)
+        2, (_request_hadamard, (0.5 + 0j,)), lambda s: _hadamard(s, 0.5 + 0j, 40),
+        lambda pair, tol: check_hadamard(pair, 0.5, 40, tol),
     ),
 }
 
@@ -619,33 +600,27 @@ CHECKS: dict[str, _Check] = {
 def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
     """Run every identity check on one pair and aggregate the results.
 
-    All nine requests are gathered first, one expm_stack call per shape.
+    One subject of the pair serves all nine checks: their requests are
+    gathered first, in one expm_stack call.
     tol = None selects the default 1e-10, relaxed to 1e-9 when
     ||expm(X+Y)||_F exceeds 1e6 (large-norm exponentials cannot do
     better in doubles).  A check that raises is converted into a failed
     result carrying the error in its metadata, so the report is always
     complete.
     """
-    _gather(pair, [c.request for c in CHECKS.values() if c.request is not None])
+    s = _subject(pair)
+    s.gather(c.request for c in CHECKS.values())
     if tol is None:
         tol = DEFAULT_TOL
         try:
-            if _frobenius(_memo(pair).exp("x+y")) > NORM_RELAX_LIMIT:
+            if _frobenius(s.exp("x+y")) > NORM_RELAX_LIMIT:
                 tol = RELAXED_TOL
         except OverflowError:
             tol = RELAXED_TOL
     results = []
     for name, check in CHECKS.items():
         try:
-            results.append(check(pair, tol))
+            results.append(check(s, tol))
         except Exception as exc:  # noqa: BLE001 - error-as-result contract
-            results.append(
-                CheckResult(
-                    name,
-                    math.inf,
-                    tol,
-                    False,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
+            results.append(CheckResult(name, math.inf, tol, False, {"error": f"{type(exc).__name__}: {exc}"}))
     return CheckReport(pair.name, tuple(results), all(r.passed for r in results))

@@ -286,3 +286,29 @@ def test_g_right_raises_where_its_value_leaves_double_range():
     assert abs(reference("g_right", 730.0, 3.0)) == math.inf  # -4.70e313
     with pytest.raises(OverflowError):
         g_right(730.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "name, u, v",
+    [
+        # The kernel's mean shift left about e^{2|u|/3} in the table; the
+        # value is -8.26e-7.
+        ("g_right", -1100.0, 0.1),
+        ("g_left", 0.1, -1100.0),
+        ("g_right", complex(-1100.0, 2.0), 0.1),
+        ("g_right", complex(-1100.0, 1.0), 0.1j),
+        # About 1/1100, on and next to the diagonal.
+        ("f_bch", -1100.0, -1100.1),
+        ("f_bch", -1100.0, -1100.0),
+    ],
+)
+def test_divided_differences_where_the_mean_shift_overflows(name, u, v):
+    assert COEFFS[name](u, v).method is EvalMethod.DIVIDED_DIFFERENCE
+    assert_matches(name, u, v)
+
+
+def test_a_divided_difference_past_double_range_still_raises():
+    # e^{-0.1} g_r(0.1, -1100), about -e^{1100} / 1.2e6.
+    assert abs(reference("g_center", -1100.0, 0.1)) == math.inf
+    with pytest.raises(OverflowError, match="divided difference of exp overflows"):
+        g_center(-1100.0, 0.1)

@@ -21,7 +21,7 @@ from zassenhaus.matrices import (
     load_matrix,
     rel_residual,
 )
-from zassenhaus.sweep import _frobenius_stack, _rel_residuals
+from zassenhaus.matrices import _frobenius_stack, _rel_residuals
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -444,3 +444,21 @@ def test_stacked_norms_and_residuals_have_the_bits_of_each_slice(d):
             assert finite[i]
             assert _bits(residuals[i]) == _bits(want)
     assert finite.tolist() == [i not in (2, 3) for i in range(N)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_broadcast_residuals_have_the_bits_of_each_pair(d):
+    # One matrix, or a stack, against several of each: a product's partial
+    # products checked in one call, for one pair or a block of points.
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    B = A * (1.0 + 1e-12 * rng.standard_normal((5, 4, d, d)))
+    residuals, finite = _rel_residuals(A, B)
+    assert residuals.shape == finite.shape == (5, 4) and finite.all()
+    for j in range(5):
+        for i in range(4):
+            assert _bits(residuals[j, i]) == _bits(_rel_residual(A[i], B[j, i]))
+    residuals, finite = _rel_residuals(A[0], np.ascontiguousarray(B[:, 0]))
+    assert residuals.shape == finite.shape == (5,) and finite.all()
+    for j in range(5):
+        assert _bits(residuals[j]) == _bits(_rel_residual(A[0], B[j, 0]))

@@ -29,6 +29,15 @@ REMOVED = (
     "share_exponentials",
     "prepare",
     "lattice_row",
+    "stack_residuals",
+    "_Memo",
+    "_MEMOS",
+    "_memo",
+    "_prepared",
+    "_gather",
+    "_exponentials",
+    "_Stack",
+    "_CHECKS",
 )
 
 # What ``import zassenhaus`` adds to sys.modules in a fresh interpreter
@@ -71,15 +80,34 @@ def test_removed_names_are_gone(name):
     assert not set(REMOVED) & set(module.__all__)
 
 
-def test_importing_the_package_adds_only_the_modules_it_always_added():
+def _run(code: str) -> str:
+    """stdout of code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+def test_importing_the_package_adds_only_the_modules_it_always_added():
     code = (
         "import sys, numpy; before = set(sys.modules); import zassenhaus; "
         "assert zassenhaus.__file__.startswith(sys.argv[1]), zassenhaus.__file__; "
         "print(sorted(set(sys.modules) - before))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True
-    )
-    assert ast.literal_eval(proc.stdout.strip()) == PACKAGE_IMPORTS
+    assert ast.literal_eval(_run(code).strip()) == PACKAGE_IMPORTS
+
+
+def test_a_verify_command_does_not_import_the_sweep_module():
+    # Set-up time counts compiling, so the block code of a sweep stays out
+    # of every other command.
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import zassenhaus.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = zassenhaus.cli.main(['verify', '--pair', 'affine2', '--format', 'json'])",
+        "assert zassenhaus.cli.__file__.startswith(sys.argv[1]), zassenhaus.cli.__file__",
+        "print(code, 'zassenhaus.sweep' in sys.modules)",
+    ])
+    assert _run(code).split() == ["0", "False"]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zassenhaus import matrices, sweep, verify
-from zassenhaus.sweep import lattice_points, stack_residuals
+from zassenhaus.sweep import lattice_points, lattice_residuals
 from zassenhaus.coeffs import CoeffValue, EvalMethod, g_right
 from zassenhaus.cli import (
     _PAIR_BUILDERS,
@@ -327,8 +327,29 @@ _DISTINCT_PER_SUITE = {
 }
 
 
+def _overflow_pair():
+    """X + Y has 1-norm 800, past expm's limit; X, Y and W are within it."""
+    X = np.array([[1.0, 400.0], [0.0, 0.0]])
+    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
+    return AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+
+
+@pytest.fixture
+def subjects(monkeypatch):
+    """Every subject that verify builds while the test runs."""
+    made = []
+
+    class Recorded(verify._Subject):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "_Subject", Recorded)
+    return made
+
+
 @pytest.mark.parametrize("name", sorted(_PAIR_BUILDERS))
-def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls, expm_stack_calls):
+def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls, expm_stack_calls, subjects):
     # e^X, e^Y, e^{X+Y}; one e^{cW} for each of the three disentangle
     # checks, swap, bch and integral; 29 for the product; 2 for hadamard:
     # 40 exponentials from one expm_stack call of the distinct matrices,
@@ -338,9 +359,13 @@ def test_run_suite_makes_40_expm_calls_per_builtin_pair(name, expm_calls, expm_s
     assert expm_calls == []
     distinct = _DISTINCT_PER_SUITE[name]
     assert [a.shape for a in expm_stack_calls] == [(distinct, pair.dim, pair.dim)]
-    exps = verify._memo(pair).exps
+    # One subject serves the nine checks.
+    (s,) = subjects
+    exps = s.exps
     assert len(exps) == 40
-    assert len({id(e) for e in exps.values()}) == distinct
+    # Each exponential is a slice of that one stack, and each slice is used.
+    stacked = {e.tobytes() for e in matrices.expm_stack(expm_stack_calls[0])}
+    assert {e.tobytes() for e in exps.values()} == stacked
 
 
 def test_a_fresh_pair_recomputes_every_exponential(expm_calls, expm_stack_calls):
@@ -350,39 +375,41 @@ def test_a_fresh_pair_recomputes_every_exponential(expm_calls, expm_stack_calls)
     assert len(expm_stack_calls) == 2
     pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
     run_suite(pair)
-    run_suite(pair)  # the same pair again reuses all 40 exponentials
-    assert len(expm_stack_calls) == 3
+    run_suite(pair)  # nothing is kept between calls, so the same pair stacks again
+    assert len(expm_stack_calls) == 4
     assert expm_calls == []
 
 
-def test_shared_exponentials_are_read_only():
-    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
-    run_suite(pair)
-    memo = verify._memo(pair)
-    arrays = [memo.exp(key) for key in memo.matrices] + [memo.x_times_y()]
-    assert len(arrays) == 41
+def test_shared_exponentials_are_read_only(subjects):
+    run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
+    (s,) = subjects
+    arrays = [s.exp(key) for key in s.exps]
+    assert len(arrays) == 40
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
 
 
-def test_shared_exponentials_die_with_their_pair():
-    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
-    check_swap(pair)
-    assert pair in verify._MEMOS
-    held = len(verify._MEMOS)
+@pytest.mark.parametrize("build", [lambda: affine_2x2(1.0, 2.0, 1.0, 1.0), _overflow_pair])
+def test_verify_keeps_no_reference_to_a_checked_pair(build):
+    # The overflow pair's checks raise, and their errors are recorded.
+    pair = build()
+    run_suite(pair)
+    for check in verify.CHECKS.values():
+        try:
+            check(pair, DEFAULT_TOL)
+        except OverflowError:
+            pass
     ref = weakref.ref(pair)
     del pair
     gc.collect()
     assert ref() is None
-    assert len(verify._MEMOS) <= held - 1
+    assert not any(isinstance(o, verify._Subject) for o in gc.get_objects())
 
 
 def test_overflow_is_raised_by_every_check_that_needs_it(expm_calls):
-    X = np.array([[1.0, 400.0], [0.0, 0.0]])
-    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
-    pair = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+    pair = _overflow_pair()
     for _ in range(2):
         with pytest.raises(OverflowError):
             check_disentangle(pair, Side.RIGHT)
@@ -530,15 +557,18 @@ def test_each_coefficient_and_quadrature_is_computed_once_per_suite(monkeypatch)
     }
 
 
-def test_every_check_table_entry_requests_what_its_check_reads(expm_calls):
-    # A check run after its own request, on the same pair, stacks nothing
-    # more and needs no scalar expm.
+def test_every_check_table_entry_requests_what_its_check_reads(expm_calls, expm_stack_calls):
+    # A check run on a subject that gathered its own request stacks
+    # nothing more, needs no scalar expm and reads only what it requested
+    # (a read of any other matrix is a KeyError).
     for name, entry in verify.CHECKS.items():
-        pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
-        verify._gather(pair, [entry.request] if entry.request else [])
-        requested = set(verify._memo(pair).exps)
-        entry(pair, DEFAULT_TOL)
-        assert set(verify._memo(pair).exps) == requested, name
+        s = verify._subject(affine_2x2(1.0, 2.0, 1.0, 1.0))
+        s.gather([entry.request])
+        stacked = len(expm_stack_calls)
+        requested = dict(s.exps)
+        assert entry(s, DEFAULT_TOL).passed, name
+        assert len(expm_stack_calls) == stacked, name
+        assert all(s.exps[key] is e for key, e in requested.items()) and len(s.exps) == len(requested), name
     assert expm_calls == []
 
 
@@ -564,7 +594,7 @@ def _bits(x):
 
 
 def _stack(pairs):
-    """Pairs of one shape as one stack, the way stack_residuals takes it."""
+    """Pairs of one shape as one stack, the way a block subject takes it."""
     return (
         np.stack([p.X for p in pairs]),
         np.stack([p.Y for p in pairs]),
@@ -575,9 +605,9 @@ def _stack(pairs):
 
 
 def _gathered(check, pairs):
-    """A stack of the pairs once the check's request is gathered."""
-    s = sweep._Stack(*_stack(pairs))
-    sweep._gather(s, verify.CHECKS[check].request)
+    """A block subject of the pairs once the check's request is gathered."""
+    s = verify._Subject(*_stack(pairs))
+    s.gather([verify.CHECKS[check].request])
     return s
 
 
@@ -588,14 +618,8 @@ def _points(rows, vs):
 
 
 def _row_residuals(check, u, vs):
-    """stack_residuals over the lattice row u, by position."""
-    groups = lattice_points(*_points([u], vs))
-    residuals = stack_residuals(check, [stack for _, stack in groups])
-    row = [math.inf] * len(vs)
-    for (positions, _), values in zip(groups, residuals):
-        for i, residual in zip(positions.tolist(), values.tolist()):
-            row[i] = residual
-    return row
+    """lattice_residuals over the lattice row u, one block."""
+    return list(lattice_residuals(check, [u], vs))
 
 
 def _alone_residuals(check, u, vs):
@@ -644,8 +668,8 @@ def test_a_point_whose_pair_cannot_be_built_is_in_no_stack():
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_block_is_sized_by_what_its_check_requests(check):
     request = verify.CHECKS[check].request
-    named = request[0](verify._memo(affine_2x2(1.0, 2.0, 1.0, 1.0)), *request[1]) if request else {}
-    assert sweep._CHECKS[check][0] == len(named)
+    named = request[0](verify._subject(affine_2x2(1.0, 2.0, 1.0, 1.0)), *request[1]) if request else {}
+    assert verify.CHECKS[check].slices == len(named)
 
 
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
@@ -709,7 +733,7 @@ def test_stacked_exponentials_are_read_only():
         if verify.CHECKS[check].request is None:
             continue
         s = _gathered(check, pairs)
-        assert len(s.exps) == sweep._CHECKS[check][0]
+        assert len(s.exps) == verify.CHECKS[check].slices
         for e in s.exps.values():
             assert e.shape == (8, 2, 2)
             assert not e.flags.writeable
@@ -718,11 +742,10 @@ def test_stacked_exponentials_are_read_only():
 
 
 def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
-    X = np.array([[1.0, 400.0], [0.0, 0.0]])
-    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
-    overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+    overflow = _overflow_pair()
+    X, Y = overflow.X, overflow.Y
     row = [affine_2x2(1.0, 2.0, 1.0, 1.0), overflow, affine_2x2(-1.0, 0.5, 1.0, 1.0)]
-    (residuals,) = stack_residuals("disentangle-right", [_stack(row)])
+    residuals = _block_residuals("disentangle-right", row)
     assert expm_calls == []
     assert residuals[1] == math.inf
     for i in (0, 2):
@@ -736,7 +759,12 @@ def test_a_stacked_slice_past_the_norm_limit_still_raises(expm_calls):
 
 def _block_residuals(check, pairs):
     """The check's residual at each of the pairs, checked as one sweep block."""
-    (residuals,) = stack_residuals(check, [_stack(pairs)])
+    entry = verify.CHECKS[check]
+    s = verify._Subject(*_stack(pairs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s.gather([entry.request])
+        residuals = entry.residual(s).reshape(len(pairs))
+    residuals[list(s.errors)] = math.inf
     return residuals
 
 
@@ -745,9 +773,7 @@ def test_a_check_fails_at_the_first_failed_exponential_it_reads(monkeypatch):
     # The right-sided check reads e^{gW} before e^{X+Y}, so its error names
     # g W's norm alone, in a suite as alone, and the block's point is inf.
     monkeypatch.setattr(verify, "g_right", lambda u, v: CoeffValue(1000 + 0j, EvalMethod.CLOSED_FORM, 0))
-    X = np.array([[1.0, 400.0], [0.0, 0.0]])
-    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
-    overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
+    overflow = _overflow_pair()
     error = (
         "OverflowError: matrix 1-norm 400000 exceeds 700; "
         "the exponential would overflow double precision"
@@ -758,6 +784,18 @@ def test_a_check_fails_at_the_first_failed_exponential_it_reads(monkeypatch):
     (result, *_) = run_suite(overflow).results
     assert (result.name, result.metadata) == ("disentangle-right", {"error": error})
     assert _block_residuals("disentangle-right", [overflow]).tolist() == [math.inf]
+
+
+def test_a_block_point_keeps_the_first_failure_its_check_reads(monkeypatch):
+    # As above: the point's recorded failure is g W, whose expm names its
+    # 1-norm, not X + Y, although the gather met both.
+    monkeypatch.setattr(verify, "g_right", lambda u, v: CoeffValue(1000 + 0j, EvalMethod.CLOSED_FORM, 0))
+    s = _gathered("disentangle-right", [_overflow_pair()])
+    assert set(s.failed) == {"x+y", Side.RIGHT}
+    verify.CHECKS["disentangle-right"].residual(s)
+    assert list(s.errors) == [0]
+    with pytest.raises(OverflowError, match="matrix 1-norm 400000 exceeds 700"):
+        matrices.expm(s.errors[0])
 
 
 def _sweep_argv(check, steps, out, window=(-2.0, 2.0, -2.0, 2.0)):
@@ -781,15 +819,20 @@ def test_a_hadamard_sweep_stacks_only_its_own_exponentials(expm_calls, expm_stac
     assert expm_calls == []
 
 
+def _held():
+    """How many pairs and subjects are alive."""
+    gc.collect()
+    return sum(isinstance(o, (AlgebraPair, verify._Subject)) for o in gc.get_objects())
+
+
 def test_a_sweep_leaves_no_lattice_pair_behind(expm_calls, expm_stack_calls, tmp_path):
-    held = list(verify._MEMOS.keys())
+    held = _held()
     assert main(_sweep_argv("disentangle-right", 5, tmp_path / "s.csv")) == 0
     # One block, one call per shape: the distinct X (5), Y (9), X+Y (11)
     # and gW (24) of the 24 2x2 points, then the origin's X, Y, X+Y and gW.
     assert [a.shape[0] for a in expm_stack_calls] == [49, 4]
     assert expm_calls == []
-    gc.collect()
-    assert len(verify._MEMOS) == len(held)
+    assert _held() == held
 
 
 def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(
@@ -818,7 +861,7 @@ def test_no_stack_holds_more_than_the_block_budget(check, steps, expm_stack_call
     # 64 points ends inside a row of 20.
     assert main(_sweep_argv(check, steps, tmp_path / "s.csv")) == 0
     sizes = [a.shape[0] for a in expm_stack_calls if a.shape[1] == 2]
-    requested = steps * steps * sweep._CHECKS[check][0]
+    requested = steps * steps * verify.CHECKS[check].slices
     assert len(sizes) == math.ceil(requested / sweep.BLOCK_SLICES) > 1
     assert max(sizes) <= sweep.BLOCK_SLICES
 
@@ -885,7 +928,7 @@ def test_equal_matrices_share_one_exponential(expm_stack_calls):
     for i, pair in enumerate((a, b, c)):
         for key, M in (("x", pair.X), ("y", pair.Y), ("x+y", pair.X + pair.Y)):
             assert s.exp(key)[i].tobytes() == matrices.expm(M).tobytes()
-    (residuals,) = stack_residuals("disentangle-right", [_stack([a, b, c])])
+    residuals = _block_residuals("disentangle-right", [a, b, c])
     for pair, residual in zip((a, b, c), residuals.tolist()):
         assert residual == check_disentangle(pair, Side.RIGHT).residual
 
@@ -901,15 +944,17 @@ def test_plus_and_minus_zero_are_not_merged(expm_stack_calls):
     assert [a.shape[0] for a in expm_stack_calls] == [4]
     assert s.exp("y")[0].tobytes() == matrices.expm(minus.Y).tobytes()
     assert s.exp("y")[1].tobytes() == matrices.expm(plus_y).tobytes()
-    memo_minus = verify._prepared(minus, verify._request_swap)
-    memo_plus = verify._prepared(plus, verify._request_swap)
-    assert memo_minus.exp("y") is not memo_plus.exp("y")
+    # One pair whose X and Y are the two: its e^X, e^Y and e^{gamma W}.
+    expm_stack_calls.clear()
+    both = AlgebraPair(minus.Y, plus_y, minus.u, minus.v, minus.c, minus.W, "both-zeros")
+    verify._subject(both, verify._request_swap)
+    assert [a.shape[0] for a in expm_stack_calls] == [3]
 
 
 def test_a_block_shares_exponentials_across_its_rows(expm_stack_calls):
     first = [affine_2x2(1.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
     second = [affine_2x2(2.0, v, 1.0, 1.0) for v in (0.5, 1.5, 2.0)]
-    (residuals,) = stack_residuals("disentangle-right", [_stack(first + second)])
+    residuals = _block_residuals("disentangle-right", first + second)
     # The first row's three X, one Y, three X+Y and three gW; the second
     # row shares every X and adds one Y, two X+Y and three gW: X + Y at
     # v = 1.5 (v - u = -0.5) is the first row's at v = 0.5.
@@ -919,22 +964,27 @@ def test_a_block_shares_exponentials_across_its_rows(expm_stack_calls):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-def test_no_non_finite_matrix_or_nan_result_enters_the_table():
-    X = np.array([[1.0, 400.0], [0.0, 0.0]])
-    Y = np.array([[0.0, 400.0], [0.0, 0.0]])
-    overflow = AlgebraPair(X, Y, 0.0, 1.0, 0.0, Y, "overflow")
-    # e^{X+Y} comes back NaN from a sweep's stack: the point is marked off,
-    # with the identity in place of its exponentials.
+def test_no_non_finite_matrix_or_nan_result_enters_the_table(expm_stack_calls):
+    overflow = _overflow_pair()
+    X, Y = overflow.X, overflow.Y
+    # e^{X+Y} comes back NaN from a block's stack: the point fails at its
+    # first read, with the identity in place of the exponential.
     s = _gathered("disentangle-right", [overflow])
-    assert not s.ok[0]
+    assert list(s.failed) == ["x+y"]
+    assert s.errors == {}
     assert s.exp("x+y")[0].tobytes() == np.eye(2, dtype=complex).tobytes()
-    verify._gather(overflow, [verify.CHECKS["disentangle-right"].request])
-    # Neither does the memo hold it, so the check's scalar expm raises as
-    # it does alone.
-    assert "x+y" not in verify._memo(overflow).exps
-    with pytest.raises(OverflowError):
-        check_disentangle(overflow, Side.RIGHT)
-    # t X has an entry past double range: nothing is stacked.
-    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
-    verify._gather(pair, [(verify._request_hadamard, (1e308 + 0j,))])
-    assert verify._memo(pair).exps == {}
+    assert list(s.errors) == [0]
+    # A pair's subject records it as failed too, and its read raises what
+    # expm raises alone.
+    s = verify._subject(overflow, verify._request_disentangle, Side.RIGHT)
+    assert list(s.failed) == ["x+y"]
+    with pytest.raises(OverflowError, match="matrix 1-norm 800 exceeds 700"):
+        s.exp("x+y")
+    # t X has an entry past double range: nothing is stacked, and each
+    # read raises expm's error.
+    expm_stack_calls.clear()
+    s = verify._subject(affine_2x2(1.0, 2.0, 1.0, 1.0), verify._request_hadamard, 1e308 + 0j)
+    assert expm_stack_calls == []
+    assert list(s.failed) == [("-tX", 1e308 + 0j), ("tX", 1e308 + 0j)]
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        s.exp(("tX", 1e308 + 0j))
