@@ -1,9 +1,9 @@
 """Disentangling operator exponentials for [X, Y] = uX + vY + c*identity.
 
-Scalar coefficients (coeffs), an independent series recurrence
-(recurrence), a dense-matrix kernel (matrices), exact finite-dimensional
-realizations (realizations), an identity-check engine (verify), and a CLI
-(cli).
+Scalar coefficients (coeffs), the product coefficients C_n with an
+independent contour route to them (recurrence), a dense-matrix kernel
+(matrices), exact finite-dimensional realizations (realizations), an
+identity-check engine (verify), and a CLI (cli).
 """
 
 from .coeffs import (
@@ -41,7 +41,7 @@ from .realizations import (
     shift_center,
     su11_pair,
 )
-from .recurrence import beta1_series, c_from_recurrence, c_sequence, partial_sum_gr
+from .recurrence import c_contour, c_sequence
 from .verify import (
     CheckReport,
     CheckResult,
@@ -75,8 +75,7 @@ __all__ = [
     "__version__",
     "affine_2x2",
     "as_matrix",
-    "beta1_series",
-    "c_from_recurrence",
+    "c_contour",
     "c_sequence",
     "check_ab_structure",
     "check_bch",
@@ -100,7 +99,6 @@ __all__ = [
     "integrand",
     "lindblad_pair",
     "load_matrix",
-    "partial_sum_gr",
     "phi1",
     "quadrature_gr",
     "rel_residual",

@@ -235,11 +235,21 @@ def g_left(u: complex, v: complex) -> CoeffValue:
 
 
 def g_center(u: complex, v: complex) -> CoeffValue:
-    """Centered disentangling coefficient e^{-v} * g_left(u, v)."""
-    left = g_left(u, v)
-    return CoeffValue(
-        cmath.exp(-complex(v)) * left.value, left.method, left.terms_used
-    )
+    """Centered disentangling coefficient e^{-v} * g_left(u, v).
+
+    Where that product leaves double range, -e[-u, 0, -v]: the nodes of
+    g_left = -e[v-u, v, 0] shifted by -v, so OverflowError is raised only
+    where g_center itself leaves it.
+    """
+    try:
+        left = g_left(u, v)
+        value = cmath.exp(-complex(v)) * left.value
+        if cmath.isfinite(value):
+            return CoeffValue(value, left.method, left.terms_used)
+    except OverflowError:
+        pass
+    _, dd2, terms = _dd_exp(-complex(u), 0.0, -complex(v))
+    return CoeffValue(complex(-dd2), EvalMethod.DIVIDED_DIFFERENCE, terms)
 
 
 def f_bch(u: complex, v: complex) -> CoeffValue:
@@ -305,6 +315,27 @@ def gamma_swap(u: complex, v: complex) -> CoeffValue:
     return CoeffValue(pu * pv, method, terms)
 
 
+def _power_sums(u: complex, v: complex):
+    """Yield (p_n, (n-1)!, n!) for n = 2, 3, ...
+
+    p_n = sum_{j=0}^{n-2} (u-v)^j u^(n-2-j) by Horner's rule, and the
+    factorials as one running product.
+    """
+    u = complex(u)
+    v = complex(v)
+    a = u - v
+    p = 1.0 + 0.0j
+    u_pow = 1.0 + 0.0j
+    fact_prev, fact = 1.0, 2.0
+    n = 2
+    while True:
+        yield p, fact_prev, fact
+        u_pow *= u
+        p = a * p + u_pow
+        n += 1
+        fact_prev, fact = fact, fact * n
+
+
 def zass_coeff(n: int, u: complex, v: complex) -> complex:
     """n-th product-expansion coefficient C_n (n >= 2).
 
@@ -317,16 +348,10 @@ def zass_coeff(n: int, u: complex, v: complex) -> complex:
     """
     if n < 2:
         raise ValueError(f"coefficient index must be >= 2, got {n}")
-    u = complex(u)
-    v = complex(v)
-    a = u - v
-    p = 1.0 + 0.0j
-    u_pow = 1.0 + 0.0j
-    fact = 2.0
-    for m in range(2, n):
-        u_pow *= u
-        p = a * p + u_pow
-        fact *= m + 1
+    sums = _power_sums(u, v)
+    for _ in range(n - 2):
+        next(sums)
+    p, _, fact = next(sums)
     return -p / fact
 
 

@@ -434,8 +434,9 @@ def _product(s, N: int):
 def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^{X+Y} against e^X e^Y prod_{n=2}^{N} e^{C_n W}.
 
-    C_n comes from the recurrence module (not the closed form), so this
-    exercises the series route end to end.  Metadata records the residual
+    C_n is the power sum of recurrence.c_sequence, the Taylor coefficient
+    of g_right's closed form, so this checks the product expansion end to
+    end (cn-table checks C_n itself).  Metadata records the residual
     after each partial product and an order-of-magnitude tail bound
     |sum_{n>N} C_n| * ||W|| * e^{||X|| + ||Y|| + |g_r| ||W||}.
     """

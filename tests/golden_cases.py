@@ -29,8 +29,10 @@ lattice row was checked as stacks) pin rows that mix passing points with
 points that fail: an exponential past the 1-norm limit, a non-finite
 X + Y + fW, an infinite or NaN residual, or a truncated adjoint series far
 from the conjugation product.  The coeff cases at u = v = 1000
-were added later: every coefficient there is past double range, and coeff
-reports each one as overflowed with exit status 0.
+were added later: every coefficient there but g_center is past double
+range, and coeff reports each one as overflowed with exit status 0.  They
+were regenerated when g_center learnt to return e^{-1000} g_r(1000, 1000),
+about -1e-6, instead of overflowing with g_r.
 """
 
 from __future__ import annotations

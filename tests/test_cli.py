@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import zassenhaus
-from zassenhaus import cli, sweep
+from zassenhaus import cli, coeffs, recurrence, sweep
 
 
 def _write_matrix(path, re, im=None):
@@ -73,9 +73,13 @@ def test_coeff_reports_pole_without_failing(capsys):
 
 
 def test_coeff_reports_overflow_without_failing(capsys):
-    # Every coefficient at u = v = 1000 is past double range.
+    # Every coefficient at u = v = 1000 but g_center is past double range;
+    # g_center = e^{-1000} g_r(1000, 1000) is about -1e-6.
     assert cli.main(["coeff", "--u", "1000", "--v", "1000", "--format", "json"]) == 0
     coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+    center = coefficients.pop("g_center")
+    assert center["method"] == "divided-difference"
+    assert center["value"]["re"] == pytest.approx(-1e-6, rel=1e-14)
     assert all(set(entry) == {"overflow"} for entry in coefficients.values())
     assert cli.main(["coeff", "--u", "1000", "--v", "1000"]) == 0
     assert "gamma_swap  overflow (math range error)" in capsys.readouterr().out
@@ -100,12 +104,50 @@ def test_cn_table_row_count(capsys):
     assert lines[2].lstrip().startswith("2")
 
 
-def test_cn_table_shows_agreement(capsys):
-    cli.main(["cn-table", "--u", "1", "--v", "2", "--max-n", "6"])
-    out = capsys.readouterr().out
-    for line in out.strip().splitlines()[2:]:
-        diff = float(line.split()[-1])
-        assert diff <= 1e-12
+def _cn_rows(capsys, u, v, max_n):
+    """(C_n, contour, |difference|) per row of a cn-table."""
+    assert cli.main(["cn-table", f"--u={u}", f"--v={v}", "--max-n", str(max_n)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1].split() == ["n", "closed", "form", "contour", "|difference|"]
+    return [tuple(float(cell) for cell in line.split()[1:]) for line in lines[2:]]
+
+
+CN_GRID = (-10.0, -6.5, -2.0, -1.0, 0.0, 0.5, 1.0, 3.0, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("u", CN_GRID)
+def test_cn_table_shows_agreement(u, capsys):
+    for v in CN_GRID:
+        rows = _cn_rows(capsys, u, v, 30)
+        assert len(rows) == 29
+        for closed, _, diff in rows:
+            assert diff <= 1e-12 * (1.0 + abs(closed)), (u, v, closed, diff)
+
+
+def test_cn_table_difference_sees_a_changed_power_sum(monkeypatch, capsys):
+    # The contour column does not come from the power sum: scaling the sum
+    # wherever it is bound moves the closed-form column and the difference,
+    # not the contour.
+    before = _cn_rows(capsys, 1.5, -0.75, 12)
+    power_sums = coeffs._power_sums
+
+    def scaled(u, v):
+        for p, fact_prev, fact in power_sums(u, v):
+            yield 1.001 * p, fact_prev, fact
+
+    monkeypatch.setattr(coeffs, "_power_sums", scaled)
+    monkeypatch.setattr(recurrence, "_power_sums", scaled)
+    after = _cn_rows(capsys, 1.5, -0.75, 12)
+    for (closed, contour, diff), (closed2, contour2, diff2) in zip(before, after):
+        assert contour2 == contour
+        assert diff <= 1e-12 * (1.0 + abs(closed)) < diff2
+        assert diff2 == pytest.approx(1e-3 * abs(closed), rel=1e-4)
+
+
+def test_cn_table_reports_a_contour_past_double_range(capsys):
+    assert cli.main(["cn-table", "--u", "1", "--v", "-1", "--max-n", "800"]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert last[0] == "800" and last[2:] == ["overflow", "overflow"]
 
 
 # ------------------------------------------------------------------ verify

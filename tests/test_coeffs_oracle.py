@@ -307,6 +307,35 @@ def test_divided_differences_where_the_mean_shift_overflows(name, u, v):
     assert_matches(name, u, v)
 
 
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        (3.0, 800.0),  # g_left ~ e^800 past double range; the value is -3.96e-4
+        (0.1, 1100.0),  # -8.64e-4
+        (-5.0, 1100.0),  # -0.0267
+        (1000.0, 1000.0),  # -1e-6, where every other coefficient overflows
+    ],
+)
+def test_g_center_where_g_left_leaves_double_range(u, v):
+    with pytest.raises(OverflowError):
+        g_left(u, v)
+    assert g_center(u, v).method is EvalMethod.DIVIDED_DIFFERENCE
+    assert_matches("g_center", u, v)
+
+
+def test_g_center_keeps_the_product_wherever_it_is_finite():
+    values = (-1100.0, -720.0, -3.0, -0.1, 0.0, 0.2, 1.0, 5.0, 709.0, 800.0)
+    for u in values:
+        for v in values:
+            for z in (complex(u, 0.0), complex(u, 1.5)):
+                try:
+                    product = cmath.exp(-v) * g_left(z, v).value
+                except OverflowError:
+                    continue
+                if cmath.isfinite(product):
+                    assert g_center(z, v).value == product, (z, v)
+
+
 def test_a_divided_difference_past_double_range_still_raises():
     # e^{-0.1} g_r(0.1, -1100), about -e^{1100} / 1.2e6.
     assert abs(reference("g_center", -1100.0, 0.1)) == math.inf

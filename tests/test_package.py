@@ -38,6 +38,9 @@ REMOVED = (
     "_exponentials",
     "_Stack",
     "_CHECKS",
+    "beta1_series",
+    "c_from_recurrence",
+    "partial_sum_gr",
 )
 
 # What ``import zassenhaus`` adds to sys.modules in a fresh interpreter
@@ -63,7 +66,23 @@ PACKAGE_IMPORTS = [
 ]
 
 
-@pytest.mark.parametrize("name", MODULES)
+def _tracer_layers() -> tuple[str, ...]:
+    """``LAYERS`` from perfbench/tracer.py, read without importing perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py assigns no LAYERS")
+
+
+# The benchmark's tracer imports zassenhaus.<layer> for each of its LAYERS
+# and wraps the names in its __all__; a missing one ends every traced run.
+PUBLIC_MODULES = sorted(set(MODULES) | {f"zassenhaus.{layer}" for layer in _tracer_layers()})
+
+
+@pytest.mark.parametrize("name", PUBLIC_MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [public for public in module.__all__ if not hasattr(module, public)]
