@@ -16,6 +16,7 @@ byte-identical output.  Exit codes: 0 when every executed check passed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -176,14 +177,18 @@ def _cmd_cn_table(args: argparse.Namespace) -> int:
     print(f"product coefficients C_n at u = {_fmt_float(u, 6)}, v = {_fmt_float(v, 6)}")
     print(f"{'n':>3s}  {'closed form':>22s}  {'contour':>22s}  {'|difference|':>13s}")
     for n in range(2, args.max_n + 1):
-        closed = zass_coeff(n, u, v)
-        try:
+        closed = contour = None
+        with contextlib.suppress(OverflowError):
+            closed = zass_coeff(n, u, v)
+        with contextlib.suppress(OverflowError):
             # Real u and v give a real C_n: the imaginary part is rounding.
             contour = c_contour(n, u, v).real
-            cells = (_fmt_float(contour, 6), _fmt_float(abs(closed - contour), 6))
-        except OverflowError:
-            cells = ("overflow", "overflow")
-        print(f"{n:>3d}  {_fmt_complex(closed, 6):>22s}  {cells[0]:>22s}  {cells[1]:>13s}")
+        cells = (
+            "overflow" if closed is None else _fmt_complex(closed, 6),
+            "overflow" if contour is None else _fmt_float(contour, 6),
+            "overflow" if None in (closed, contour) else _fmt_float(abs(closed - contour), 6),
+        )
+        print(f"{n:>3d}  {cells[0]:>22s}  {cells[1]:>22s}  {cells[2]:>13s}")
     return 0
 
 

@@ -14,12 +14,15 @@ governed by a single scalar function of (u, v):
 The closed forms are quotients with removable singularities along u = 0,
 v = 0 and u = v; near them g_right and f_bch switch to divided differences
 of exp (_dd_exp), phi1 and gamma_swap to a series, reported via CoeffValue.
+No coefficient returns an inf or NaN part: it raises OverflowError instead.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -125,28 +128,6 @@ def phi1(x: complex) -> complex:
     return _phi1_counted(complex(x))[0]
 
 
-def _g_right_closed(u: complex, v: complex) -> complex:
-    try:
-        eu = cmath.exp(u)
-        value = (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
-        if cmath.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    # e^u or e^{u-v} is past double range, or a product with it is: the
-    # quotient factored by e^m, m = max(0, Re u, Re(u - v)), then scaled
-    # by e^{m/2} twice.  Where e^{m/2} itself overflows (m > 1419.5), g_r
-    # is in range only if |uv(u - v)| is past about e^{m - 710} > 1e308.
-    m = max(0.0, u.real, (u - v).real)
-    eu = cmath.exp(u - m)
-    value = (u * (cmath.exp(u - v - m) - eu) + v * (eu - math.exp(-m))) / (u * v * (u - v))
-    half = math.exp(m / 2.0)
-    value = value * half * half
-    if not cmath.isfinite(value):
-        raise OverflowError(f"g_right overflows at {(u, v)}")
-    return value
-
-
 def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[complex, complex, int]:
     """(e[x0, x1], e[x0, x1, x2], Taylor terms + squarings) for exp.
 
@@ -157,7 +138,8 @@ def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[c
     & Higham 2009 advise: a quarter of the error) and multiply by e^m.  Where
     that overflows or is not finite, m is the largest real part of a node
     instead (top; Higham 2008, ch. 10), so no exponential in the table
-    exceeds 1.  Raises OverflowError if a result is not finite.
+    exceeds 1, and an e^m past double range is applied as e^{m/2} e^{m/2}.
+    Raises OverflowError if e[x0, x1, x2] is not finite; e[x0, x1] may be inf.
     """
     # Real nodes stay in float arithmetic: faster, and exactly real results.
     exp = cmath.exp
@@ -192,12 +174,17 @@ def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[c
             z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
             t00, t11, t22 = exp(z0), exp(z1), exp(z2)
         em = exp(mean)
+        d1, d2 = em * t01, em * t02
     except OverflowError:
-        em = math.inf
-    d1, d2 = em * t01, em * t02
-    if not (cmath.isfinite(d1) and cmath.isfinite(d2)):
-        if not top:
-            return _dd_exp(x0, x1, x2, True)
+        d1 = d2 = math.inf
+        if top:
+            # Past m = 2 ln DBL_MAX, e^{m/2} overflows too and d2 stays inf.
+            with contextlib.suppress(OverflowError):
+                half = math.exp(mean / 2.0)
+                d1, d2 = t01 * half * half, t02 * half * half
+    if not (top or cmath.isfinite(d1) and cmath.isfinite(d2)):
+        return _dd_exp(x0, x1, x2, True)
+    if not cmath.isfinite(d2):
         raise OverflowError(f"divided difference of exp overflows at {(x0, x1, x2)}")
     return d1, d2, _DD_TERMS + s
 
@@ -216,15 +203,21 @@ def g_right(u: complex, v: complex) -> CoeffValue:
 
     Path selection: closed form when min(|u|, |v|, |u-v|) >= SWITCH;
     otherwise the second divided difference g_r(u, v) = -e[u-v, u, 0],
-    which has no singular line and no stopping rule.  Where e^u, e^{u-v}
-    or a product with one of them leaves double range, the closed form is
-    factored by e^m, m = max(0, Re u, Re(u-v)), so OverflowError is raised
-    only where g_r itself leaves it.
+    which has no singular line and no stopping rule.  The divided
+    difference also serves where the closed form raises or is not finite
+    (e^u, e^{u-v} or a product with one of them past double range), so
+    OverflowError is raised only where g_r itself leaves double range.
     """
     u = complex(u)
     v = complex(v)
     if min(abs(u), abs(v), abs(u - v)) >= SWITCH:
-        return CoeffValue(_g_right_closed(u, v), EvalMethod.CLOSED_FORM, 0)
+        try:
+            eu = cmath.exp(u)
+            value = (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
+            if cmath.isfinite(value):
+                return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
+        except OverflowError:
+            pass
     _, dd2, terms = _dd_exp(u - v, u, 0.0)
     return CoeffValue(complex(-dd2), EvalMethod.DIVIDED_DIFFERENCE, terms)
 
@@ -237,14 +230,15 @@ def g_left(u: complex, v: complex) -> CoeffValue:
 def g_center(u: complex, v: complex) -> CoeffValue:
     """Centered disentangling coefficient e^{-v} * g_left(u, v).
 
-    Where that product leaves double range, -e[-u, 0, -v]: the nodes of
-    g_left = -e[v-u, v, 0] shifted by -v, so OverflowError is raised only
-    where g_center itself leaves it.
+    Where that product leaves double range, or e^{-v} is subnormal and has
+    lost digits, -e[-u, 0, -v]: the nodes of g_left = -e[v-u, v, 0] shifted
+    by -v, so OverflowError is raised only where g_center itself leaves it.
     """
     try:
         left = g_left(u, v)
-        value = cmath.exp(-complex(v)) * left.value
-        if cmath.isfinite(value):
+        tilt = cmath.exp(-complex(v))
+        value = tilt * left.value
+        if abs(tilt) >= _TINY and cmath.isfinite(value):
             return CoeffValue(value, left.method, left.terms_used)
     except OverflowError:
         pass
@@ -257,22 +251,22 @@ def f_bch(u: complex, v: complex) -> CoeffValue:
 
     Generic branch [u e^u(e^v - 1) - v e^v(e^u - 1)] / [uv(e^u - e^v)],
     computed as (e^u phi1(v) - e^v phi1(u)) / (e^v (e^{u-v} - 1)) so that
-    u = 0 and v = 0 need no branch of their own, and divided through by
-    e^v where e^u or e^v underflows.  Near the removable diagonal
-    u = v it is phi1(v) - e^v e[u, v, 0] / e[u, v]; the remaining points
-    with e^u = e^v but u != v are genuine poles and raise PoleError.
+    u = 0 and v = 0 need no branch of their own; divided through by e^v
+    where e^u or e^v underflows, and by e^u where the quotient is not
+    finite.  Near the diagonal u = v it is phi1(v) - e^v e[u, v, 0] / e[u, v],
+    or phi1(v) - e[u, v, 0] / phi1(u - v) where that is not finite; the
+    other points with e^u = e^v are genuine poles and raise PoleError.
     """
     u = complex(u)
     v = complex(v)
     d = u - v
     if abs(d) < SWITCH:
         dd1, dd2, terms = _dd_exp(u, v, 0.0)
-        if abs(dd1) < _TINY:
-            # e[u, v] = e^v phi1(u - v) underflows: e^v / e[u, v] = 1 / phi1(d).
+        value = phi1(v) - cmath.exp(v) * dd2 / dd1 if _TINY <= abs(dd1) < math.inf else math.nan
+        if not cmath.isfinite(value):
+            # e[u, v] = e^v phi1(d): the same quotient with no e^v in it.
             value = phi1(v) - dd2 / phi1(d)
-        else:
-            value = phi1(v) - cmath.exp(v) * dd2 / dd1
-        return CoeffValue(value, EvalMethod.DIVIDED_DIFFERENCE, terms)
+        return CoeffValue(_finite(value, "f_bch", u, v), EvalMethod.DIVIDED_DIFFERENCE, terms)
     k = round(d.imag / _TWO_PI)
     h = complex(d.real, d.imag - _TWO_PI * k) if k else d
     if k and abs(h) < _POLE_SHELL:
@@ -282,23 +276,22 @@ def f_bch(u: complex, v: complex) -> CoeffValue:
         )
     eu = cmath.exp(u)
     ev = cmath.exp(v)
-    # e^u - e^v = e^v (e^h - 1) since h differs from u - v by 2*pi*i*k,
-    # so the denominator stays accurate even just outside the pole shell.
-    if abs(h) <= SWITCH:
-        den = h * phi1(h)
-    else:
-        try:
-            den = cmath.exp(h) - 1.0
-        except OverflowError:
-            # e^h past double range: divided through by e^u instead.
-            eh = cmath.exp(-h)
-            return CoeffValue((phi1(v) - eh * phi1(u)) / (1.0 - eh), EvalMethod.CLOSED_FORM, 0)
-    if abs(eu) < _TINY or abs(ev) < _TINY:
-        # Divided through by e^v (e^{u-v} = e^h), so no underflowed factor.
-        value = (cmath.exp(h) * phi1(v) - phi1(u)) / den
-    else:
-        value = (eu * phi1(v) - ev * phi1(u)) / (ev * den)
-    return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
+    try:
+        # e^u - e^v = e^v (e^h - 1) since h differs from u - v by 2*pi*i*k,
+        # so the denominator stays accurate even just outside the pole shell.
+        den = h * phi1(h) if abs(h) <= SWITCH else cmath.exp(h) - 1.0
+        if abs(eu) < _TINY or abs(ev) < _TINY:
+            # Divided through by e^v (e^{u-v} = e^h), so no underflowed factor.
+            value = (cmath.exp(h) * phi1(v) - phi1(u)) / den
+        else:
+            value = (eu * phi1(v) - ev * phi1(u)) / (ev * den)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        # e^h or a product past double range: divided through by e^u instead.
+        eh = cmath.exp(-h)
+        value = (phi1(v) - eh * phi1(u)) / (1.0 - eh)
+    return CoeffValue(_finite(value, "f_bch", u, v), EvalMethod.CLOSED_FORM, 0)
 
 
 def gamma_swap(u: complex, v: complex) -> CoeffValue:
@@ -312,7 +305,13 @@ def gamma_swap(u: complex, v: complex) -> CoeffValue:
     pv, tv = _phi1_counted(-complex(v))
     terms = tu + tv
     method = EvalMethod.CLOSED_FORM if terms == 0 else EvalMethod.SERIES
-    return CoeffValue(pu * pv, method, terms)
+    return CoeffValue(_finite(pu * pv, "gamma_swap", u, v), method, terms)
+
+
+def _finite(value: complex, name: str, u: complex, v: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name} overflows at {(u, v)}")
+    return value
 
 
 def _power_sums(u: complex, v: complex):
@@ -344,15 +343,13 @@ def zass_coeff(n: int, u: complex, v: complex) -> complex:
 
         C_n = -[sum_{j=0}^{n-2} (u-v)^j u^(n-2-j)] / n!
 
-    which needs no v branch.  C_2 = -1/2 for every (u, v).
+    which needs no v branch.  C_2 = -1/2 for every (u, v).  Raises
+    OverflowError where the sum leaves double range.
     """
     if n < 2:
         raise ValueError(f"coefficient index must be >= 2, got {n}")
-    sums = _power_sums(u, v)
-    for _ in range(n - 2):
-        next(sums)
-    p, _, fact = next(sums)
-    return -p / fact
+    p, _, fact = next(itertools.islice(_power_sums(u, v), n - 2, None))
+    return _finite(-p / fact, f"C_{n}", u, v)
 
 
 def integrand(s: complex, u: complex, v: complex) -> complex:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .coeffs import _power_sums, g_right
+from .coeffs import _finite, _power_sums, g_right
 
 __all__ = ["c_contour", "c_sequence"]
 
@@ -31,11 +31,13 @@ def c_sequence(N: int, u: complex, v: complex) -> list[complex]:
     """Product coefficients [C_2, ..., C_N] from one pass of the power sum.
 
     C_n = (-p_n/(n-1)!) * (n-1)!/n!: the rounding that the product check's
-    golden outputs pin (coeffs.zass_coeff divides by n! once).
+    golden outputs pin (coeffs.zass_coeff divides by n! once).  Raises
+    OverflowError where a C_n is not finite.
     """
     if N < 2:
         raise ValueError(f"coefficient index must be >= 2, got {N}")
-    return [-p / f1 * f1 / f2 for _, (p, f1, f2) in zip(range(N - 1), _power_sums(u, v))]
+    sums = zip(range(2, N + 1), _power_sums(u, v))
+    return [_finite(-p / f1 * f1 / f2, f"C_{n}", u, v) for n, (p, f1, f2) in sums]
 
 
 def c_contour(n: int, u: complex, v: complex) -> complex:

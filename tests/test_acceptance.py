@@ -19,7 +19,6 @@ from zassenhaus.coeffs import (
     g_right,
     zass_coeff,
 )
-from zassenhaus.coeffs import _g_right_closed  # dual-path seam comparison
 from zassenhaus.matrices import conjugate_series, expm, rel_residual
 from zassenhaus.realizations import (
     Ladder,
@@ -38,6 +37,12 @@ from zassenhaus.verify import (
 
 REAL_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 IMAG_GRID = (-1.0, 0.0, 1.0)
+
+
+def _g_right_closed(u: complex, v: complex) -> complex:
+    # The paper's quotient, unguarded, for the dual-path seam comparison.
+    eu = cmath.exp(u)
+    return (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -144,6 +144,13 @@ def test_cn_table_difference_sees_a_changed_power_sum(monkeypatch, capsys):
         assert diff2 == pytest.approx(1e-3 * abs(closed), rel=1e-4)
 
 
+def test_cn_table_reports_a_power_sum_past_double_range(capsys):
+    assert cli.main(["cn-table", "--u=1e300", "--v", "-1", "--max-n", "5"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[2:]]
+    assert rows[1][1] == "-3.33333e+299"
+    assert rows[2:] == [["4", "overflow", "overflow", "overflow"], ["5", "overflow", "overflow", "overflow"]]
+
+
 def test_cn_table_reports_a_contour_past_double_range(capsys):
     assert cli.main(["cn-table", "--u", "1", "--v", "-1", "--max-n", "800"]) == 0
     last = capsys.readouterr().out.strip().splitlines()[-1].split()

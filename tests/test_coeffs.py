@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zassenhaus.coeffs import (
     SWITCH,
     EvalMethod,
     PoleError,
-    _g_right_closed,
     _phi1_series,
     f_bch,
     g_center,
@@ -25,6 +26,12 @@ from zassenhaus.coeffs import (
 GRID5 = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 E = math.e
+
+
+def _g_right_closed(u: complex, v: complex) -> complex:
+    # The paper's quotient, unguarded: still valid just inside a seam.
+    eu = cmath.exp(u)
+    return (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
 
 
 def rel_err(got, want):
@@ -286,6 +293,30 @@ def test_gamma_swap_term_count_invariant():
     small = gamma_swap(0.1, 2)
     assert small.method is EvalMethod.SERIES
     assert small.terms_used > 0
+
+
+# ------------------------------------------------------ finite or raise
+
+# Anywhere in the complex doubles, and weighted to the bands where e^u,
+# e^v or e^{u-v} leaves double range.
+_BAND = st.floats(-800.0, 800.0) | st.floats(690.0, 760.0) | st.floats(-760.0, -690.0)
+_POINT = st.complex_numbers(allow_nan=False, allow_infinity=False) | st.builds(
+    complex, _BAND, st.just(0.0) | st.floats(-10.0, 10.0)
+)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(u=_POINT, v=_POINT, d=st.complex_numbers(max_magnitude=2 * SWITCH))
+def test_every_coefficient_is_finite_or_raises(u, v, d):
+    for a, b in ((u, v), (u, u + d)):
+        for fn in (g_right, g_left, g_center, f_bch, gamma_swap):
+            # PoleError is a ValueError, as is cmath's domain error where
+            # an imaginary part of u - v overflows.
+            try:
+                value = fn(a, b).value
+            except (OverflowError, ValueError):
+                continue
+            assert cmath.isfinite(value), (fn.__name__, a, b, value)
 
 
 # ----------------------------------------------------------- zass_coeff

@@ -8,15 +8,21 @@ input exactly and evaluates the one-variable divided differences
 (phi1(u - v) - phi1(u))/v with 50 digits left after cancellation, with
 the analytic limits on the singular lines; it shares no code with the
 package.
+
+The range-contract strata draw real parts up to 2000, with points down to
+1e-12 from each singular line: there each g coefficient is within a stated
+bound of the reference, or raises OverflowError exactly where a part of the
+reference is past double range.
 """
 
 import cmath
 import json
 import math
+import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zassenhaus import cli
@@ -28,6 +34,7 @@ from zassenhaus.coeffs import (
     g_center,
     g_left,
     g_right,
+    gamma_swap,
 )
 
 DPS = 50
@@ -73,6 +80,11 @@ def _f_bch(u, v):
 
 
 def reference(name: str, u: complex, v: complex) -> complex:
+    return complex(reference_mp(name, u, v))
+
+
+def reference_mp(name: str, u: complex, v: complex):
+    """The reference as an mpmath number, which may be past double range."""
     u, v = complex(u), complex(v)
     # The quotients lose up to two digits for each decade that |u|, |v| or
     # |u - v| lies below 1; DPS digits are left after that loss.
@@ -87,7 +99,7 @@ def reference(name: str, u: complex, v: complex) -> complex:
             value = mpmath.exp(-mv) * _g_right(mv, mu)
         else:
             value = _f_bch(mu, mv)
-        return complex(value)
+        return value
 
 
 def assert_matches(name: str, u: complex, v: complex, extra_tol: float = 0.0) -> None:
@@ -207,6 +219,62 @@ def test_f_bch_raises_inside_the_pole_shell(v, k, h):
         f_bch(v + 2j * math.pi * k + h, v)
 
 
+# -------------------------------------------------------- range contract
+
+DBL_MAX = sys.float_info.max
+# Within this relative distance of DBL_MAX a value may round either way.
+RANGE_MARGIN = 1e-9
+# The g family's relative error over these strata is held to
+# RANGE_TOL * max(8, |u|, |v|): rounding u - v costs about eps |u - v|
+# through e^{u - v}, and next to a SWITCH seam, where |u| and |v| are
+# small, the closed form loses up to about 1e-14.  Over 32 000 points the
+# worst was 4.0e-16 * max(|u|, |v|) away from the seams, 1.6e-15 next to one.
+RANGE_TOL = 2e-15
+
+# Real parts up to 2000, weighted to the bands where an exponential, or
+# e^{m/2} in the kernel, leaves double range.
+_RANGE_RE = (
+    st.floats(-2000.0, 2000.0)
+    | st.floats(690.0, 760.0)
+    | st.floats(-760.0, -690.0)
+    | st.floats(1400.0, 1440.0)
+)
+LARGE = st.builds(complex, _RANGE_RE, st.just(0.0) | st.floats(-100.0, 100.0))
+# Down to 1e-12 from a singular line, on both sides of the seam.
+NEAR = _points(_magnitude(-12.0, 0.0))
+
+
+def assert_range_contract(name: str, u: complex, v: complex) -> None:
+    """A value within RANGE_TOL where the reference is in double range;
+    OverflowError, and nothing else, where a part of it is past DBL_MAX."""
+    want = reference_mp(name, u, v)
+    size = max(abs(want.real), abs(want.imag))
+    assume(abs(size / DBL_MAX - 1) > RANGE_MARGIN)
+    if size > DBL_MAX:
+        with pytest.raises(OverflowError):
+            COEFFS[name](u, v)
+        return
+    cv = COEFFS[name](u, v)
+    err = abs(cv.value - complex(want))
+    assert err <= RANGE_TOL * max(8.0, abs(u), abs(v)) * abs(want), (name, u, v, cv, err / abs(want))
+
+
+@pytest.mark.parametrize("name", G_FAMILY)
+@ORACLE
+@given(u=LARGE, v=LARGE)
+def test_range_contract(name, u, v):
+    assert_range_contract(name, u, v)
+
+
+@pytest.mark.parametrize("name", G_FAMILY)
+@ORACLE
+@given(a=LARGE, d=NEAR)
+def test_range_contract_near_the_singular_lines(name, a, d):
+    assert_range_contract(name, *right_args(name, a, d))  # v = 0
+    assert_range_contract(name, *right_args(name, d, a))  # u = 0
+    assert_range_contract(name, *right_args(name, a + d, a))  # u = v
+
+
 # ------------------------------------------------ pinned former defects
 
 
@@ -268,16 +336,43 @@ def test_f_bch_where_an_exponential_leaves_double_range(u, v, method):
 
 
 @pytest.mark.parametrize(
+    "u, v, method",
+    [
+        # A product with e^u past double range made the quotient inf+nanj
+        # (the value is 6.3335) or inf; divided through by e^u instead.
+        (709.0, 3.0, EvalMethod.CLOSED_FORM),
+        (0.1, complex(709.5, -0.7), EvalMethod.CLOSED_FORM),
+        (218.75, 525.0, EvalMethod.CLOSED_FORM),  # 2.678e92
+        # e^v e[u, v, 0] past double range made the diagonal -inf+nanj.
+        (435.86528772318525, 435.7445221441266, EvalMethod.DIVIDED_DIFFERENCE),
+    ],
+)
+def test_f_bch_where_a_product_left_double_range(u, v, method):
+    assert f_bch(u, v).method is method
+    assert_matches("f_bch", u, v)
+
+
+def test_gamma_swap_past_double_range_raises():
+    # phi1(60) phi1(709.5), about 3.6e329, was inf+0j.
+    with pytest.raises(OverflowError, match="gamma_swap overflows"):
+        gamma_swap(60.0, -709.5)
+
+
+@pytest.mark.parametrize(
     "u, v",
     [
         (720.0, 715.0),  # e^u past double range; the value is -9.56e306
         (712.0, 3.0),  # e^u past double range; the value is -7.34e305
         (3.0, -708.0),  # e^{u - v} past double range
-        (709.0, 3.0),  # e^u in range, u e^u not: the unfactored quotient is NaN
+        (709.0, 3.0),  # e^u in range, u e^u not: the quotient is NaN
+        (720.0, 719.9),  # -9.49e306
+        (712.0, 0.1),  # -2.20e306
+        (711.0, 0.01),  # near v = 0
     ],
 )
 def test_g_right_where_an_exponential_leaves_double_range(u, v):
-    assert g_right(u, v).method is EvalMethod.CLOSED_FORM
+    # The closed form raises or is not finite; the kernel serves.
+    assert g_right(u, v).method is EvalMethod.DIVIDED_DIFFERENCE
     assert_matches("g_right", u, v)
     assert_matches("g_left", v, u)
 
@@ -324,16 +419,41 @@ def test_g_center_where_g_left_leaves_double_range(u, v):
 
 
 def test_g_center_keeps_the_product_wherever_it_is_finite():
-    values = (-1100.0, -720.0, -3.0, -0.1, 0.0, 0.2, 1.0, 5.0, 709.0, 800.0)
+    values = (-1100.0, -720.0, -3.0, -0.1, 0.0, 0.2, 1.0, 5.0, 708.0, 709.0, 800.0)
     for u in values:
         for v in values:
             for z in (complex(u, 0.0), complex(u, 1.5)):
                 try:
-                    product = cmath.exp(-v) * g_left(z, v).value
+                    tilt = cmath.exp(-v)
+                    product = tilt * g_left(z, v).value
                 except OverflowError:
                     continue
-                if cmath.isfinite(product):
+                if not cmath.isfinite(product):
+                    continue
+                if abs(tilt) >= sys.float_info.min:
                     assert g_center(z, v).value == product, (z, v)
+                else:  # e^{-709} is subnormal: the kernel instead
+                    assert g_center(z, v).method is EvalMethod.DIVIDED_DIFFERENCE, (z, v)
+                    assert_matches("g_center", z, v)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        # e^{-v} is subnormal, so e^{-v} g_left kept about 33 bits: 1.9e-10.
+        (1936.4368315115084, 723.2154221819562),
+        (1500.0, 722.0),  # 4.6e-11
+        # Near the diagonal, where g_left is finite only since the kernel
+        # splits e^m: the product lost 1.0e-10.
+        (complex(722.0490258479556, -9.183614547675823), complex(722.0489742805504, -9.183614547675823)),
+        # Near the diagonal, where g_left's mean shift served: 3.0e-13.
+        (716.0740347500496, complex(716.0740347500383, 0.006727589546158458)),
+    ],
+)
+def test_g_center_where_e_to_the_minus_v_is_subnormal(u, v):
+    assert abs(cmath.exp(-v)) < sys.float_info.min
+    assert g_center(u, v).method is EvalMethod.DIVIDED_DIFFERENCE
+    assert_matches("g_center", u, v)
 
 
 def test_a_divided_difference_past_double_range_still_raises():

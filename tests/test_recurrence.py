@@ -131,6 +131,17 @@ def test_c_sequence_rejects_low_cutoff():
         c_sequence(1, 1.0, 1.0)
 
 
+def test_power_sum_past_double_range_raises():
+    # u^2 = 1e600: the Horner sum is inf, and a complex product with inf
+    # made C_4 -inf+nanj and C_5 nan+nanj.
+    assert zass_coeff(3, 1e300, -1.0) == pytest.approx(-1e300 / 3.0)
+    for n in (4, 5):
+        with pytest.raises(OverflowError, match=f"C_{n} overflows"):
+            zass_coeff(n, 1e300, -1.0)
+    with pytest.raises(OverflowError, match="C_4 overflows"):
+        c_sequence(5, 1e300, -1.0)
+
+
 # ------------------------------------------------------------- c_contour
 
 

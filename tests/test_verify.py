@@ -705,8 +705,8 @@ def _g_right_raising_at_half(u, v):
     [
         # The coefficient raises.
         ("disentangle-right", 1.0, [-1.0, 0.5, 2.0], "OverflowError: divided difference"),
-        # X + Y + fW has an entry past double range.
-        ("bch", 218.75, [0.0, 525.0, 1.0], "ValueError: matrix entries must be finite"),
+        # f(218.75, 525) = 2.68e92, so X + Y + fW is past the 1-norm limit.
+        ("bch", 218.75, [0.0, 525.0, 1.0], "OverflowError: matrix 1-norm"),
         # gW is past the 1-norm limit, so its exponential comes back NaN.
         ("disentangle-right", 4.0, [-6.0, 168.0], "OverflowError: matrix 1-norm"),
         # e^X e^Y overflows, so the residual raises; the others are NaN.
