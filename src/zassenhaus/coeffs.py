@@ -12,9 +12,11 @@ governed by a single scalar function of (u, v):
     e^X e^Y = e^Y e^X e^{gamma_swap(u,v) W}
 
 The closed forms are quotients with removable singularities along u = 0,
-v = 0 and u = v; near them g_right and f_bch switch to divided differences
-of exp (_dd_exp), phi1 and gamma_swap to a series, reported via CoeffValue.
-No coefficient returns an inf or NaN part: it raises OverflowError instead.
+v = 0 and u = v; near them g_right switches to a divided difference of exp
+(_dd_exp), phi1 and gamma_swap to a series, reported via CoeffValue.  That
+kernel is the one overflow fallback: g_center's own nodes, and f_bch and
+gamma_swap through g_right.  No coefficient returns an inf or NaN part: it
+raises OverflowError instead.
 """
 
 from __future__ import annotations
@@ -206,10 +208,13 @@ def g_right(u: complex, v: complex) -> CoeffValue:
     which has no singular line and no stopping rule.  The divided
     difference also serves where the closed form raises or is not finite
     (e^u, e^{u-v} or a product with one of them past double range), so
-    OverflowError is raised only where g_r itself leaves double range.
+    OverflowError is raised only where g_r itself leaves double range, and
+    where u - v does.
     """
     u = complex(u)
     v = complex(v)
+    if not cmath.isfinite(u - v):
+        raise OverflowError(f"g_right overflows at {(u, v)}: u - v is past double range")
     if min(abs(u), abs(v), abs(u - v)) >= SWITCH:
         try:
             eu = cmath.exp(u)
@@ -249,49 +254,48 @@ def g_center(u: complex, v: complex) -> CoeffValue:
 def f_bch(u: complex, v: complex) -> CoeffValue:
     """Product-merge coefficient f(u, v): e^X e^Y = e^{X + Y + f W}.
 
-    Generic branch [u e^u(e^v - 1) - v e^v(e^u - 1)] / [uv(e^u - e^v)],
-    computed as (e^u phi1(v) - e^v phi1(u)) / (e^v (e^{u-v} - 1)) so that
-    u = 0 and v = 0 need no branch of their own; divided through by e^v
-    where e^u or e^v underflows, and by e^u where the quotient is not
-    finite.  Near the diagonal u = v it is phi1(v) - e^v e[u, v, 0] / e[u, v],
-    or phi1(v) - e[u, v, 0] / phi1(u - v) where that is not finite; the
-    other points with e^u = e^v are genuine poles and raise PoleError.
+    Off the diagonal (|u - v| >= SWITCH) it is the closed form
+    [u e^u(e^v - 1) - v e^v(e^u - 1)] / [uv(e^u - e^v)], computed as
+    (e^u phi1(v) - e^v phi1(u)) / (e^v (e^{u-v} - 1)) so that u = 0 and
+    v = 0 need no branch of their own, wherever e^u and e^v are normal
+    doubles and the quotient is finite.  Everywhere else it is
+    f(u, v) = -g_r(u, v) / phi1(u - v), since [X + Y, W] = (v - u) W gives
+    e^{X+Y+fW} = e^{X+Y} e^{f phi1(u-v) W}: f is symmetric, so u and v are
+    ordered to make Re(u - v) <= 0, where phi1 cannot overflow, and the
+    value reports g_right's method and term count.  The points off the
+    diagonal with e^u = e^v are genuine poles and raise PoleError.
     """
     u = complex(u)
     v = complex(v)
     d = u - v
-    if abs(d) < SWITCH:
-        dd1, dd2, terms = _dd_exp(u, v, 0.0)
-        value = phi1(v) - cmath.exp(v) * dd2 / dd1 if _TINY <= abs(dd1) < math.inf else math.nan
-        if not cmath.isfinite(value):
-            # e[u, v] = e^v phi1(d): the same quotient with no e^v in it.
-            value = phi1(v) - dd2 / phi1(d)
-        return CoeffValue(_finite(value, "f_bch", u, v), EvalMethod.DIVIDED_DIFFERENCE, terms)
-    k = round(d.imag / _TWO_PI)
-    h = complex(d.real, d.imag - _TWO_PI * k) if k else d
-    if k and abs(h) < _POLE_SHELL:
-        raise PoleError(
-            "f_bch pole: exp(u) == exp(v) with u != v "
-            f"(u - v within {_POLE_SHELL:g} of 2*pi*i*{k})"
-        )
-    eu = cmath.exp(u)
-    ev = cmath.exp(v)
+    if SWITCH <= abs(d) < math.inf:
+        k = round(d.imag / _TWO_PI)
+        h = complex(d.real, d.imag - _TWO_PI * k) if k else d
+        if k and abs(h) < _POLE_SHELL:
+            raise PoleError(
+                "f_bch pole: exp(u) == exp(v) with u != v "
+                f"(u - v within {_POLE_SHELL:g} of 2*pi*i*{k})"
+            )
+        try:
+            eu = cmath.exp(u)
+            ev = cmath.exp(v)
+            if abs(eu) >= _TINY and abs(ev) >= _TINY:
+                # e^u - e^v = e^v (e^h - 1) since h differs from u - v by
+                # 2*pi*i*k, so the denominator stays accurate even just
+                # outside the pole shell.
+                den = h * phi1(h) if abs(h) <= SWITCH else cmath.exp(h) - 1.0
+                value = (eu * phi1(v) - ev * phi1(u)) / (ev * den)
+                if cmath.isfinite(value):
+                    return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
+        except OverflowError:
+            pass
+    a, b = (u, v) if v.real <= u.real else (v, u)
     try:
-        # e^u - e^v = e^v (e^h - 1) since h differs from u - v by 2*pi*i*k,
-        # so the denominator stays accurate even just outside the pole shell.
-        den = h * phi1(h) if abs(h) <= SWITCH else cmath.exp(h) - 1.0
-        if abs(eu) < _TINY or abs(ev) < _TINY:
-            # Divided through by e^v (e^{u-v} = e^h), so no underflowed factor.
-            value = (cmath.exp(h) * phi1(v) - phi1(u)) / den
-        else:
-            value = (eu * phi1(v) - ev * phi1(u)) / (ev * den)
+        g = g_right(b, a)
     except OverflowError:
-        value = math.inf
-    if not cmath.isfinite(value):
-        # e^h or a product past double range: divided through by e^u instead.
-        eh = cmath.exp(-h)
-        value = (phi1(v) - eh * phi1(u)) / (1.0 - eh)
-    return CoeffValue(_finite(value, "f_bch", u, v), EvalMethod.CLOSED_FORM, 0)
+        raise OverflowError(f"f_bch overflows at {(u, v)}") from None
+    # 0j - z: a real argument keeps a +0.0 imaginary part.
+    return CoeffValue(_finite(0j - g.value / phi1(b - a), "f_bch", u, v), g.method, g.terms_used)
 
 
 def gamma_swap(u: complex, v: complex) -> CoeffValue:
@@ -299,13 +303,26 @@ def gamma_swap(u: complex, v: complex) -> CoeffValue:
 
     Equal to -(g_r(-v,-u) + g_r(u,v)); evaluated in the factored form
     phi1(u) * phi1(-v), which is the same function (confirmed symbolically
-    and on numeric grids) and is stable on the whole plane.
+    and on numeric grids) and is stable wherever it is finite.  Where a
+    factor or the product leaves double range, the sum of the two g_right
+    values instead, reported as a divided difference with both term counts.
     """
-    pu, tu = _phi1_counted(complex(u))
-    pv, tv = _phi1_counted(-complex(v))
-    terms = tu + tv
-    method = EvalMethod.CLOSED_FORM if terms == 0 else EvalMethod.SERIES
-    return CoeffValue(_finite(pu * pv, "gamma_swap", u, v), method, terms)
+    u = complex(u)
+    v = complex(v)
+    try:
+        pu, tu = _phi1_counted(u)
+        pv, tv = _phi1_counted(-v)
+        value, terms = pu * pv, tu + tv
+        if cmath.isfinite(value):
+            return CoeffValue(value, EvalMethod.CLOSED_FORM if terms == 0 else EvalMethod.SERIES, terms)
+    except OverflowError:
+        pass
+    try:
+        left, right = g_right(-v, -u), g_right(u, v)
+    except OverflowError:
+        raise OverflowError(f"gamma_swap overflows at {(u, v)}") from None
+    value = _finite(0j - left.value - right.value, "gamma_swap", u, v)
+    return CoeffValue(value, EvalMethod.DIVIDED_DIFFERENCE, left.terms_used + right.terms_used)
 
 
 def _finite(value: complex, name: str, u: complex, v: complex) -> complex:

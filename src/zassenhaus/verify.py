@@ -28,7 +28,6 @@ exponential, what expm raises on its matrix); a block's point fails alone.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -46,7 +45,6 @@ from .matrices import (
     _rel_residuals,
     expm,
     expm_stack,
-    rel_residual,
 )
 from .realizations import AlgebraPair, lindblad_pair
 from .recurrence import c_sequence
@@ -494,65 +492,49 @@ def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAU
     """Adjudicate the two coefficient identifications for the dissipator pair.
 
     For X = alpha*D_up, Y = beta*D_dn the commutator is
-    [X, Y] = alpha*beta*(D_up - D_dn), so the merged exponential
-    e^{alpha D_up + beta D_dn} splits as e^X e^Y e^{coeff (D_up - D_dn)}
-    with two candidate coefficients on the table:
+    W = [X, Y] = alpha*beta*(D_up - D_dn), so the merged exponential
+    e^{alpha D_up + beta D_dn} splits as e^X e^Y e^{g_r(u, v) W} with two
+    candidate identifications of (u, v) on the table:
 
-      coupling-product:     -(e^{alpha beta} - 1)^2 / (2 alpha beta),
-                            i.e. g_r evaluated at (ab, -ab), ab = alpha*beta
-      structure-constants:  g_r(beta, -alpha) * alpha*beta,
-                            i.e. g_r at the structure constants of (X, Y)
+      coupling-product:     (u, v) = (ab, -ab), ab = alpha*beta, where
+                            g_r ab = -(e^{ab} - 1)^2 / (2 ab)
+      structure-constants:  (u, v) = (beta, -alpha), the structure
+                            constants of (X, Y)
 
-    Both are executed against the 4x4 matrix oracle; the report carries
-    one result per form and each result's metadata lists which forms
-    passed.  Neither is presupposed correct.
+    Each is the right-sided disentangling check against the 4x4 matrix
+    oracle; the report carries one result per form, its coefficient
+    g_r(u, v) ab on D_up - D_dn, and each result's metadata lists which
+    forms passed.  Neither is presupposed correct.
     """
     alpha = complex(alpha)
     beta = complex(beta)
     if alpha * beta == 0:
         raise ValueError("alpha and beta must both be nonzero")
     pair = lindblad_pair()
-    d_up, d_dn = pair.X, pair.Y
     ab = alpha * beta
-    diff = d_up - d_dn
-    lhs = expm(alpha * d_up + beta * d_dn)
-    base = expm(alpha * d_up) @ expm(beta * d_dn)
-    coeff_prod = -(cmath.exp(ab) - 1.0) ** 2 / (2.0 * ab)
-    coeff_struct = complex(g_right(beta, -alpha).value) * ab
-    res_prod = rel_residual(lhs, base @ expm(coeff_prod * diff))
-    res_struct = rel_residual(lhs, base @ expm(coeff_struct * diff))
-    passing = []
-    if res_prod <= tol:
-        passing.append("coupling-product")
-    if res_struct <= tol:
-        passing.append("structure-constants")
+    X, Y, W = alpha * pair.X, beta * pair.Y, ab * (pair.X - pair.Y)
+    forms = {
+        "coupling-product": ((ab, -ab), "(u,v) = (alpha*beta, -alpha*beta)"),
+        "structure-constants": ((beta, -alpha), "(u,v) = (beta, -alpha)"),
+    }
+    checks = {
+        form: check_disentangle(AlgebraPair(X, Y, u, v, 0.0, W, pair.name), Side.RIGHT, tol)
+        for form, ((u, v), _) in forms.items()
+    }
     shared = {
         "alpha": alpha,
         "beta": beta,
-        "passing_forms": list(passing),
+        "passing_forms": [form for form, r in checks.items() if r.passed],
         "convention": pair.name,
     }
-    results = (
+    results = tuple(
         _result(
-            "lindblad-coupling-product",
-            res_prod,
+            f"lindblad-{form}",
+            r.residual,
             tol,
-            {
-                **shared,
-                "coefficient": coeff_prod,
-                "identification": "(u,v) = (alpha*beta, -alpha*beta)",
-            },
-        ),
-        _result(
-            "lindblad-structure-constants",
-            res_struct,
-            tol,
-            {
-                **shared,
-                "coefficient": coeff_struct,
-                "identification": "(u,v) = (beta, -alpha)",
-            },
-        ),
+            {**shared, "coefficient": r.metadata["coefficient"] * ab, "identification": forms[form][1]},
+        )
+        for form, r in checks.items()
     )
     return CheckReport(pair.name, results, all(r.passed for r in results))
 

@@ -32,7 +32,11 @@ from the conjugation product.  The coeff cases at u = v = 1000
 were added later: every coefficient there but g_center is past double
 range, and coeff reports each one as overflowed with exit status 0.  They
 were regenerated when g_center learnt to return e^{-1000} g_r(1000, 1000),
-about -1e-6, instead of overflowing with g_r.
+about -1e-6, instead of overflowing with g_r.  They were regenerated again
+when f_bch and gamma_swap took g_right as their fallback: the reasons of
+those two coefficients in ``coeff-overflow-*`` now name them, and the
+residual cells of the u = v rows of ``sweep-bch-9.csv`` (7 of 81, each
+still passing) moved with f_bch's diagonal, now -g_r(u, u)/phi1(0).
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def test_coeff_reports_overflow_without_failing(capsys):
     assert center["value"]["re"] == pytest.approx(-1e-6, rel=1e-14)
     assert all(set(entry) == {"overflow"} for entry in coefficients.values())
     assert cli.main(["coeff", "--u", "1000", "--v", "1000"]) == 0
-    assert "gamma_swap  overflow (math range error)" in capsys.readouterr().out
+    assert "gamma_swap  overflow (gamma_swap overflows at ((1000+0j), (1000+0j)))" in capsys.readouterr().out
 
 
 def test_coeff_output_is_deterministic(capsys):
@@ -319,6 +319,21 @@ def test_integral_agreement(capsys):
 def test_integral_at_origin(capsys):
     assert cli.main(["integral", "--u", "0", "--v", "0"]) == 0
     assert "-0.5" in capsys.readouterr().out
+
+
+def test_integral_reports_overflow_and_fails(capsys):
+    # e^{su} at s near 1 and g_r(1000, 0.1) are past double range: each
+    # value prints as coeff prints it, and the agreement fails.
+    assert cli.main(["integral", "--u", "1000", "--v", "0.1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "  quadrature, 32 nodes   overflow (math range error)",
+        "  quadrature, 16 nodes   overflow (math range error)",
+        "  node-refinement delta                overflow",
+        "  closed form g_right    overflow (divided difference of exp overflows at (999.9, 1000.0, 0.0))",
+        "  |quadrature - closed|                overflow",
+        "  agreement: FAIL",
+    ]
 
 
 # ------------------------------------------------------- argument validation
