@@ -55,10 +55,6 @@ _PAIR_BUILDERS = {
 
 
 def _fmt_float(x: float, digits: int) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.{digits}g}"
 
 
@@ -78,52 +74,47 @@ def _json_text(obj) -> str:
     (strict JSON has no literal for them).
     """
     pieces: list[str] = []
-    _emit(obj, 0, pieces)
+    _emit(obj, "", pieces)
     return "".join(pieces)
 
 
-def _emit(node, indent: int, pieces: list[str]) -> None:
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
+def _emit(node, pad: str, pieces: list[str]) -> None:
     # A module-level function: a nested closure would refer to itself
     # through its cell, and the cycle would keep pieces alive until a
-    # full garbage collection.
-    pad = " " * indent
-    if isinstance(node, np.generic):
-        node = node.item()
-    if isinstance(node, complex):
-        node = {"re": node.real, "im": node.imag}
-    if isinstance(node, Mapping):
-        if not node:
-            pieces.append("{}")
+    # full garbage collection.  Exact scalars skip the container tests.
+    if type(node) not in (str, float, bool, int):
+        if isinstance(node, np.generic):
+            node = node.item()
+        if isinstance(node, complex):
+            node = {"re": node.real, "im": node.imag}
+        if isinstance(node, Mapping):
+            inner = pad + "  "
+            for i, (key, value) in enumerate(node.items()):
+                pieces.append(f"{',' if i else '{'}\n{inner}{_quote(str(key))}: ")
+                _emit(value, inner, pieces)
+            pieces.append(f"\n{pad}}}" if node else "{}")
             return
-        pieces.append("{\n")
-        for i, (key, value) in enumerate(node.items()):
-            pieces.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(value, indent + 2, pieces)
-            pieces.append(",\n" if i < len(node) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            pieces.append("[]")
+        if isinstance(node, (list, tuple)):
+            inner = pad + "  "
+            for i, value in enumerate(node):
+                pieces.append(f"{',' if i else '['}\n{inner}")
+                _emit(value, inner, pieces)
+            pieces.append(f"\n{pad}]" if node else "[]")
             return
-        pieces.append("[\n")
-        for i, value in enumerate(node):
-            pieces.append(pad + "  ")
-            _emit(value, indent + 2, pieces)
-            pieces.append(",\n" if i < len(node) - 1 else "\n")
-        pieces.append(pad + "]")
-    elif isinstance(node, bool):
+    if isinstance(node, bool):
         pieces.append("true" if node else "false")
     elif isinstance(node, float):
-        if math.isfinite(node):
-            pieces.append(f"{node:.17g}")
-        else:
-            pieces.append(json.dumps(_fmt_float(node, 17)))
+        text = f"{node:.17g}"
+        pieces.append(text if math.isfinite(node) else f'"{text}"')
     elif isinstance(node, int):
         pieces.append(str(node))
     elif node is None:
         pieces.append("null")
     else:
-        pieces.append(json.dumps(str(node)))
+        pieces.append(_quote(str(node)))
 
 
 def _coeff_error(exc: Exception) -> str:

@@ -13,7 +13,8 @@ The public functions validate their arguments.  The underscored kernels
 take arrays that are already valid complex matrices of one shape, for
 callers that built them so.  _commutator, _conjugate_series and
 _rel_residuals also take (N, n, n) stacks, and each slice of their
-result is bit-identical to their result for that slice alone.
+result is bit-identical to their result for that slice alone (for
+_conjugate_series, up to the sign of a zero entry).
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ def conjugate_series(A, B, t: complex, K: int) -> np.ndarray:
     """Truncated adjoint series sum_{k=0}^{K} (-t)^k ad_A^k(B) / k!.
 
     The K -> infinity limit is e^{-tA} B e^{tA}; each ad power is computed
-    by an explicit repeated commutator.
+    by an explicit repeated commutator, and the sum stops at the first
+    that is exactly zero, K still the cutoff (later ones are zero too).
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -183,6 +185,8 @@ def _conjugate_series(A: np.ndarray, B: np.ndarray, t: complex, K: int) -> np.nd
     current = B
     for k in range(1, K + 1):
         current = _commutator(A, current) * (-t / k)
+        if not current.any():  # so is every later power; a NaN is nonzero
+            break
         total = total + current
     return total
 

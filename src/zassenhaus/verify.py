@@ -346,9 +346,10 @@ def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResu
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre_unit(n: int) -> tuple[tuple[float, float], ...]:
+    # Python floats: the sum runs in Python complex arithmetic, same bits.
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return _read_only(0.5 * (nodes + 1.0)), _read_only(0.5 * weights)
+    return tuple(zip((0.5 * (nodes + 1.0)).tolist(), (0.5 * weights).tolist()))
 
 
 def quadrature_gr(u: complex, v: complex, nodes: int = 32) -> complex:
@@ -357,13 +358,14 @@ def quadrature_gr(u: complex, v: complex, nodes: int = 32) -> complex:
     The integrand is entire in s, so fixed-node Gauss-Legendre converges
     geometrically; 32 nodes give machine precision for |u|, |v| <= ~6.
     The node count is fixed (never adaptive) so results are reproducible
-    bit for bit.
+    bit for bit; a sum past double range raises OverflowError.
     """
-    xs, ws = _gauss_legendre_unit(nodes)
     total = 0.0 + 0.0j
-    for x, w in zip(xs, ws):
+    for x, w in _gauss_legendre_unit(nodes):
         total += w * integrand(x, u, v)
-    return complex(total)
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise OverflowError(f"quadrature_gr overflows at {(u, v)}")
+    return total
 
 
 def _quadrature(s, nodes: int):
@@ -479,8 +481,8 @@ def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float 
     Residual of sum_{k<=K} (-t)^k ad_X^k(Y)/k! against e^{-tX} Y e^{tX}.
     Truncation error is governed by (|t| ||ad_X||)^K / K!; with K >= 20
     the check is meaningful for |t| ||X|| up to about 2 on generic pairs,
-    and far beyond that when the ad series terminates (v = 0 pairs kill
-    it after one term).
+    and far beyond that when the ad series terminates (ad_X^2 Y = vW): the
+    sum stops at the first exactly zero ad power, K still the cutoff.
     """
     t = complex(t)
     if K < 0:

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, argument validation."""
 
 import csv
+import enum
 import gc
 import json
 import math
@@ -9,10 +10,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from collections.abc import Mapping
 from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zassenhaus
 from zassenhaus import cli, coeffs, recurrence, sweep
@@ -316,6 +320,18 @@ def test_integral_agreement(capsys):
     assert "32 nodes" in out and "16 nodes" in out
 
 
+def test_integral_reports_a_quadrature_past_double_range(capsys):
+    # The integrand passes DBL_MAX near s = 1 although g_r = -3.39e306 is
+    # finite: the 32-node sum is an overflow, not -inf+nani.
+    assert cli.main(["integral", "--u", "709", "--v=-5"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[1] == "  quadrature, 32 nodes   overflow (quadrature_gr overflows at (709.0, -5.0))"
+    assert lines[3] == "  node-refinement delta                overflow"
+    assert lines[-1] == "  agreement: FAIL"
+    assert err == ""
+
+
 def test_integral_at_origin(capsys):
     assert cli.main(["integral", "--u", "0", "--v", "0"]) == 0
     assert "-0.5" in capsys.readouterr().out
@@ -448,6 +464,20 @@ def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch
 # -------------------------------------------------------------------- JSON
 
 
+class _Rank(enum.IntEnum):
+    ONE = 1
+
+
+class _Real(float):
+    pass
+
+
+class _Shown(str):
+    def __str__(self):
+        return "shown"
+
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
@@ -466,10 +496,115 @@ def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch
         pytest.param(
             MappingProxyType({"a": (np.float64(1.5),)}), '{\n  "a": [\n    1.5\n  ]\n}', id="mapping"
         ),
+        # What dispatch on the exact type could get wrong.
+        pytest.param('é☃\n\t"\\\x01\x7f', '"\\u00e9\\u2603\\n\\t\\"\\\\\\u0001\\u007f"', id="non-ascii"),
+        pytest.param({1: 2, None: "x", 2.5: True}, '{\n  "1": 2,\n  "None": "x",\n  "2.5": true\n}', id="keys"),
+        pytest.param([True, False, None], "[\n  true,\n  false,\n  null\n]", id="bool-in-list"),
+        pytest.param(_Rank.ONE, "1", id="IntEnum"),
+        pytest.param(_Real(0.25), "0.25", id="float-subclass"),
+        pytest.param(_Real(-math.inf), '"-inf"', id="float-subclass-inf"),
+        pytest.param(_Shown("raw"), '"shown"', id="str-subclass"),
+        pytest.param({_Shown("k"): _Shown("v")}, '{\n  "shown": "shown"\n}', id="str-subclass-key"),
+        pytest.param(
+            {"a": {}, "b": [], "c": (), "d": {"e": []}},
+            '{\n  "a": {},\n  "b": [],\n  "c": [],\n  "d": {\n    "e": []\n  }\n}',
+            id="nested-empty",
+        ),
     ],
 )
 def test_json_text_emits(value, text):
     assert cli._json_text(value) == text
+
+
+def _reference_emit(node, indent, pieces):
+    # The isinstance-chain writer that the type-dispatched one replaced.
+    pad = " " * indent
+    if isinstance(node, np.generic):
+        node = node.item()
+    if isinstance(node, complex):
+        node = {"re": node.real, "im": node.imag}
+    if isinstance(node, Mapping):
+        if not node:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        for i, (key, value) in enumerate(node.items()):
+            pieces.append(f"{pad}  {json.dumps(str(key))}: ")
+            _reference_emit(value, indent + 2, pieces)
+            pieces.append(",\n" if i < len(node) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, value in enumerate(node):
+            pieces.append(pad + "  ")
+            _reference_emit(value, indent + 2, pieces)
+            pieces.append(",\n" if i < len(node) - 1 else "\n")
+        pieces.append(pad + "]")
+    elif isinstance(node, bool):
+        pieces.append("true" if node else "false")
+    elif isinstance(node, float):
+        if math.isfinite(node):
+            pieces.append(f"{node:.17g}")
+        else:
+            pieces.append(json.dumps("nan" if math.isnan(node) else "inf" if node > 0 else "-inf"))
+    elif isinstance(node, int):
+        pieces.append(str(node))
+    elif node is None:
+        pieces.append("null")
+    else:
+        pieces.append(json.dumps(str(node)))
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+    st.text(),
+    st.sampled_from([_Rank.ONE, _Real(-0.0), _Real(math.nan), _Shown("s")]),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans()), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_text_matches_the_isinstance_chain(payload):
+    pieces = []
+    _reference_emit(payload, 0, pieces)
+    assert cli._json_text(payload) == "".join(pieces)
+
+
+@pytest.mark.parametrize(
+    "x, six, seventeen",
+    [
+        (0.0, "0", "0"),
+        (-0.0, "-0", "-0"),
+        (math.inf, "inf", "inf"),
+        (-math.inf, "-inf", "-inf"),
+        (math.nan, "nan", "nan"),
+        (-math.nan, "nan", "nan"),
+        (5e-324, "4.94066e-324", "4.9406564584124654e-324"),
+        (0.1, "0.1", "0.10000000000000001"),
+    ],
+)
+def test_fmt_float_pins(x, six, seventeen):
+    assert (cli._fmt_float(x, 6), cli._fmt_float(x, 17)) == (six, seventeen)
 
 
 @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e308, 0.1, 1 / 3])

@@ -121,6 +121,101 @@ def test_quadrature_matches_closed_form_off_center():
         assert abs(quadrature_gr(u, v, 32) - g_right(u, v).value) <= 1e-13
 
 
+def _reference_quadrature(u, v, nodes):
+    # The loop before the sum ran on Python floats: numpy float64 nodes
+    # and weights, so each product and sum ran on numpy scalars.
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0 + 0.0j
+    with np.errstate(all="ignore"):
+        for x, w in zip(0.5 * (xs + 1.0), 0.5 * ws):
+            total += w * verify.integrand(x, u, v)
+    return complex(total)
+
+
+def _outcome(compute):
+    try:
+        z = compute()
+    except Exception as exc:  # noqa: BLE001 - compared as an outcome
+        return type(exc), str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+_QUADRATURE_POINTS = [
+    *((u, v) for u in (-7.0, -1.5, 0.0, 0.3, 2.0, 6.0) for v in (-4.0, -0.5, 0.0, 1.0, 5.5)),
+    (1.5 + 1.0j, -0.5), (-2.0 - 3.0j, 0.25 + 2.0j), (0.5j, -0.5j), (3.0 + 0.1j, 3.0 - 0.1j),
+    (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (complex(-0.0, -0.0), complex(0.0, -0.0)),
+    (complex(1.0, -0.0), complex(-0.0, 2.0)),
+    *((u, v) for u in (700.0, 708.0, 709.0, 709.7, 709.8, 710.0, 712.0, 709.0 + 3.0j) for v in (-5.0, -1.0, 0.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("nodes", [16, 32])
+def test_quadrature_keeps_the_bits_of_the_numpy_scalar_loop(nodes):
+    for u, v in _QUADRATURE_POINTS:
+        expected = _outcome(lambda: _reference_quadrature(u, v, nodes))
+        got = _outcome(lambda: quadrature_gr(u, v, nodes))
+        if expected[0] is not OverflowError and not all(math.isfinite(float.fromhex(h)) for h in expected):
+            # A sum past double range, where the old loop returned it.
+            expected = (OverflowError, f"quadrature_gr overflows at {(u, v)}")
+        assert got == expected, (u, v)
+
+
+def test_quadrature_past_double_range_raises():
+    # g_r(709, -5) = -3.39e306 is finite, the integrand near s = 1 is not.
+    with pytest.raises(OverflowError, match=r"quadrature_gr overflows at \(709.0, -5.0\)"):
+        quadrature_gr(709.0, -5.0, 32)
+
+
+def _reference_series(A, B, t, K):
+    # The series before it stopped at its first zero ad power.
+    total = B.copy()
+    current = B
+    for k in range(1, K + 1):
+        current = matrices._commutator(A, current) * (-t / k)
+        total = total + current
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_BUILDERS))
+def test_hadamard_series_keeps_the_residual_bits(name, monkeypatch):
+    pair = _PAIR_BUILDERS[name]()
+    series = matrices._conjugate_series(pair.X, pair.Y, 0.5 + 0j, 40)
+    reference = _reference_series(pair.X, pair.Y, 0.5 + 0j, 40)
+    # Equal up to the sign of a zero entry; -0.0 == 0.0.
+    assert np.array_equal(series, reference)
+    residual = check_hadamard(pair).residual
+    monkeypatch.setattr(verify, "_conjugate_series", _reference_series)
+    assert check_hadamard(pair).residual.hex() == residual.hex()
+
+
+def test_hadamard_series_keeps_the_bits_on_sweep_stacks(monkeypatch):
+    us, vs = np.linspace(-2.0, 2.0, 9), np.array([-1.0, -0.25, 0.0, 0.5, 2.0])
+    u, v = np.repeat(us, len(vs)), np.tile(vs, len(us))
+    for where in (v == 0.0, v != 0.0, np.ones(len(u), dtype=bool)):
+        for _, (X, Y, *_) in lattice_points(u[where], v[where]):
+            series = matrices._conjugate_series(X, Y, 0.5 + 0j, 40)
+            assert np.array_equal(series, _reference_series(X, Y, 0.5 + 0j, 40))
+    residuals = list(lattice_residuals("hadamard", us, vs))
+    monkeypatch.setattr(verify, "_conjugate_series", _reference_series)
+    assert [r.hex() for r in lattice_residuals("hadamard", us, vs)] == [r.hex() for r in residuals]
+
+
+@pytest.mark.parametrize(
+    "name, commutators",
+    # v = 0 gives ad_X^2(Y) = vW = 0.  For heisenberg3 it is exactly zero;
+    # for su11 [X, Y] is rounded by the matrix product, so ad^2 and ad^3
+    # are rounding-sized and ad^4 is zero, X being a nilpotent stripe.
+    [("affine2", 40), ("heisenberg3", 2), ("su11-raise", 4), ("su11-lower", 4), ("lindblad", 40)],
+)
+def test_hadamard_series_stops_at_its_first_zero_ad_power(name, commutators, monkeypatch):
+    pair = _PAIR_BUILDERS[name]()
+    calls = []
+    commutator = matrices._commutator
+    monkeypatch.setattr(matrices, "_commutator", lambda A, B: calls.append(1) or commutator(A, B))
+    matrices._conjugate_series(pair.X, pair.Y, 0.5 + 0j, 40)
+    assert len(calls) == commutators
+
+
 def test_truncated_product_terminates_immediately_for_central_pair():
     # C_2 = -1/2 is the whole series at u = v = 0
     out = check_truncated_product(HEIS, N=2)
