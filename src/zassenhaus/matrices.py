@@ -274,15 +274,18 @@ def load_matrix(path) -> np.ndarray:
     """Read a matrix from the JSON file format.
 
     Format: {"dim": n, "re": [[n x n reals]], "im": [[n x n reals]]} with
-    "im" optional (zero when absent).  Raises ValueError on malformed
-    content and DimensionMismatch on shape violations.
+    "im" optional (zero when absent); n and every entry are JSON numbers.
+    Raises ValueError on malformed content and DimensionMismatch on shape
+    violations.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "dim" not in data or "re" not in data:
         raise ValueError(f"{path}: expected a JSON object with 'dim' and 're'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    # Exact types: JSON true and false load as bool, a subclass of int, and
+    # numpy casts booleans, numeric strings and null to floats.
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"{path}: 'dim' must be a positive integer")
     try:
         re_part = np.asarray(data["re"], dtype=float)
@@ -298,4 +301,7 @@ def load_matrix(path) -> np.ndarray:
             f"{path}: 're'/'im' must be {dim}x{dim} arrays, got "
             f"{re_part.shape} and {im_part.shape}"
         )
+    for field in ("re", "im"):
+        if not all(type(x) in (int, float) for row in data.get(field, ()) for x in row):
+            raise ValueError(f"{path}: '{field}' entries must be JSON numbers")
     return as_matrix(re_part + 1j * im_part)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,26 @@ def test_load_matrix_rejects_malformed_payload(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"re": [[1.0]]}))
     with pytest.raises(ValueError):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    ("payload", "field"),
+    [
+        ({"dim": True, "re": [[2.0]], "im": [[0.5]]}, "dim"),
+        ({"dim": True, "re": [[2.0]]}, "dim"),
+        ({"dim": False, "re": [[2.0]]}, "dim"),
+        ({"dim": 2, "re": [[True, 2], [3, 4]]}, "re"),
+        ({"dim": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], [False, 0]]}, "im"),
+        ({"dim": 1, "re": [["2.5"]]}, "re"),
+        ({"dim": 1, "re": [[2.5]], "im": [[None]]}, "im"),
+    ],
+)
+def test_load_matrix_rejects_entries_that_are_not_json_numbers(tmp_path, payload, field):
+    # numpy reads true and false as 1.0 and 0.0, "2.5" as 2.5 and null as nan.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: '{field}' "):
         load_matrix(path)
 
 

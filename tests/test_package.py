@@ -44,25 +44,28 @@ REMOVED = (
 )
 
 # What ``import zassenhaus`` adds to sys.modules in a fresh interpreter
-# that has imported numpy, as captured before the sweep rows were checked
-# as stacks.  Importing the package does no more than this: a new module
-# here is set-up time for every command.
-PACKAGE_IMPORTS = [
-    "__future__",
-    "_json",
-    "cmath",
-    "copy",
-    "dataclasses",
-    "json",
-    "json.decoder",
-    "json.encoder",
-    "json.scanner",
-    "zassenhaus",
-    "zassenhaus.coeffs",
-    "zassenhaus.matrices",
-    "zassenhaus.realizations",
-    "zassenhaus.recurrence",
-    "zassenhaus.verify",
+# that has imported numpy: the package alone, whose names load their
+# submodules when first read.  Importing the package does no more than
+# this: a new module here is set-up time for every command.
+PACKAGE_IMPORTS = ["zassenhaus"]
+
+# What reading ``zassenhaus.g_right`` adds after that: the coefficients
+# need the standard library and no other submodule.
+G_RIGHT_IMPORTS = ["__future__", "cmath", "copy", "dataclasses", "zassenhaus.coeffs"]
+
+SUBMODULES = ["coeffs", "matrices", "realizations", "recurrence", "verify"]
+
+# The package's public names: the lazy table may neither drop nor add one.
+PACKAGE_ALL = [
+    "AlgebraPair", "CheckReport", "CheckResult", "CoeffValue", "DegenerateError",
+    "DimensionError", "DimensionMismatch", "EvalMethod", "Ladder", "PoleError", "Side",
+    "__version__", "affine_2x2", "as_matrix", "c_contour", "c_sequence",
+    "check_ab_structure", "check_bch", "check_disentangle", "check_hadamard",
+    "check_integral", "check_lindblad_application", "check_swap",
+    "check_truncated_product", "commutator", "conjugate_series", "expm", "expm_stack",
+    "f_bch", "g_center", "g_left", "g_right", "gamma_swap", "heisenberg_3x3",
+    "infer_uvc", "integrand", "lindblad_pair", "load_matrix", "phi1", "quadrature_gr",
+    "rel_residual", "run_suite", "shift_center", "su11_pair", "zass_coeff",
 ]
 
 
@@ -130,3 +133,74 @@ def test_a_verify_command_does_not_import_the_sweep_module():
         "print(code, 'zassenhaus.sweep' in sys.modules)",
     ])
     assert _run(code).split() == ["0", "False"]
+
+
+def test_reading_g_right_adds_only_the_coefficient_module():
+    code = (
+        "import sys, numpy, zassenhaus; before = set(sys.modules); zassenhaus.g_right; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert ast.literal_eval(_run(code).strip()) == G_RIGHT_IMPORTS
+
+
+def test_the_scalar_functions_import_neither_numpy_nor_the_matrix_harness():
+    code = "\n".join([
+        "import sys",
+        "from zassenhaus import (c_contour, c_sequence, f_bch, g_center, g_left, g_right,",
+        "                        gamma_swap, integrand, phi1, zass_coeff)",
+        "for fn in (f_bch, g_center, g_left, g_right, gamma_swap):",
+        "    fn(0.3, -0.2)",
+        "phi1(0.3); integrand(0.5, 0.3, -0.2); zass_coeff(3, 0.3, -0.2)",
+        "c_sequence(4, 0.3, -0.2); c_contour(3, 0.3, -0.2)",
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('zassenhaus.')))",
+    ])
+    assert ast.literal_eval(_run(code).strip()) == ["zassenhaus.coeffs", "zassenhaus.recurrence"]
+
+
+def test_every_package_name_is_its_submodule_export():
+    import zassenhaus
+
+    assert zassenhaus.__all__ == PACKAGE_ALL
+    for name in zassenhaus.__all__:
+        if name == "__version__":
+            continue
+        owners = [
+            sub for sub in SUBMODULES
+            if name in importlib.import_module(f"zassenhaus.{sub}").__all__
+        ]
+        assert len(owners) == 1, (name, owners)
+        module = importlib.import_module(f"zassenhaus.{owners[0]}")
+        assert getattr(zassenhaus, name) is getattr(module, name)
+
+
+def test_dir_lists_every_name_before_any_is_read():
+    code = (
+        "import sys, zassenhaus; names = dir(zassenhaus); "
+        "print(sorted(set(zassenhaus.__all__) - set(names)), 'zassenhaus.coeffs' in sys.modules)"
+    )
+    assert _run(code).split() == ["[]", "False"]
+
+
+@pytest.mark.parametrize("sub", SUBMODULES)
+def test_a_submodule_is_an_attribute_of_the_imported_package(sub):
+    code = (
+        f"import sys, zassenhaus; module = zassenhaus.{sub}; "
+        f"print(module is sys.modules['zassenhaus.{sub}'], all(hasattr(module, n) for n in module.__all__))"
+    )
+    assert _run(code).split() == ["True", "True"]
+
+
+def test_an_unknown_name_raises_attribute_error_naming_the_package():
+    import zassenhaus
+
+    with pytest.raises(AttributeError, match="^module 'zassenhaus' has no attribute 'g_rigth'$"):
+        zassenhaus.g_rigth  # noqa: B018
+
+
+def test_a_name_read_once_is_stored_in_the_package_namespace():
+    # The benchmark's tracer rebinds the functions it finds in vars(zassenhaus).
+    code = (
+        "import zassenhaus; before = 'g_left' in vars(zassenhaus); fn = zassenhaus.g_left; "
+        "print(before, vars(zassenhaus)['g_left'] is fn is zassenhaus.coeffs.g_left)"
+    )
+    assert _run(code).split() == ["False", "True"]
