@@ -13,10 +13,12 @@ governed by a single scalar function of (u, v):
 
 The closed forms are quotients with removable singularities along u = 0,
 v = 0 and u = v; near them g_right switches to a divided difference of exp
-(_dd_exp), phi1 and gamma_swap to a series, reported via CoeffValue.  That
-kernel is the one overflow fallback: g_center's own nodes, and f_bch and
-gamma_swap through g_right.  No coefficient returns an inf or NaN part: it
-raises OverflowError instead.
+(_dd_exp), reported via CoeffValue.  phi1 and gamma_swap need no switch:
+e^x - 1 is computed without cancellation (_expm1), so phi1 is accurate
+everywhere, its zeros x = 2*pi*i*k included.  The kernel is the one
+overflow fallback: g_center's own nodes, and f_bch and gamma_swap through
+g_right.  No coefficient returns an inf or NaN part: it raises
+OverflowError instead.
 """
 
 from __future__ import annotations
@@ -49,11 +51,6 @@ __all__ = [
 # relative error under 1e-12 on both sides of the seam.
 SWITCH = 0.25
 
-# The phi1 series stops once a term falls below REL_EPS of the partial
-# sum, or at MAX_TERMS, whichever comes first.
-REL_EPS = 1e-18
-MAX_TERMS = 64
-
 # Fixed Taylor length of _dd_exp.  With nodes in |z| <= 1/2,
 # |h_j(z0, z1, z2)| <= C(j+2, 2) 2^-j, so sum_j h_j/(j+2)! drops at most
 # 2^-16/(2 * 16!) ~ 3.6e-19 after 16 terms, and by Hermite-Genocchi the
@@ -81,7 +78,6 @@ class EvalMethod(enum.Enum):
     """Which evaluation path produced a coefficient."""
 
     CLOSED_FORM = "closed-form"
-    SERIES = "series"
     DIVIDED_DIFFERENCE = "divided-difference"
 
 
@@ -89,9 +85,9 @@ class EvalMethod(enum.Enum):
 class CoeffValue:
     """A coefficient value annotated with its evaluation path.
 
-    terms_used == 0 exactly when method is CLOSED_FORM.  For SERIES it
-    counts the Taylor terms accumulated; for DIVIDED_DIFFERENCE it is the
-    kernel's fixed Taylor length plus the number of squarings.
+    terms_used == 0 exactly when method is CLOSED_FORM; for
+    DIVIDED_DIFFERENCE it is the kernel's fixed Taylor length plus the
+    number of squarings.
     """
 
     value: complex
@@ -103,37 +99,32 @@ class PoleError(ValueError):
     """A coefficient was requested at a genuine (non-removable) pole."""
 
 
-def _phi1_series(x: complex) -> tuple[complex, int]:
-    # Taylor series sum_{k>=0} x^k/(k+1)!; entire, so this converges for
-    # any x, but it is only used for |x| <= SWITCH where few terms suffice.
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, MAX_TERMS + 1):
-        term *= x / (k + 1)
-        total += term
-        if abs(term) < REL_EPS * abs(total):
-            return total, k
-    return total, MAX_TERMS
-
-
-def _phi1_counted(x: complex) -> tuple[complex, int]:
-    if abs(x) > SWITCH:
-        return (cmath.exp(x) - 1.0) / x, 0
-    return _phi1_series(x)
+def _expm1(x: complex) -> complex:
+    # e^x - 1 for x = a + ib, with e^a cos b - 1 = expm1(a) cos b - 2 sin^2(b/2):
+    # nothing cancels, not even next to the zeros x = 2*pi*i*k.
+    a, b = x.real, x.imag
+    half = math.sin(0.5 * b)
+    return complex(math.expm1(a) * math.cos(b) - 2.0 * half * half, math.exp(a) * math.sin(b))
 
 
 def phi1(x: complex) -> complex:
     """First phi function (e^x - 1)/x, continued through x = 0.
 
-    Closed form for |x| > SWITCH, Taylor series otherwise; phi1(0) == 1.
+    One quotient of _expm1(x) by x, so no series and no switch; phi1(0) == 1.
+    A real x is divided in real arithmetic: the value keeps x's imaginary
+    zero, with its sign.  Raises OverflowError where e^Re(x) leaves
+    double range.
     """
-    return _phi1_counted(complex(x))[0]
+    x = complex(x)
+    if x.imag:
+        return _expm1(x) / x
+    return complex(math.expm1(x.real) / x.real if x.real else 1.0, x.imag)
 
 
-def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[complex, complex, int]:
-    """(e[x0, x1], e[x0, x1, x2], Taylor terms + squarings) for exp.
+def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[complex, int]:
+    """(e[x0, x1, x2], Taylor terms + squarings) for exp.
 
-    Entries of exp([[x0, 1, 0], [0, x1, 1], [0, 0, x2]]) (Opitz 1964), as
+    The corner of exp([[x0, 1, 0], [0, x1, 1], [0, 0, x2]]) (Opitz 1964), as
     McCurdy, Ng & Parlett (1984): shift by the mean m, scale by h = 2^-s to
     radius <= 1/2, sum a Taylor series over complete homogeneous polynomials
     h_j, square the six-entry table s times (its diagonal from exp, as Al-Mohy
@@ -141,7 +132,7 @@ def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[c
     that overflows or is not finite, m is the largest real part of a node
     instead (top; Higham 2008, ch. 10), so no exponential in the table
     exceeds 1, and an e^m past double range is applied as e^{m/2} e^{m/2}.
-    Raises OverflowError if e[x0, x1, x2] is not finite; e[x0, x1] may be inf.
+    Raises OverflowError if e[x0, x1, x2] is not finite.
     """
     # Real nodes stay in float arithmetic: faster, and exactly real results.
     exp = cmath.exp
@@ -175,20 +166,19 @@ def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[c
             t12 *= t11 + t22
             z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
             t00, t11, t22 = exp(z0), exp(z1), exp(z2)
-        em = exp(mean)
-        d1, d2 = em * t01, em * t02
+        dd2 = exp(mean) * t02
     except OverflowError:
-        d1 = d2 = math.inf
+        dd2 = math.inf
         if top:
-            # Past m = 2 ln DBL_MAX, e^{m/2} overflows too and d2 stays inf.
+            # Past m = 2 ln DBL_MAX, e^{m/2} overflows too and dd2 stays inf.
             with contextlib.suppress(OverflowError):
                 half = math.exp(mean / 2.0)
-                d1, d2 = t01 * half * half, t02 * half * half
-    if not (top or cmath.isfinite(d1) and cmath.isfinite(d2)):
+                dd2 = t02 * half * half
+    if cmath.isfinite(dd2):
+        return dd2, _DD_TERMS + s
+    if not top:
         return _dd_exp(x0, x1, x2, True)
-    if not cmath.isfinite(d2):
-        raise OverflowError(f"divided difference of exp overflows at {(x0, x1, x2)}")
-    return d1, d2, _DD_TERMS + s
+    raise OverflowError(f"divided difference of exp overflows at {(x0, x1, x2)}")
 
 
 def g_right(u: complex, v: complex) -> CoeffValue:
@@ -223,7 +213,7 @@ def g_right(u: complex, v: complex) -> CoeffValue:
                 return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
         except OverflowError:
             pass
-    _, dd2, terms = _dd_exp(u - v, u, 0.0)
+    dd2, terms = _dd_exp(u - v, u, 0.0)
     return CoeffValue(complex(-dd2), EvalMethod.DIVIDED_DIFFERENCE, terms)
 
 
@@ -247,7 +237,7 @@ def g_center(u: complex, v: complex) -> CoeffValue:
             return CoeffValue(value, left.method, left.terms_used)
     except OverflowError:
         pass
-    _, dd2, terms = _dd_exp(-complex(u), 0.0, -complex(v))
+    dd2, terms = _dd_exp(-complex(u), 0.0, -complex(v))
     return CoeffValue(complex(-dd2), EvalMethod.DIVIDED_DIFFERENCE, terms)
 
 
@@ -283,8 +273,7 @@ def f_bch(u: complex, v: complex) -> CoeffValue:
                 # e^u - e^v = e^v (e^h - 1) since h differs from u - v by
                 # 2*pi*i*k, so the denominator stays accurate even just
                 # outside the pole shell.
-                den = h * phi1(h) if abs(h) <= SWITCH else cmath.exp(h) - 1.0
-                value = (eu * phi1(v) - ev * phi1(u)) / (ev * den)
+                value = (eu * phi1(v) - ev * phi1(u)) / (ev * _expm1(h))
                 if cmath.isfinite(value):
                     return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
         except OverflowError:
@@ -310,11 +299,9 @@ def gamma_swap(u: complex, v: complex) -> CoeffValue:
     u = complex(u)
     v = complex(v)
     try:
-        pu, tu = _phi1_counted(u)
-        pv, tv = _phi1_counted(-v)
-        value, terms = pu * pv, tu + tv
+        value = phi1(u) * phi1(-v)
         if cmath.isfinite(value):
-            return CoeffValue(value, EvalMethod.CLOSED_FORM if terms == 0 else EvalMethod.SERIES, terms)
+            return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
     except OverflowError:
         pass
     try:

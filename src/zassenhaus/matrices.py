@@ -275,8 +275,8 @@ def load_matrix(path) -> np.ndarray:
 
     Format: {"dim": n, "re": [[n x n reals]], "im": [[n x n reals]]} with
     "im" optional (zero when absent); n and every entry are JSON numbers.
-    Raises ValueError on malformed content and DimensionMismatch on shape
-    violations.
+    Raises DimensionMismatch where a part is not n rows of n entries and
+    ValueError, naming the file, on any other malformed content.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -287,21 +287,22 @@ def load_matrix(path) -> np.ndarray:
     # numpy casts booleans, numeric strings and null to floats.
     if type(dim) is not int or dim < 1:
         raise ValueError(f"{path}: 'dim' must be a positive integer")
-    try:
-        re_part = np.asarray(data["re"], dtype=float)
-        im_part = (
-            np.asarray(data["im"], dtype=float)
-            if "im" in data
-            else np.zeros((dim, dim))
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: matrix entries must be real numbers ({exc})")
-    if re_part.shape != (dim, dim) or im_part.shape != (dim, dim):
-        raise DimensionMismatch(
-            f"{path}: 're'/'im' must be {dim}x{dim} arrays, got "
-            f"{re_part.shape} and {im_part.shape}"
-        )
-    for field in ("re", "im"):
-        if not all(type(x) in (int, float) for row in data.get(field, ()) for x in row):
-            raise ValueError(f"{path}: '{field}' entries must be JSON numbers")
+    re_part = _load_part(path, data, "re", dim)
+    im_part = _load_part(path, data, "im", dim) if "im" in data else np.zeros((dim, dim))
     return as_matrix(re_part + 1j * im_part)
+
+
+def _load_part(path, data: dict, field: str, dim: int) -> np.ndarray:
+    # Shape, type and range are checked on the JSON lists, before numpy
+    # reads a ragged list as an object array or NaN as a number.
+    rows = data[field]
+    ragged = type(rows) is not list or len(rows) != dim
+    if ragged or any(type(row) is not list or len(row) != dim or list in map(type, row) for row in rows):
+        raise DimensionMismatch(f"{path}: '{field}' must be a {dim}x{dim} array")
+    try:
+        numbers = all(type(x) in (int, float) and math.isfinite(x) for row in rows for x in row)
+    except OverflowError:  # an integer past double range
+        numbers = False
+    if not numbers:
+        raise ValueError(f"{path}: '{field}' entries must be finite JSON numbers")
+    return np.array(rows, dtype=float)

@@ -36,7 +36,12 @@ about -1e-6, instead of overflowing with g_r.  They were regenerated again
 when f_bch and gamma_swap took g_right as their fallback: the reasons of
 those two coefficients in ``coeff-overflow-*`` now name them, and the
 residual cells of the u = v rows of ``sweep-bch-9.csv`` (7 of 81, each
-still passing) moved with f_bch's diagonal, now -g_r(u, u)/phi1(0).
+still passing) moved with f_bch's diagonal, now -g_r(u, u)/phi1(0).  They
+were regenerated when phi1 became one quotient of expm1 in place of its
+Taylor series near 0: 12 residual cells of ``sweep-integral-9.csv`` (each
+still passing), the last digit of the lindblad integral value and its
+quadrature error estimate, and the swap check's ``"method": "series"``
+(now ``closed-form``, 0 terms) in four ``verify-*-json`` cases.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from zassenhaus.coeffs import (
     SWITCH,
     EvalMethod,
     PoleError,
-    _phi1_series,
     f_bch,
     g_center,
     g_left,
@@ -55,11 +55,13 @@ def test_phi1_tiny_argument_against_extended_precision_oracle():
     assert rel_err(phi1(1e-8), 1.000000005000000016666667) < 1e-15
 
 
-def test_phi1_series_and_closed_agree_at_the_switch():
+def test_phi1_against_extended_precision_where_the_series_switched():
+    # phi1 has no seam left at |x| = 0.25; it matches the 50-digit value.
     for x in (0.24, 0.2499, 0.2501, 0.26, -0.24, -0.26, 0.25j, -0.2j + 0.1):
-        series_val = _phi1_series(complex(x))[0]
-        closed_val = (cmath.exp(x) - 1.0) / x
-        assert rel_err(series_val, closed_val) < 1e-14
+        with mpmath.workdps(50):
+            mx = mpmath.mpc(complex(x).real, complex(x).imag)
+            want = complex(mpmath.expm1(mx) / mx)
+        assert abs(phi1(x) - want) <= 1e-15 * abs(want), x
 
 
 # ------------------------------------------------------------- g_right
@@ -290,9 +292,14 @@ def test_gamma_swap_equals_minus_sum_of_g_right_pair():
 def test_gamma_swap_term_count_invariant():
     assert gamma_swap(1, 2).method is EvalMethod.CLOSED_FORM
     assert gamma_swap(1, 2).terms_used == 0
+    # |u| < SWITCH needs no other path: phi1 has no seam.
     small = gamma_swap(0.1, 2)
-    assert small.method is EvalMethod.SERIES
-    assert small.terms_used > 0
+    assert small.method is EvalMethod.CLOSED_FORM
+    assert small.terms_used == 0
+
+
+def test_eval_method_names_the_two_paths():
+    assert [m.value for m in EvalMethod] == ["closed-form", "divided-difference"]
 
 
 # ------------------------------------------------------ finite or raise

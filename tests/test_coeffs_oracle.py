@@ -2,12 +2,12 @@
 
 Hypothesis draws points from the regions that grids and uniform sampling
 miss: the root-of-unity lines, both sides of every SWITCH seam, the f_bch
-pole shell, |u| up to 60 (real and complex) with |v| < SWITCH, |v| down to
-1e-12 and the diagonal up to |v| = 700.  The reference converts each double
-input exactly and evaluates the one-variable divided differences
-(phi1(u - v) - phi1(u))/v with 50 digits left after cancellation, with
-the analytic limits on the singular lines; it shares no code with the
-package.
+pole shell, the zeros 2*pi*i*k of phi1, |u| up to 60 (real and complex)
+with |v| < SWITCH, |v| down to 1e-12 and the diagonal up to |v| = 700.
+The reference converts each double input exactly and evaluates the
+one-variable divided differences (phi1(u - v) - phi1(u))/v with 50 digits
+left after cancellation, with the analytic limits on the singular lines;
+it shares no code with the package.
 
 The range-contract strata draw real parts up to 2000, with points down to
 1e-12 from each singular line: there each coefficient is within a stated
@@ -208,9 +208,11 @@ def test_diagonal_at_large_v(name, v, d):
 @given(
     v=_points(st.floats(0.0, 8.0)),
     k=st.sampled_from((-3, -2, -1, 1, 2, 3)),
-    h=_points(_magnitude(math.log10(1.25 * POLE_SHELL), -4.0)),
+    h=_points(_magnitude(math.log10(1.25 * POLE_SHELL), 0.0)),
 )
 def test_f_bch_just_outside_the_pole_shell(v, k, h):
+    # u - v = 2*pi*i*k + h: the closed form divides by e^v (e^h - 1), with
+    # |h| on both sides of the former switch between two denominators.
     u = v + 2j * math.pi * k + h
     with mpmath.workdps(DPS):
         exact_h = abs(_mp(u) - _mp(v) - 2j * mpmath.pi * k)
@@ -228,6 +230,48 @@ def test_f_bch_just_outside_the_pole_shell(v, k, h):
 def test_f_bch_raises_inside_the_pole_shell(v, k, h):
     with pytest.raises(PoleError):
         f_bch(v + 2j * math.pi * k + h, v)
+
+
+# 1e-14 to 1 from a zero x = 2*pi*i*k of phi1, 0 < |k| <= 20, where
+# e^x - 1 cancels: (cmath.exp(x) - 1)/x lost up to 1.0e-2 relative here,
+# and phi1(u) phi1(-v) up to 8.1e-5.
+ZERO_LINE = st.builds(
+    lambda k, d: complex(0.0, 2.0 * math.pi * k) + d,
+    st.integers(-20, 20).filter(bool),
+    _points(_magnitude(-14.0, 0.0)),
+)
+# Measured worst over 3000 points: 4.4e-16 for phi1, 5.8e-16 for gamma_swap.
+PHI1_ZERO_TOL = 1e-15
+GAMMA_ZERO_TOL = 2e-15
+
+
+@ORACLE
+@given(x=ZERO_LINE)
+def test_phi1_next_to_its_zeros(x):
+    # Up to 14 digits cancel in the reference too; DPS + 20 leave 56.
+    with mpmath.workdps(DPS + 20):
+        want = complex(_phi1(_mp(x)))
+    err = abs(phi1(x) - want)
+    assert err <= PHI1_ZERO_TOL * abs(want), (x, err / abs(want))
+
+
+@ORACLE
+@given(z=ZERO_LINE, w=_points(_magnitude(-3.0, 1.0)))
+def test_gamma_swap_next_to_the_zeros_of_a_factor(z, w):
+    for u, v in ((z, w), (w, -z)):  # phi1(u) = 0, then phi1(-v) = 0
+        cv = gamma_swap(u, v)
+        want = reference("gamma_swap", u, v)
+        assert cv.method is EvalMethod.CLOSED_FORM
+        err = abs(cv.value - want)
+        assert err <= GAMMA_ZERO_TOL * abs(want), (u, v, err / abs(want))
+
+
+@pytest.mark.parametrize("x", [-1.8e-16, 1.8e-16, -0.1, 0.1, -3.0, 3.0, -700.0, 700.0])
+def test_phi1_of_a_real_argument_keeps_its_imaginary_zero(x):
+    # A complex quotient turned phi1(-1.8e-16 + 0j) into 1 - 0j, and
+    # verify printed "im": -0 for the swap coefficient of the overflow pair.
+    for zero in (0.0, -0.0):
+        assert math.copysign(1.0, phi1(complex(x, zero)).imag) == math.copysign(1.0, zero)
 
 
 # -------------------------------------------------------- range contract
@@ -447,9 +491,11 @@ def test_f_bch_keeps_the_quotient_wherever_it_serves():
                     eu, ev = cmath.exp(z), cmath.exp(v)
                     if min(abs(eu), abs(ev)) < sys.float_info.min:
                         continue
-                    # |Im(u - v)| < pi: u - v is its own reduced h.
-                    d = z - v
-                    den = d * phi1(d) if abs(d) <= SWITCH else cmath.exp(d) - 1.0
+                    # |Im(u - v)| < pi: u - v is its own reduced h, and
+                    # e^h - 1 = expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b.
+                    a, b = (z - v).real, (z - v).imag
+                    half = math.sin(0.5 * b)
+                    den = complex(math.expm1(a) * math.cos(b) - 2.0 * half * half, math.exp(a) * math.sin(b))
                     quotient = (eu * phi1(v) - ev * phi1(z)) / (ev * den)
                 except OverflowError:
                     continue

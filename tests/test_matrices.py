@@ -402,6 +402,44 @@ def test_load_matrix_rejects_entries_that_are_not_json_numbers(tmp_path, payload
         load_matrix(path)
 
 
+@pytest.mark.parametrize(
+    ("text", "field"),
+    [
+        ('{"dim": 2, "re": [[1, 2], [3]]}', "re"),
+        ('{"dim": 2, "re": [[1, 2], [3, 4], [5, 6]]}', "re"),
+        ('{"dim": 2, "re": [[1, 2], [3, 4]], "im": [[0, 0], 0]}', "im"),
+        ('{"dim": 1, "re": [[[1.0]]]}', "re"),
+        ('{"dim": 2, "re": [1, 2]}', "re"),
+    ],
+    ids=["short-row", "extra-row", "row-not-a-list", "nested-entry", "flat"],
+)
+def test_load_matrix_reports_a_ragged_part_as_a_shape_fault(tmp_path, text, field):
+    # numpy read [[1, 2], [3]] as "setting an array element with a sequence".
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(path))}: '{field}' must be a "):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    ("text", "field"),
+    [
+        ('{"dim": 1, "re": [[NaN]]}', "re"),
+        ('{"dim": 2, "re": [[1, 2], [Infinity, 4]]}', "re"),
+        ('{"dim": 1, "re": [[1]], "im": [[-Infinity]]}', "im"),
+        ('{"dim": 1, "re": [[1' + "0" * 400 + ']]}', "re"),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "integer-past-double-range"],
+)
+def test_load_matrix_names_the_file_for_an_entry_that_is_not_finite(tmp_path, text, field):
+    # The NaN and infinities raised "matrix entries must be finite" without
+    # the file, and the integer an OverflowError.
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: '{field}' entries must be finite JSON numbers$"):
+        load_matrix(path)
+
+
 def test_load_matrix_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 3, "re": [[1.0, 0.0], [0.0, 1.0]]}))

@@ -41,6 +41,10 @@ REMOVED = (
     "beta1_series",
     "c_from_recurrence",
     "partial_sum_gr",
+    "_phi1_series",
+    "_phi1_counted",
+    "REL_EPS",
+    "MAX_TERMS",
 )
 
 # What ``import zassenhaus`` adds to sys.modules in a fresh interpreter
