@@ -265,29 +265,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Each coordinate is formatted once; u_im and v_im are always 0.
     v_texts = [_fmt_float(v, 17) for v in vs]
     zero = _fmt_float(0.0, 17)
-    lines = ["u_re,u_im,v_re,v_im,residual,passed"]
+    # Opened before any point is computed, so that a path that cannot be
+    # written fails at once; this truncates an existing file, and a sweep
+    # cut short leaves the rows written so far.  No field needs quoting, so
+    # the lines are the csv module's excel dialect without the import that
+    # every command would pay for.
+    try:
+        fh = open(args.out, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     failures = 0
     # The residuals come row by row from blocks of points checked as
     # stacks: each distinct exponential of a block is computed once, in
-    # one expm_stack call per shape, so the 41x41 disentangle-right sweep
-    # stacks 2339 of its 6724 requested matrices in five calls.
+    # one expm_stack call per shape, and those the previous block already
+    # had are carried over, so the 41x41 disentangle-right sweep stacks
+    # 1984 of its 6724 requested matrices in five calls.
     residuals = lattice_residuals(args.check, us, vs)
-    for u in us:
-        u_text = _fmt_float(u, 17)
-        # zip draws from v_texts first, so it stops at the end of a row
-        # without taking the next row's first residual.
-        for v_text, residual in zip(v_texts, residuals):
-            passed = residual <= DEFAULT_TOL
-            if not passed:
-                failures += 1
-            passed_text = "true" if passed else "false"
-            lines.append(f"{u_text},{zero},{v_text},{zero},{_fmt_float(residual, 17)},{passed_text}")
-    # No field needs quoting, so the lines are the csv module's excel
-    # dialect without the import that every command would pay for.
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(line + "\r\n" for line in lines))
+    with fh:
+        fh.write("u_re,u_im,v_re,v_im,residual,passed\r\n")
+        for u in us:
+            u_text = _fmt_float(u, 17)
+            lines = []
+            # zip draws from v_texts first, so it stops at the end of a row
+            # without taking the next row's first residual.
+            for v_text, residual in zip(v_texts, residuals):
+                passed = residual <= DEFAULT_TOL
+                if not passed:
+                    failures += 1
+                passed_text = "true" if passed else "false"
+                lines.append(f"{u_text},{zero},{v_text},{zero},{_fmt_float(residual, 17)},{passed_text}\r\n")
+            fh.write("".join(lines))
     print(
-        f"sweep {args.check}: wrote {len(lines) - 1} rows to {args.out}; "
+        f"sweep {args.check}: wrote {len(us) * len(vs)} rows to {args.out}; "
         f"failures: {failures}"
     )
     return 0 if failures == 0 else 1

@@ -16,7 +16,10 @@ subject gathers its requests at once: each distinct matrix, keyed by
 content, is exponentiated once in one expm_stack call, each slice
 bit-identical to expm of its matrix.  run_suite gathers all nine checks
 of a pair (27 of affine2's 40 matrices are distinct, 9 of
-heisenberg3's); a check called on a pair gathers its own.
+heisenberg3's); a check called on a pair gathers its own.  A sweep block
+also takes the previous block's table of distinct matrices and their
+exponentials, and stacks only those the table lacks; a slice is the
+same bits whatever its stack partners, so a carried one is too.
 
 Errors stay with their check and its order.  A subject records each
 failure by item and point: a value that raises (PoleError,
@@ -199,13 +202,19 @@ class _Subject:
         self.fail_unless(finite)
         return residuals[..., None, None] if self.block else residuals
 
-    def gather(self, requests) -> None:
+    def gather(self, requests, table=None):
         """Exponentiate each distinct matrix that the requests ((fn, args)
         or None) name, once: keyed by raw bytes (-0.0 and +0.0 stay apart)
         in one np.unique call, in one expm_stack call.  A matrix other than
         X, Y and X + Y fails where a value its request read failed; one
         with a non-finite entry or a NaN exponential fails; a failed
-        exponential is the identity."""
+        exponential is the identity.
+
+        Returns the table (keys, exps): the sorted distinct keys and their
+        exponentials, or None where nothing is requested.  Each key is
+        looked up with one np.searchsorted call in the table of an earlier
+        gather of the same shape, if one is given (none is an empty table),
+        and only the keys it lacks are stacked (none: no expm_stack call)."""
         named, inherited = {}, {}
         for request in filter(None, requests):
             self.reads = []
@@ -220,7 +229,7 @@ class _Subject:
                     if failed and key not in ("x", "y", "x+y"):
                         inherited[key] = failed
         if not named:
-            return
+            return None
         keys, n, N = list(named), self.X.shape[-1], self.size
         A = np.array(list(named.values())).reshape(-1, n, n)
         ok = np.isfinite(A).all(axis=(1, 2))
@@ -231,8 +240,17 @@ class _Subject:
         rows = A[live].reshape(len(live), n * n)
         # One raw-bytes key per matrix: the row of its n*n entries.
         content = rows.view(np.dtype((np.void, rows.itemsize * n * n))).ravel()
-        _, first, inverse = np.unique(content, return_index=True, return_inverse=True)
-        exps = expm_stack(rows[first].reshape(-1, n, n)) if live.size else A[:0]
+        distinct, first, inverse = np.unique(content, return_index=True, return_inverse=True)
+        # No table is an empty one: every distinct matrix misses.
+        known, carried = table or (distinct[:0], np.empty((0, n, n), dtype=complex))
+        at = np.searchsorted(known, distinct)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == distinct[hit]
+        miss = np.flatnonzero(~hit)
+        exps = np.empty((len(distinct), n, n), dtype=complex)
+        exps[hit] = carried[at[hit]]
+        if miss.size:
+            exps[miss] = expm_stack(rows[first[miss]].reshape(-1, n, n))
         # The pool: each distinct exponential, then the identity at its end.
         pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
         identity = len(exps)
@@ -242,6 +260,7 @@ class _Subject:
             key, i = keys[p // N], p % N
             self.failed.setdefault(key, {})[i] = inherited.get(key, {}).get(i, A[p])
         self.exps.update(zip(keys, _read_only(pool[where.reshape(len(keys), *self.X.shape[:-2])])))
+        return distinct, exps
 
 
 def _subject(pair, *request) -> _Subject:

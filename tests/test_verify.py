@@ -944,21 +944,102 @@ def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(
 
 def test_a_41_by_41_sweep_runs_in_four_blocks(expm_calls, expm_stack_calls, tmp_path):
     # 512 points per block at 4 requests each; the origin is in the second.
+    # A block stacks only what the previous block's table lacks: most of
+    # its e^X and e^{X+Y} were there.
     assert sweep.BLOCK_SLICES == 2048
     assert main(_sweep_argv("disentangle-right", 41, tmp_path / "s.csv")) == 0
-    assert [a.shape[0] for a in expm_stack_calls] == [684, 694, 4, 686, 271]
+    assert [a.shape[0] for a in expm_stack_calls] == [684, 569, 4, 568, 159]
     assert expm_calls == []
 
 
-@pytest.mark.parametrize("check, steps", [("disentangle-right", 60), ("product", 20), ("hadamard", 70)])
+# The 2x2 stacks of each sweep, block by block.
+_BUDGET_SIZES = {
+    ("disentangle-right", 60): [722, 569, 562, 577, 553, 565, 547, 16],
+    ("product", 20): [1881, 1817, 1816, 1836, 1834, 1816, 462],
+    # Every block holds whole rows, so the later blocks find each e^{-tX}
+    # and e^{tX} (v alone) in the first block's table and stack nothing.
+    ("hadamard", 70): [140],
+}
+
+
+@pytest.mark.parametrize("check, steps", list(_BUDGET_SIZES))
 def test_no_stack_holds_more_than_the_block_budget(check, steps, expm_stack_calls, tmp_path):
     # More requested matrices than one block may hold; a product block of
     # 64 points ends inside a row of 20.
     assert main(_sweep_argv(check, steps, tmp_path / "s.csv")) == 0
     sizes = [a.shape[0] for a in expm_stack_calls if a.shape[1] == 2]
-    requested = steps * steps * verify.CHECKS[check].slices
-    assert len(sizes) == math.ceil(requested / sweep.BLOCK_SLICES) > 1
+    assert sizes == _BUDGET_SIZES[check, steps]
+    assert steps * steps * verify.CHECKS[check].slices > sweep.BLOCK_SLICES
     assert max(sizes) <= sweep.BLOCK_SLICES
+
+
+def _stacked(calls):
+    """How many times each matrix was stacked, by its raw bytes."""
+    return Counter(M.tobytes() for A in calls for M in A)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_carried_nan_exponential_fails_its_point_in_every_block(expm_stack_calls, tmp_path, monkeypatch):
+    # X = [[v, 1], [0, 0]] has 1-norm v, so e^X is NaN at v = 702 and 704.
+    # Blocks of 12 points split the 9x9 lattice; the last column (v = 704)
+    # is in each of the seven blocks, and every block after the first reads
+    # its NaN e^X from the previous block's table.
+    monkeypatch.setattr(sweep, "BLOCK_SLICES", 4 * 12)
+    window = (-1.0, 1.0, 688.0, 704.0)
+    out = tmp_path / "s.csv"
+    assert main(_sweep_argv("disentangle-right", 9, out, window)) == 1
+    X = np.array([[704.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert _stacked(expm_stack_calls)[X.tobytes()] == 1
+    assert out.read_bytes().decode("utf-8") == _per_pair_csv("disentangle-right", window, 9)
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r[4:] for r in rows if float(r[2]) > 700.0] == [["inf", "false"]] * 18
+    # The carried NaN fails the point that reads it, as a stacked one does.
+    request = verify.CHECKS["disentangle-right"].request
+    first = verify._Subject(*_stack([_lattice_pair(-1.0, 704.0)]))
+    table = first.gather([request])
+    later = verify._Subject(*_stack([_lattice_pair(1.0, 704.0), _lattice_pair(1.0, 688.0)]))
+    expm_stack_calls.clear()
+    later.gather([request], table)
+    assert _stacked(expm_stack_calls)[X.tobytes()] == 0
+    assert np.array_equal(later.failed["x"][0], X)
+    assert 1 not in later.failed["x"]
+
+
+def test_nothing_is_carried_from_one_sweep_to_the_next(expm_stack_calls, tmp_path):
+    assert main(_sweep_argv("disentangle-right", 41, tmp_path / "a.csv")) == 0
+    first = [a.shape for a in expm_stack_calls]
+    expm_stack_calls.clear()
+    assert main(_sweep_argv("disentangle-right", 41, tmp_path / "b.csv")) == 0
+    assert [a.shape for a in expm_stack_calls] == first
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_a_matrix_in_two_blocks_that_are_not_adjacent_is_stacked_in_each(expm_stack_calls, monkeypatch):
+    # Blocks of two points over the 3x3 lattice read v in the order
+    # (v0, v1), (v2, v0), (v1, v2), (v0, v1), (v2).  Only the previous
+    # block's table is carried, so each e^{-tX} and e^{tX} (v alone) is
+    # stacked twice: once where it first appears and again after a block
+    # without it.
+    monkeypatch.setattr(sweep, "BLOCK_SLICES", 2 * 2)
+    us = vs = [1.0, 2.0, 3.0]
+    residuals = list(lattice_residuals("hadamard", us, vs))
+    assert [a.shape[0] for a in expm_stack_calls] == [4, 2, 2, 2, 2]
+    assert sorted(_stacked(expm_stack_calls).values()) == [2] * 6
+    assert [_bits(r) for r in residuals] == [
+        _bits(_alone("hadamard", lambda u=u, v=v: _lattice_pair(u, v), DEFAULT_TOL).residual)
+        for u in us for v in vs
+    ]
+
+
+def test_a_sweep_into_a_missing_directory_computes_nothing(expm_stack_calls, tmp_path, capsys):
+    out = tmp_path / "missing" / "s.csv"
+    assert main(_sweep_argv("disentangle-right", 41, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ") and str(out) in captured.err
+    assert "Traceback" not in captured.err
+    assert expm_stack_calls == []
+    assert not out.parent.exists()
 
 
 def _per_pair_csv(check, window, steps):
