@@ -18,7 +18,9 @@ e^x - 1 is computed without cancellation (_expm1), so phi1 is accurate
 everywhere, its zeros x = 2*pi*i*k included.  The kernel is the one
 overflow fallback: g_center's own nodes, and f_bch and gamma_swap through
 g_right.  No coefficient returns an inf or NaN part: it raises
-OverflowError instead.
+OverflowError instead.  g_right keeps its last two divided differences,
+keyed by the bits of (u, v), so the five coefficients at one point run the
+kernel at most twice: for g_r(u, v) and for g_r(v, u).
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from __future__ import annotations
 import cmath
 import contextlib
 import enum
+import functools
 import itertools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -213,6 +217,21 @@ def g_right(u: complex, v: complex) -> CoeffValue:
                 return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
         except OverflowError:
             pass
+    return _g_right_dd(_PAIR.pack(u.real, u.imag, v.real, v.imag))
+
+
+# The four parts of (u, v) as raw bytes: -0.0 and +0.0 stay apart.
+_PAIR = struct.Struct("4d")
+
+
+# Two entries hold one point: g_r(u, v) and g_r(v, u), which g_left,
+# g_center and f_bch ask for at the same (u, v).  An OverflowError is
+# not kept.
+@functools.lru_cache(maxsize=2)
+def _g_right_dd(key: bytes) -> CoeffValue:
+    """g_r(u, v) = -e[u - v, u, 0] for the (u, v) whose parts key packs."""
+    ur, ui, vr, vi = _PAIR.unpack(key)
+    u, v = complex(ur, ui), complex(vr, vi)
     dd2, terms = _dd_exp(u - v, u, 0.0)
     return CoeffValue(complex(-dd2), EvalMethod.DIVIDED_DIFFERENCE, terms)
 

@@ -14,7 +14,9 @@ take arrays that are already valid complex matrices of one shape, for
 callers that built them so.  _commutator, _conjugate_series and
 _rel_residuals also take (N, n, n) stacks, and each slice of their
 result is bit-identical to their result for that slice alone (for
-_conjugate_series, up to the sign of a zero entry).
+_conjugate_series, up to the sign of a zero entry).  Both residual kernels
+rescale a pair whose sums of squares overflow in one place,
+_rescaled_residuals.
 """
 
 from __future__ import annotations
@@ -143,11 +145,15 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     result = np.empty_like(B)
     # Slices still accumulating: their positions in live, terms and sums.
     todo = np.arange(live.size)
-    term = np.broadcast_to(np.eye(n, dtype=complex), B.shape).copy()
-    partial = term.copy()
+    partial = np.broadcast_to(np.eye(n, dtype=complex), B.shape).copy()
     for k in range(1, _EXPM_MAX_TERMS + 1):
-        term = term @ B
-        term /= k
+        if k == 1:
+            # I @ B would differ from B only in the signs of zeros, which
+            # no partial sum keeps: it never holds a -0.0.
+            term = B
+        else:
+            term = term @ B
+            term /= k
         partial += term
         done = _one_norms(term) < _EXPM_REL_EPS * _one_norms(partial)
         if done.any():
@@ -192,7 +198,10 @@ def _conjugate_series(A: np.ndarray, B: np.ndarray, t: complex, K: int) -> np.nd
 
 
 def rel_residual(A, B) -> float:
-    """Normalized distance ||A - B||_F / max(1, ||A||_F, ||B||_F)."""
+    """Normalized distance ||A - B||_F / max(1, ||A||_F, ||B||_F).
+
+    Where a squared norm leaves double range, the same quotient of A and
+    B scaled by a power of two."""
     A = as_matrix(A)
     B = as_matrix(B)
     _same_dim(A, B)
@@ -209,11 +218,15 @@ def _frobenius(A: np.ndarray) -> float:
 def _rel_residual(A: np.ndarray, B: np.ndarray) -> float:
     norm_a = _frobenius(A)
     norm_b = _frobenius(B)
-    if not math.isfinite(norm_a + norm_b):
+    if math.isfinite(norm_a + norm_b):
+        residual = _frobenius(A - B) / max(1.0, norm_a, norm_b)
+        if math.isfinite(residual):
+            return residual
+    else:
         # A non-finite entry: raise the ValueError rel_residual raises.
         as_matrix(A)
         as_matrix(B)
-    return _frobenius(A - B) / max(1.0, norm_a, norm_b)
+    return float(_rescaled_residuals(A, B))
 
 
 def _frobenius_stack(A: np.ndarray) -> np.ndarray:
@@ -225,11 +238,32 @@ def _frobenius_stack(A: np.ndarray) -> np.ndarray:
 
 def _rel_residuals(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(residuals, finite): _rel_residual of each matrix pair of two
-    C-contiguous (..., n, n) arrays that broadcast, with its bits wherever
-    finite; finite is False where _rel_residual raises."""
+    C-contiguous (..., n, n) arrays that broadcast to at least one leading
+    axis, with its bits wherever finite; finite is False where
+    _rel_residual raises."""
     finite = np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1))
     scale = np.maximum(np.maximum(1.0, _frobenius_stack(A)), _frobenius_stack(B))
-    return _frobenius_stack(A - B) / scale, finite
+    residuals = _frobenius_stack(A - B) / scale
+    # A finite pair whose sums of squares overflow: its scale or residual
+    # is not finite (an infinite scale made the residual 0 or NaN).
+    past = finite & ~np.isfinite(residuals + scale)
+    if past.any():
+        A, B = np.broadcast_arrays(A, B)
+        residuals[past] = _rescaled_residuals(A[past], B[past])
+    return residuals, finite
+
+
+def _rescaled_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The relative residual of each pair of finite matrices whose sums of
+    squares leave double range: the same quotient, computed on A and B
+    times the power of two that brings their largest entry modulus into
+    [1/2, 1), so no sum of squares overflows.  Exact scaling: only
+    entries far below the largest can lose bits, to underflow.  Such a
+    pair's norms are far above 1, so the 1 of max(1, ...) drops out."""
+    big = np.maximum(np.abs(A).max(axis=(-2, -1)), np.abs(B).max(axis=(-2, -1)))
+    c = np.ldexp(1.0, -np.frexp(big)[1])[..., None, None]
+    a, b = A * c, B * c
+    return _frobenius_stack(a - b) / np.maximum(_frobenius_stack(a), _frobenius_stack(b))
 
 
 def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:

@@ -41,7 +41,15 @@ were regenerated when phi1 became one quotient of expm1 in place of its
 Taylor series near 0: 12 residual cells of ``sweep-integral-9.csv`` (each
 still passing), the last digit of the lindblad integral value and its
 quadrature error estimate, and the swap check's ``"method": "series"``
-(now ``closed-form``, 0 terms) in four ``verify-*-json`` cases.
+(now ``closed-form``, 0 terms) in four ``verify-*-json`` cases.  They
+were regenerated when a relative residual whose sums of squares overflow
+came to be computed on rescaled matrices: the 8 ``nan,false`` rows of
+``sweep-disentangle-right-failures-5.csv`` and the 5 of
+``sweep-bch-failures-5.csv`` now pass with residuals of 3e-16 to 1e-12
+(their ``.out`` failure counts 15 -> 7 and 17 -> 12), and the 8 failing
+v >= 516 rows of ``sweep-integral-failures-5.csv`` report their identity
+residual, about 5e-6 to 3e-5, where the NaN one left the quadrature
+error, about 1e-8.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zassenhaus import coeffs
 from zassenhaus.coeffs import (
     SWITCH,
     EvalMethod,
@@ -164,6 +166,72 @@ def test_g_right_kernel_overflow_is_loud(u, v):
     # inf or nan value.  (At u = -1100 it is finite; see the oracle tests.)
     with pytest.raises(OverflowError, match="divided difference of exp overflows"):
         g_right(u, v)
+
+
+# ------------------------------------------------------ the one-point memo
+
+
+def _bits(cv) -> tuple:
+    return struct.pack("2d", cv.value.real, cv.value.imag), cv.method, cv.terms_used
+
+
+def _cleared(u, v) -> tuple:
+    coeffs._g_right_dd.cache_clear()
+    return _bits(g_right(u, v))
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The arguments of each _dd_exp call, starting from an empty memo."""
+    runs = []
+    kernel = coeffs._dd_exp
+
+    def counted(*args):
+        runs.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(coeffs, "_dd_exp", counted)
+    coeffs._g_right_dd.cache_clear()
+    yield runs
+    coeffs._g_right_dd.cache_clear()
+
+
+@pytest.mark.parametrize("v", [0.2 + 0.1j, complex(0.2, -0.0), complex(-0.0, 0.2)])
+def test_g_right_memo_keeps_signed_zeros_apart(v):
+    points = [(complex(0.0, 0.0), v), (complex(-0.0, 0.0), v), (complex(0.0, -0.0), v)]
+    want = [_cleared(u, v) for u, v in points]
+    coeffs._g_right_dd.cache_clear()
+    for (u, v), bits in zip(points, want):
+        misses = coeffs._g_right_dd.cache_info().misses
+        assert _bits(g_right(u, v)) == bits
+        # u differs from the previous point only in the signs of zeros.
+        assert coeffs._g_right_dd.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("u, v", [(0.1 + 0.2j, 0.1j), (0.1j, 0.1 + 0.2j), (0.1 + 0.2j, 1j)])
+def test_five_coefficients_at_a_point_run_the_kernel_twice(kernel_runs, u, v):
+    for fn in (g_right, g_center, g_left, f_bch, gamma_swap):
+        fn(u, v)
+    assert kernel_runs == [(u - v, u, 0.0), (v - u, v, 0.0)]
+
+
+def test_g_right_memo_holds_one_point(kernel_runs):
+    first, second = (0.1, 0.05j), (-0.1j, 0.05)
+    for u, v in (first, first[::-1], second, second[::-1]):
+        g_right(u, v)
+    assert coeffs._g_right_dd.cache_info().currsize == 2
+    assert len(kernel_runs) == 4
+    g_right(*first)
+    assert len(kernel_runs) == 5
+
+
+def test_g_right_memo_keeps_no_overflow(kernel_runs):
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="divided difference of exp overflows"):
+            g_right(1100.0 + 1j, 0.1j)
+    # Each call runs the kernel, and the kernel its top-shift retry.
+    assert len(kernel_runs) == 2 * 2
+    assert coeffs._g_right_dd.cache_info().currsize == 0
 
 
 # ----------------------------------------------------- g_left, g_center

@@ -249,6 +249,31 @@ def test_expm_stack_leaves_other_slices_alone_past_the_norm_limit():
         expm(stack[2])
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_expm_stack_has_the_bytes_of_a_taylor_loop_that_starts_from_the_identity(dim):
+    # The stack takes B itself as its first term, where the reference
+    # computes I @ B; the bytes, signs of zeros included, must agree.
+    rng = np.random.default_rng(300 + dim)
+    slices = []
+    for scale in (1e-3, 0.3, 1.0, 5.0, 60.0):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = scale * a / np.abs(a).sum(axis=0).max()
+        zeros = rng.random((dim, dim)) < 0.4
+        a.real[zeros] = -0.0
+        a.imag[rng.random((dim, dim)) < 0.4] = -0.0
+        slices.append(a)
+        slices.append(np.where(rng.random((dim, dim)) < 0.4, -0.0, a.real).astype(complex))
+    nilpotent = np.triu(rng.normal(size=(dim, dim)), 1).astype(complex)
+    nilpotent[np.tril_indices(dim)] = complex(-0.0, -0.0)
+    slices += [nilpotent, np.zeros((dim, dim), dtype=complex), np.full((dim, dim), complex(-0.0, -0.0))]
+    slices.append(np.diag([701.0] + [0.0] * (dim - 1)).astype(complex))
+    stack = np.array(slices)
+    out = expm_stack(stack)
+    for a, e in zip(stack[:-1], out[:-1]):
+        assert e.tobytes() == _expm_reference(a).tobytes()
+    assert np.isnan(out[-1]).all()
+
+
 def test_expm_stack_validates_its_input():
     assert expm_stack(np.zeros((0, 2, 2))).shape == (0, 2, 2)
     with pytest.raises(DimensionMismatch):
@@ -315,6 +340,25 @@ def test_rel_residual_scale_guard_for_tiny_matrices():
     b = np.full((2, 2), 1e-18, dtype=complex)
     # denominator clamps at 1, so the residual stays tiny instead of O(1)
     assert rel_residual(a, b) < 1e-17
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_rel_residual_past_the_range_of_the_squared_norms():
+    # Every entry is finite but a sum of squares is not: the residual is
+    # the one of the same matrices scaled by a power of two, bit for bit.
+    rng = np.random.default_rng(5)
+    A = 1e200 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    B = A * (1.0 + 1e-9 * rng.standard_normal((3, 3)))
+    small = rel_residual(A * 2.0**-600, B * 2.0**-600)
+    assert 1e-11 < small < 1e-8
+    assert _bits(rel_residual(A, B)) == _bits(small)
+    residuals, finite = _rel_residuals(np.stack([A, A]), np.stack([B, A]))
+    assert finite.all() and [_bits(r) for r in residuals] == [_bits(small), _bits(0.0)]
+    # ||A||^2 and ||B||^2 are in range and ||A - B||^2 is not.
+    A = np.diag([1.3e154, 0.0]).astype(complex)
+    assert rel_residual(A, -A) == 2.0
+    assert _rel_residuals(A[None], -A[None])[0].tolist() == [2.0]
 
 
 # --------------------------------------------------------------- infer_uvc

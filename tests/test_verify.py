@@ -78,6 +78,17 @@ def test_disentangle_central_case_uses_exact_minus_half():
     assert out.metadata["coefficient"] == -0.5 + 0.0j
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("v", [360.0, 400.0, 688.0])
+@pytest.mark.parametrize("u", [-1.0, 0.5, 1.0])
+def test_a_residual_whose_squared_norms_overflow_is_neither_zero_nor_nan(u, v):
+    # ||e^{X+Y}||_F is about e^v, in double range; its square is not.
+    out = check_disentangle(affine_2x2(u, v, 1, 1), Side.RIGHT)
+    assert 0.0 < out.residual <= 1e-12 and out.passed
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert list(lattice_residuals("disentangle-right", [u], [v])) == [out.residual]
+
+
 def test_swap_on_central_pair_has_unit_coefficient():
     out = check_swap(HEIS)
     assert out.passed and out.residual <= 1e-14

@@ -10,14 +10,15 @@ workload of ``BENCHMARK.json`` it runs PAIRS pairs: both sides run
 ``run_seconds`` of ``BENCHMARK.json``, one after the other, each from its
 own tree with ``PYTHONDONTWRITEBYTECODE=1``, and the side that runs first
 alternates from pair to pair.  Then each side makes one ``--trace 1`` run
-of TRACE_WORKLOAD for TRACE_SECONDS.
+of each workload for TRACE_SECONDS, so every workload's per-layer figures
+are there to explain its end-to-end ones.
 
 The file holds seven keys: description, command, parent (the full commit
 id), host, summary (per workload and side, the median and quartiles of
 every end-to-end metric, and per metric how many pairs the change won and
-the ratio of the medians), runs (every result line) and traced (the two
-traced result lines with their span call counts).  Quartiles are
-statistics.quantiles(n=4, method='exclusive').
+the ratio of the medians), runs (every result line) and traced (per
+workload and side, the traced result line with its span call counts).
+Quartiles are statistics.quantiles(n=4, method='exclusive').
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import tarfile
 import tempfile
 
 PAIRS = 10
-TRACE_WORKLOAD = "sweep-lattice"
 TRACE_SECONDS = 10.0
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -127,7 +127,8 @@ def main(argv=None) -> int:
             tar.extractall(parent_tree, filter="data")
         trees = {"parent": parent_tree, "change": ROOT}
         base = 100 * args.pr
-        for workload in (w["name"] for w in spec["workloads"]):
+        workloads = [w["name"] for w in spec["workloads"]]
+        for workload in workloads:
             for pair in range(PAIRS):
                 seed = base + pair + 1
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -136,15 +137,17 @@ def main(argv=None) -> int:
                     runs.append({"workload": workload, "side": side, "seed": seed, "pair": pair,
                                  "position": position, "result": result})
                     print(f"{workload} pair {pair} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
-        for side in ("parent", "change"):
-            seed = base + 1
-            result, details = _run(trees[side], command, TRACE_WORKLOAD, seed, TRACE_SECONDS, 1)
-            items = details["items_traced"]
-            traced[side] = {
-                "workload": TRACE_WORKLOAD, "seed": seed, "seconds": TRACE_SECONDS, "result": result,
-                "items_traced": items, "span_calls": details["span_calls"],
-                "span_calls_per_item": {k: n / items for k, n in details["span_calls"].items()},
-            }
+        seed = base + 1
+        for workload in workloads:
+            traced[workload] = {}
+            for side in ("parent", "change"):
+                result, details = _run(trees[side], command, workload, seed, TRACE_SECONDS, 1)
+                items = details["items_traced"]
+                traced[workload][side] = {
+                    "seed": seed, "seconds": TRACE_SECONDS, "result": result,
+                    "items_traced": items, "span_calls": details["span_calls"],
+                    "span_calls_per_item": {k: n / items for k, n in details["span_calls"].items()},
+                }
     shown = " ".join(command)
     out = {
         "description": args.description,
