@@ -294,7 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 if not passed:
                     failures += 1
                 passed_text = "true" if passed else "false"
-                lines.append(f"{u_text},{zero},{v_text},{zero},{_fmt_float(residual, 17)},{passed_text}\r\n")
+                lines.append(f"{u_text},{zero},{v_text},{zero},{residual:.17g},{passed_text}\r\n")
             fh.write("".join(lines))
     print(
         f"sweep {args.check}: wrote {len(us) * len(vs)} rows to {args.out}; "

@@ -5,8 +5,7 @@ most BLOCK_SLICES requested matrices.  lattice_points builds a block as
 stacks of points of one shape: its 2x2 affine points as one (N, 2, 2)
 stack of X, Y and W, and the origin's 3x3 Heisenberg pair as another.
 Each stack is a verify subject with a points axis, read by the same
-request and arithmetic as one pair: the coefficients come point by point
-from the same scalar functions, each distinct requested matrix is
+request and arithmetic as one pair: each distinct requested matrix is
 exponentiated once, in one expm_stack call per shape per block, and the
 check's products and relative residual run once over the stack.  A block
 carries the previous block's table of distinct matrices and exponentials,
@@ -16,6 +15,13 @@ stacked @, commutator or scalar multiple is bit-identical to the same
 operation on each slice, and so is each stacked Frobenius norm and each
 expm_stack slice, so every residual has the bits of the public check's
 on that point's pair.
+
+A coefficient comes point by point from its scalar function, except
+g_right and g_left = g_right(v, u) at a block's real points, which
+_g_right_array computes at once where the check reads them: g_right's
+closed form and kernel on float arrays, in the scalar operations and
+order, so every value has the scalar bits, the sign of an imaginary
+zero included.
 
 A point where the check fails (see verify) is written with an infinite
 residual, and the others go on.  The stacked arithmetic runs with numpy's
@@ -32,6 +38,7 @@ import math
 import numpy as np
 
 from . import verify
+from .coeffs import _DD_COEFFS, SWITCH, g_left, g_right
 from .matrices import _commutator
 from .realizations import heisenberg_3x3
 
@@ -44,6 +51,102 @@ __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 # its peak memory stays where the one-row plan had it, where 4096 adds
 # about 0.9 MiB and one block for the lattice 2 MiB.
 BLOCK_SLICES = 2048
+
+
+# A point past this modulus, or with a non-finite part, gets g_r from the
+# scalar function.  Inside it no exponential of the closed form or of the
+# kernel overflows or takes cmath's large-argument branch (real part past
+# log(DBL_MAX/4) ~ 708), so neither falls back: |u - v| <= 600, and a
+# kernel node's distance from the mean is at most 300.
+_ARRAY_BOUND = 300.0
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    # math.exp of each element, as the scalar functions take it: np.exp
+    # differs from it in the last bit.
+    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    # CPython's complex product on (re, im) arrays: _Py_c_prod.
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _g_right_array(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, done): g_right(u[i], v[i]).value, with its bits, at each
+    point done of the complex arrays u and v, 0 elsewhere.
+
+    done holds the real points (an imaginary part of zero, of either sign)
+    with max(|u|, |v|) <= _ARRAY_BOUND.  There g_right takes its closed
+    form where min(|u|, |v|, |u - v|) >= SWITCH, and its kernel
+    -e[u - v, u, 0] elsewhere; both are run here on float arrays in the
+    scalar operations and order: CPython's complex arithmetic on (re, im)
+    pairs, and _dd_exp's real-node path.
+    """
+    ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
+    done = (ui == 0.0) & (vi == 0.0) & (np.maximum(abs(ur), abs(vr)) <= _ARRAY_BOUND)
+    closed = done & (np.minimum(np.minimum(abs(ur), abs(vr)), abs(ur - vr)) >= SWITCH)
+    values = np.zeros(len(u), dtype=complex)
+    c = np.flatnonzero(closed)
+    u, v = (ur[c], ui[c]), (vr[c], vi[c])
+    d = (u[0] - v[0], u[1] - v[1])
+    # cmath.exp(x) of a real x is (e^x, e^x * x.imag).
+    eu, ed = _exp(u[0]), _exp(d[0])
+    eu, ed = (eu, eu * u[1]), (ed, ed * d[1])
+    a = _mul(u, (ed[0] - eu[0], ed[1] - eu[1]))
+    b = _mul(v, (eu[0] - 1.0, eu[1] - 0.0))
+    top, bottom = (a[0] + b[0], a[1] + b[1]), _mul(_mul(u, v), d)
+    # Smith's quotient, _Py_c_quot, in its branch |re| >= |im| of the
+    # bottom, whose imaginary part is a zero.
+    ratio = bottom[1] / bottom[0]
+    denom = bottom[0] + bottom[1] * ratio
+    values.real[c] = (top[0] + top[1] * ratio) / denom
+    values.imag[c] = (top[1] - top[0] * ratio) / denom
+    k = np.flatnonzero(done & ~closed)
+    values.real[k] = -_dd_exp_real(ur[k] - vr[k], ur[k])
+    return values, done
+
+
+def _dd_exp_real(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """coeffs._dd_exp(x0, x1, 0.0)[0] at each pair of real nodes, in its
+    operations and order: each point squares its own s times.  The
+    exponentials that _dd_exp takes and never reads (at s = 0, and after
+    the last squaring) are left out: none overflows inside _ARRAY_BOUND."""
+    mean = (x0 + x1 + 0.0) / 3.0
+    z0, z1, z2 = x0 - mean, x1 - mean, 0.0 - mean
+    s = np.maximum(0, np.frexp(np.maximum(np.maximum(abs(z0), abs(z1)), abs(z2)))[1] + 1)
+    h = np.ldexp(1.0, -s)
+    z0, z1, z2 = z0 * h, z1 * h, z2 * h
+    p0 = p1 = h01 = h12 = h012 = t01 = t12 = np.ones_like(mean)
+    t02 = np.full_like(mean, 0.5)
+    for c1, c2 in _DD_COEFFS:
+        p0 = p0 * z0
+        p1 = p1 * z1
+        h01 = p0 + z1 * h01
+        h12 = p1 + z2 * h12
+        h012 = h01 + z2 * h012
+        t01 = t01 + c1 * h01
+        t12 = t12 + c1 * h12
+        t02 = t02 + c2 * h012
+    t01 = t01 * h
+    t12 = t12 * h
+    t02 = t02 * (h * h)
+    for step in range(s.max(initial=0)):
+        a = np.flatnonzero(s > step)
+        t00, t11, t22 = _exp(z0[a]), _exp(z1[a]), _exp(z2[a])
+        t02[a] = t02[a] * (t00 + t22) + t01[a] * t12[a]
+        t01[a] *= t00 + t11
+        t12[a] *= t11 + t22
+        z0[a] *= 2.0
+        z1[a] *= 2.0
+        z2[a] *= 2.0
+    return _exp(mean) * t02
+
+
+# The array forms a block's subject uses, keyed by the package's own
+# functions: a coefficient that is wrapped or replaced keeps its
+# per-point calls.
+_ARRAYS = {g_right: _g_right_array, g_left: lambda u, v: _g_right_array(v, u)}
 
 
 def lattice_points(u: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, tuple]]:
@@ -100,7 +203,7 @@ def lattice_residuals(name: str, us, vs):
         carried, tables = tables, {}
         with np.errstate(over="ignore", invalid="ignore"):
             for positions, stack in lattice_points(u, v):
-                s = verify._Subject(*stack)
+                s = verify._Subject(*stack, arrays=_ARRAYS)
                 n = s.X.shape[-1]
                 tables[n] = s.gather([check.request], carried.get(n))
                 residuals[positions] = check.residual(s).reshape(len(positions))

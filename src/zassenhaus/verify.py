@@ -77,6 +77,12 @@ DEFAULT_TOL = 1e-10
 RELAXED_TOL = 1e-9
 NORM_RELAX_LIMIT = 1e6
 
+# Each public check and run_suite runs in one scope with numpy's overflow
+# and invalid-value warnings off, so its result is the same under every
+# warnings filter: a sum of squares past double range is rescaled (see
+# matrices), and a non-finite matrix fails where it is read.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 class Side(enum.Enum):
     """Placement of the commutator factor in a disentangling identity."""
@@ -124,15 +130,20 @@ class _Subject:
     cvs (a pair's CoeffValues) and exps (read-only, by key) are computed
     once.  failed: item -> {point: the exception, or the matrix whose
     exponential the stack could not give}; errors: point -> the first
-    failure a block's check read.  It holds no reference to a pair.
+    failure a block's check read.  arrays: coefficient function -> its
+    array form (u, v) -> (values, done) over a block's points, which a
+    block uses for that function where a check reads it (the sweep's
+    g_right and g_left); the scalar function serves each point not done.
+    It holds no reference to a pair.
     """
 
-    def __init__(self, X, Y, W, u, v) -> None:
+    def __init__(self, X, Y, W, u, v, arrays: Mapping | None = None) -> None:
         self.X, self.Y, self.W, self.block = X, Y, W, X.ndim == 3
         self.size = len(X) if self.block else 1
         if self.block:
             u, v = (np.asarray(a, dtype=complex)[:, None, None] for a in (u, v))
         self.u, self.v = u, v
+        self.arrays = arrays or {}
         self.values, self.cvs, self.exps, self.failed, self.errors = {}, {}, {}, {}, {}
         # The values that a request reads while it is gathered.
         self.reads = None
@@ -158,27 +169,41 @@ class _Subject:
         bad = np.flatnonzero(~finite.reshape(-1, self.size).all(axis=0)).tolist()
         self._fail({i: ValueError("matrix entries must be finite") for i in bad})
 
-    def value(self, name, compute: Callable[[complex, complex], Any], fill: Any = 0j) -> Any:
+    def _each(self, name, compute: Callable, fill: Any, points) -> list:
+        # compute(u, v) at each (i, u, v) of points, fill where it raises.
+        results = []
+        for i, u, v in points:
+            try:
+                results.append(compute(u, v))
+            except Exception as exc:  # noqa: BLE001 - recorded for the point
+                self.failed.setdefault(name, {})[i] = exc
+                results.append(fill)
+        return results
+
+    def value(self, name, compute: Callable[[complex, complex], Any], fill: Any = 0j, array=None) -> Any:
         """compute(u, v) at each point, fill where it raises; for a block
-        (N, 1, 1), or (m, N, 1, 1) for m-long results."""
+        (N, 1, 1), or (m, N, 1, 1) for m-long results.  A block's array
+        form, if given, computes the values of the points it can at once
+        (values, done: see sweep), and compute serves the others."""
         if name not in self.values:
-            points = zip(self.u.ravel().tolist(), self.v.ravel().tolist()) if self.block else [(self.u, self.v)]
-            results = []
-            for i, (u, v) in enumerate(points):
-                try:
-                    results.append(compute(u, v))
-                except Exception as exc:  # noqa: BLE001 - recorded for the point
-                    self.failed.setdefault(name, {})[i] = exc
-                    results.append(fill)
-            self.values[name] = (
-                np.moveaxis(np.array(results, dtype=complex), 0, -1)[..., None, None] if self.block else results[0]
-            )
+            if not self.block:
+                self.values[name] = self._each(name, compute, fill, [(0, self.u, self.v)])[0]
+            elif array is None:
+                points = zip(range(self.size), self.u.ravel().tolist(), self.v.ravel().tolist())
+                results = np.array(self._each(name, compute, fill, points), dtype=complex)
+                self.values[name] = np.moveaxis(results, 0, -1)[..., None, None]
+            else:
+                u, v = self.u.ravel(), self.v.ravel()
+                values, done = array(u, v)
+                rest = np.flatnonzero(~done)
+                values[rest] = self._each(name, compute, fill, zip(rest.tolist(), u[rest].tolist(), v[rest].tolist()))
+                self.values[name] = values[:, None, None]
         self._read(name)
         return self.values[name]
 
     def coefficient(self, fn: Callable):
         if self.block:
-            return self.value(fn, lambda u, v: fn(u, v).value)
+            return self.value(fn, lambda u, v: fn(u, v).value, array=self.arrays.get(fn))
         return self.value(fn, lambda u, v: self.cvs.setdefault(fn, fn(u, v)).value)
 
     def coefficient_value(self, fn: Callable):
@@ -296,6 +321,7 @@ def _disentangle(s, side: Side):
     return s.residual(exp("x+y"), rhs)
 
 
+@_quiet
 def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^{X+Y} against the side-placed product form.
 
@@ -318,6 +344,7 @@ def _swap(s):
     return s.residual(s.x_times_y(), s.exp("y") @ s.exp("x") @ s.exp("swap"))
 
 
+@_quiet
 def check_swap(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^X e^Y against e^Y e^X e^{gamma W}."""
     s = _subject(pair, _request_swap)
@@ -333,6 +360,7 @@ def _bch(s):
     return s.residual(s.x_times_y(), s.exp("bch"))
 
 
+@_quiet
 def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^X e^Y against the merged form e^{X + Y + f W}.
 
@@ -350,6 +378,7 @@ def _ab_structure(s):
     return s.residual(_commutator(A, B), (s.u - s.v) * A)
 
 
+@_quiet
 def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Closure of the derived pair: [A, B] = (u - v) A.
 
@@ -406,6 +435,7 @@ def _integral(s):
     return np.where(identity > error, identity, error), identity, i32, i16, gr
 
 
+@_quiet
 def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Quadrature route to the right-sided coefficient, then the identity.
 
@@ -450,6 +480,7 @@ def _product(s, N: int):
     return s.residual(lhs, np.array(partials)), s.coefficient(g_right)
 
 
+@_quiet
 def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^{X+Y} against e^X e^Y prod_{n=2}^{N} e^{C_n W}.
 
@@ -494,6 +525,7 @@ def _hadamard(s, t: complex, K: int):
     return s.residual(series, direct)
 
 
+@_quiet
 def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float = DEFAULT_TOL) -> CheckResult:
     """Adjoint series against the conjugation product.
 
@@ -509,6 +541,7 @@ def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float 
     return _result("hadamard", _hadamard(_subject(pair, _request_hadamard, t), t, K), tol, {"t": t, "K": K})
 
 
+@_quiet
 def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAULT_TOL) -> CheckReport:
     """Adjudicate the two coefficient identifications for the dissipator pair.
 
@@ -601,6 +634,7 @@ CHECKS: dict[str, _Check] = {
 }
 
 
+@_quiet
 def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
     """Run every identity check on one pair and aggregate the results.
 

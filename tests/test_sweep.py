@@ -1,0 +1,139 @@
+"""A sweep block's array form of g_right: the scalar bits at every point it computes."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from zassenhaus import coeffs, sweep, verify
+from zassenhaus.coeffs import g_left, g_right
+from zassenhaus.sweep import lattice_residuals
+
+_RNG_SEED = 21
+_BOUND = sweep._ARRAY_BOUND
+
+
+def _lattice():
+    grid = np.linspace(-2.0, 2.0, 41)
+    return np.repeat(grid, 41), np.tile(grid, 41)
+
+
+def _random_box():
+    rng = np.random.default_rng(_RNG_SEED)
+    return rng.uniform(-30.0, 30.0, 2000), rng.uniform(-30.0, 30.0, 2000)
+
+
+def _near_diagonal():
+    # |u - v| < SWITCH up to the bound: the kernel squares up to 9 times.
+    rng = np.random.default_rng(_RNG_SEED + 1)
+    u = np.concatenate([rng.uniform(-_BOUND, _BOUND, 1500), [_BOUND, -_BOUND, 255.0, -255.0]])
+    return u, np.clip(u + rng.uniform(-0.25, 0.25, len(u)), -_BOUND, _BOUND)
+
+
+def _near_axis():
+    # One of u, v within 1e-12..SWITCH of 0, the other anywhere in the bound.
+    rng = np.random.default_rng(_RNG_SEED + 2)
+    small = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-12.0, math.log10(0.25), 1000)
+    large = rng.uniform(-_BOUND, _BOUND, 1000)
+    return np.concatenate([small, large]), np.concatenate([large, small])
+
+
+def _zeros():
+    # Both signs of zero, the seams and the bound, each against each.
+    z = np.array([0.0, -0.0, 0.25, -0.25, 0.5, -1.0, 1e-300, -5e-324, _BOUND, -_BOUND])
+    return np.repeat(z, len(z)), np.tile(z, len(z))
+
+
+SETS = {
+    "lattice-41x41": _lattice,
+    "box-30": _random_box,
+    "near-diagonal": _near_diagonal,
+    "near-axis": _near_axis,
+    "zeros": _zeros,
+}
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("2d", z.real, z.imag)
+
+
+def _complex(re, im):
+    z = np.array(re, dtype=complex)
+    z.imag = im
+    return z
+
+
+@pytest.mark.parametrize("imag", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+@pytest.mark.parametrize("fn", [g_right, g_left], ids=["g_right", "g_left"])
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_the_array_form_has_the_scalar_bits(name, fn, imag):
+    ur, vr = SETS[name]()
+    u, v = _complex(ur, imag[0]), _complex(vr, imag[1])
+    values, done = sweep._ARRAYS[fn](u, v)
+    assert done.all()
+    want = [_bits(fn(a, b).value) for a, b in zip(u.tolist(), v.tolist())]
+    assert [_bits(z) for z in values.tolist()] == want
+
+
+def test_the_sets_reach_both_paths_and_nine_squarings():
+    methods, squarings = set(), []
+    for make in SETS.values():
+        for a, b in zip(*make()):
+            cv = g_right(a, b)
+            methods.add(cv.method)
+            squarings.append(cv.terms_used - coeffs._DD_TERMS if cv.terms_used else 0)
+    assert methods == set(coeffs.EvalMethod)
+    assert max(squarings) == 9
+
+
+def test_the_array_form_leaves_complex_large_and_non_finite_points():
+    u = np.array([1.0, 1.0 + 1e-300j, 1.0, _BOUND, -_BOUND * (1 + 1e-15), math.inf, math.nan, 2.0])
+    v = np.array([0.5, 0.5, 0.5j, 0.1, 0.1, 0.1, 0.1, 700.0], dtype=complex)
+    values, done = sweep._g_right_array(u.astype(complex), v)
+    assert done.tolist() == [True, False, False, True, False, False, False, False]
+    assert values[~done].tolist() == [0j] * 6
+
+
+def _scalar_residuals(check, us, vs, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_ARRAYS", {})
+        return list(lattice_residuals(check, us, vs))
+
+
+@pytest.mark.parametrize("check", ["disentangle-right", "disentangle-left", "ab-structure"])
+def test_a_block_across_the_bound_mixes_both_paths_with_the_scalar_bits(check, monkeypatch):
+    # v runs from 296 to 304: the array form computes the points up to the
+    # bound, and the scalar function the rest, in one block.
+    us, vs = [-0.1, 0.0, 1.0, 299.9], np.linspace(296.0, 304.0, 9).tolist()
+    calls = []
+
+    def counted(u, v):
+        values, done = sweep._g_right_array(u, v)
+        calls.append(done.tolist())
+        return values, done
+
+    monkeypatch.setitem(sweep._ARRAYS, g_right, counted)
+    monkeypatch.setitem(sweep._ARRAYS, g_left, lambda u, v: counted(v, u))
+    residuals = list(lattice_residuals(check, us, vs))
+    assert len(calls) == 1 and 0 < sum(calls[0]) < len(calls[0])
+    assert [r.hex() for r in residuals] == [r.hex() for r in _scalar_residuals(check, us, vs, monkeypatch)]
+
+
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_only_a_check_that_reads_g_right_or_g_left_computes_the_array_form(check, monkeypatch):
+    calls = []
+    for fn, form in list(sweep._ARRAYS.items()):
+        monkeypatch.setitem(sweep._ARRAYS, fn, lambda u, v, fn=fn, form=form: calls.append(fn) or form(u, v))
+    grid = np.linspace(-2.0, 2.0, 5).tolist()
+    residuals = list(lattice_residuals(check, grid, grid))
+    # The 2x2 points form one subject and the origin another.
+    reads = {
+        "disentangle-right": [g_right] * 2,
+        "integral": [g_right] * 2,
+        "product": [g_right] * 2,
+        "disentangle-left": [g_left] * 2,
+        "ab-structure": [g_left] * 2,
+    }
+    assert calls == reads.get(check, [])
+    assert [r.hex() for r in residuals] == [r.hex() for r in _scalar_residuals(check, grid, grid, monkeypatch)]

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import tempfile
+import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -78,7 +79,6 @@ def test_disentangle_central_case_uses_exact_minus_half():
     assert out.metadata["coefficient"] == -0.5 + 0.0j
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 @pytest.mark.parametrize("v", [360.0, 400.0, 688.0])
 @pytest.mark.parametrize("u", [-1.0, 0.5, 1.0])
 def test_a_residual_whose_squared_norms_overflow_is_neither_zero_nor_nan(u, v):
@@ -87,6 +87,31 @@ def test_a_residual_whose_squared_norms_overflow_is_neither_zero_nor_nan(u, v):
     assert 0.0 < out.residual <= 1e-12 and out.passed
     with np.errstate(over="ignore", invalid="ignore"):
         assert list(lattice_residuals("disentangle-right", [u], [v])) == [out.residual]
+
+
+def _under(action, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        return repr(call())
+
+
+# ||e^{X+Y}||_F is about e^688: its sum of squares overflows, and the
+# tolerance probe and the residuals rescale it.
+_SQUARES_OVERFLOW = affine_2x2(0.5, 688.0, 1, 1)
+
+
+def test_a_suite_does_not_depend_on_the_warnings_filter():
+    suite = _under("error", lambda: run_suite(_SQUARES_OVERFLOW))
+    assert suite == _under("ignore", lambda: run_suite(_SQUARES_OVERFLOW))
+    assert "RuntimeWarning" not in suite
+
+
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_check_does_not_depend_on_the_warnings_filter(check):
+    def call():
+        return _alone(check, lambda: _SQUARES_OVERFLOW, RELAXED_TOL)
+
+    assert _under("error", call) == _under("ignore", call)
 
 
 def test_swap_on_central_pair_has_unit_coefficient():
