@@ -7,6 +7,10 @@ function; nothing mutates its arguments.
 expm_stack is the matrix exponential of every slice of a stack, each
 with its own scaling, stopping test and squarings; expm is its one-slice
 case, so every slice of a stack is bit-identical to expm of that slice.
+Its stopping test compares two exact 1-norms, and runs only on a slice
+whose Taylor term passes a screen of one reduction, its largest real or
+imaginary part: on any other slice the test cannot fire, so the screen
+changes no slice's stopping term and no bit (see _EXPM_SCREEN).
 
 The public functions validate their arguments.  The underscored kernels
 (_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
@@ -45,6 +49,15 @@ MAX_DIM = 64
 # below EXPM_REL_EPS of the partial sum's, or after EXPM_MAX_TERMS terms.
 _EXPM_REL_EPS = 1e-18
 _EXPM_MAX_TERMS = 60
+# The stopping test runs only on a slice whose term has no real or
+# imaginary part of this size or more; it cannot fire on the others.  The
+# scaled slice has a 1-norm of at most 1, so every computed partial sum
+# has one below e(1 + 1e-12) < 4, and the test's bound, EXPM_REL_EPS times
+# that norm, is below this (4 * EXPM_REL_EPS is exact, and rounding is
+# monotone).  A term's computed 1-norm is at least its largest entry
+# modulus, a sum of nonnegative floats being no smaller than its parts,
+# and that modulus, hypot(re, im), at least |re| and |im|.
+_EXPM_SCREEN = 4 * _EXPM_REL_EPS
 # A 1-norm beyond this puts e^A outside double range.
 _EXPM_NORM_LIMIT = 700.0
 
@@ -124,9 +137,13 @@ def expm_stack(A) -> np.ndarray:
     leaves the stack as soon as it converges, so it never gets an extra
     term) and exactly s squarings.  Every slice of the result is
     therefore bit-identical to expm of that slice; a zero slice gives the
-    identity exactly.  A slice whose 1-norm exceeds 700 comes back filled
-    with NaN and leaves the other slices untouched; expm of that slice
-    raises OverflowError.
+    identity exactly.  The stopping test, ||term||_1 < 1e-18 ||partial||_1,
+    runs only on the slices whose term has no real or imaginary part of
+    4e-18 or more: a partial sum's 1-norm stays below 4 and a term's is
+    at least its largest part, so on the other slices the test cannot
+    fire.  A slice whose 1-norm exceeds 700 comes back filled with NaN and
+    leaves the other slices untouched; expm of that slice raises
+    OverflowError.
     """
     return _expm_stack(_as_square(A, 3, "an (N, n, n) stack"))
 
@@ -140,7 +157,7 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     live = np.flatnonzero((norms > 0.0) & (norms <= _EXPM_NORM_LIMIT))
     if not live.size:
         return out
-    s = np.array([max(0, math.ceil(math.log2(x))) for x in norms[live].tolist()])
+    s = _scale_exponents(norms[live])
     B = A[live] / (2.0 ** s)[:, None, None]
     result = np.empty_like(B)
     # Slices still accumulating: their positions in live, terms and sums.
@@ -155,7 +172,10 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
             term = term @ B
             term /= k
         partial += term
-        done = _one_norms(term) < _EXPM_REL_EPS * _one_norms(partial)
+        # The stopping test, on the slices that pass the screen only.
+        done = _largest_parts(term) < _EXPM_SCREEN
+        if done.any():
+            done[done] = _one_norms(term[done]) < _EXPM_REL_EPS * _one_norms(partial[done])
         if done.any():
             result[todo[done]] = partial[done]
             going = ~done
@@ -169,6 +189,25 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
         result[squaring] = R @ R
     out[live] = result
     return out
+
+
+def _largest_parts(A: np.ndarray) -> np.ndarray:
+    # The largest |re| or |im| of each slice's entries, in one reduction.
+    return np.abs(A.view(float).reshape(len(A), -1)).max(axis=1)
+
+
+def _scale_exponents(norms: np.ndarray) -> np.ndarray:
+    """max(0, ceil(log2 x)) of each positive norm x, from its exponent.
+
+    With x = m * 2^e and 1/2 <= m < 1, ceil(log2 x) is e - 1 at m = 1/2
+    and e above it, except where log2 x may round down to e - 1: there
+    math.log2 decides."""
+    m, e = np.frexp(norms)
+    s = np.where(m == 0.5, e - 1, e).astype(np.int64)
+    near = np.flatnonzero((m > 0.5) & (m < 0.5 + 2.0**-30))
+    for i in near.tolist():
+        s[i] = math.ceil(math.log2(norms[i]))
+    return np.maximum(s, 0)
 
 
 def conjugate_series(A, B, t: complex, K: int) -> np.ndarray:
@@ -191,7 +230,7 @@ def _conjugate_series(A: np.ndarray, B: np.ndarray, t: complex, K: int) -> np.nd
     current = B
     for k in range(1, K + 1):
         current = _commutator(A, current) * (-t / k)
-        if not current.any():  # so is every later power; a NaN is nonzero
+        if not np.count_nonzero(current):  # so is every later power; a NaN is nonzero
             break
         total = total + current
     return total

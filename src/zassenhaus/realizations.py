@@ -216,15 +216,21 @@ _PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _LINDBLAD_SCALE = 1.0 / math.sqrt(2.0)
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # np.kron of two 2x2 matrices without its dispatch: the same products
+    # of the same entries, laid out as (i, k, j, l) -> (2i + k, 2j + l).
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(4, 4)
+
+
 def _dissipator_matrix(sk: np.ndarray, sl: np.ndarray) -> np.ndarray:
     # Flattened-density-matrix representation of
     #   rho -> sk rho sl - (1/2){sl sk, rho}.
     eye = np.eye(2, dtype=complex)
     lsk = sl @ sk
     return (
-        np.kron(sl.T, sk)
-        - 0.5 * np.kron(eye, lsk)
-        - 0.5 * np.kron(lsk.T, eye)
+        _kron(sl.T, sk)
+        - 0.5 * _kron(eye, lsk)
+        - 0.5 * _kron(lsk.T, eye)
     )
 
 

@@ -47,10 +47,12 @@ __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 # The matrices that a block may request, over all its points: this bounds
 # a block's memory, and that of the one table it carries, whatever the
 # lattice size.  The 41x41 disentangle-right sweep (4 per point) runs in
-# four blocks of at most 512 points.  Sized by measurement on that sweep:
-# its peak memory stays where the one-row plan had it, where 4096 adds
-# about 0.9 MiB and one block for the lattice 2 MiB.
-BLOCK_SLICES = 2048
+# two blocks of at most 1024 points, and stacks each of its distinct
+# matrices once.  Sized by measurement on that sweep (perfbench's
+# sweep-lattice): its peak memory is 35.3 MiB, 0.7 MiB above four blocks
+# of 512 points; one block for the whole lattice measured about 2 MiB
+# above one row per block.
+BLOCK_SLICES = 4096
 
 
 # A point past this modulus, or with a non-finite part, gets g_r from the

@@ -22,7 +22,7 @@ from zassenhaus.matrices import (
     load_matrix,
     rel_residual,
 )
-from zassenhaus.matrices import _frobenius_stack, _rel_residuals
+from zassenhaus.matrices import _frobenius_stack, _one_norms, _rel_residuals
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -272,6 +272,104 @@ def test_expm_stack_has_the_bytes_of_a_taylor_loop_that_starts_from_the_identity
     for a, e in zip(stack[:-1], out[:-1]):
         assert e.tobytes() == _expm_reference(a).tobytes()
     assert np.isnan(out[-1]).all()
+
+
+def _expm_stack_reference(A):
+    """expm_stack's loop before its screened stopping test, with what it
+    saw: (result, each live slice's stopping k, the largest 1-norm of any
+    partial sum it formed).  The new kernel must match its bits."""
+    n = A.shape[1]
+    norms = _one_norms(A)
+    out = np.empty_like(A)
+    out[norms == 0.0] = np.eye(n)
+    out[norms > 700.0] = np.nan
+    live = np.flatnonzero((norms > 0.0) & (norms <= 700.0))
+    stops = np.zeros(len(A), dtype=int)
+    largest = 0.0
+    if not live.size:
+        return out, stops, largest
+    s = np.array([max(0, math.ceil(math.log2(x))) for x in norms[live].tolist()])
+    B = A[live] / (2.0 ** s)[:, None, None]
+    result = np.empty_like(B)
+    todo = np.arange(live.size)
+    partial = np.broadcast_to(np.eye(n, dtype=complex), B.shape).copy()
+    for k in range(1, 61):
+        if k == 1:
+            term = B
+        else:
+            term = term @ B
+            term /= k
+        partial += term
+        partial_norms = _one_norms(partial)
+        largest = max(largest, float(partial_norms.max()))
+        done = _one_norms(term) < 1e-18 * partial_norms
+        if done.any():
+            result[todo[done]] = partial[done]
+            stops[live[todo[done]]] = k
+            going = ~done
+            todo, term, B, partial = todo[going], term[going], B[going], partial[going]
+            if not todo.size:
+                break
+    result[todo] = partial
+    stops[live[todo]] = 60
+    for j in range(int(s.max())):
+        squaring = np.flatnonzero(s > j)
+        R = result[squaring]
+        result[squaring] = R @ R
+    out[live] = result
+    return out, stops, largest
+
+
+def _with_one_norm(rng, n, norm):
+    """A random complex n x n matrix whose computed 1-norm is exactly norm:
+    column 0 holds norm alone, and the others sum to about norm / 2."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a *= 0.5 * norm / max(float(_one_norms(a[None])[0]), 1e-300)
+    a[:, 0] = 0.0
+    a[rng.integers(n), 0] = norm * rng.choice([1.0, -1.0, 1j, -1j])
+    return a
+
+
+_NORM_EDGES = [
+    x
+    for k in (-1074, -1000, -60, -20, -3, -1, 0, 1, 2, 3, 5, 8, 9)
+    for x in (np.nextafter(2.0**k, 0.0), 2.0**k, np.nextafter(2.0**k, np.inf))
+    if x > 0.0
+] + [2.0**k * (1.0 + 2.0**-30) for k in (-3, 0, 4, 9)] + [
+    1e-300, 3e-300, 0.75, 1.5, 600.0, np.nextafter(700.0, 0.0), 700.0,
+]
+_PAST_700 = [np.nextafter(700.0, np.inf), 701.0, 1e4, 1e300]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_expm_stack_has_the_bits_of_the_unscreened_loop(n):
+    rng = np.random.default_rng(2200 + n)
+    slices = [np.zeros((n, n), dtype=complex), np.full((n, n), complex(-0.0, -0.0))]
+    nilpotent = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    nilpotent[np.tril_indices(n)] = complex(-0.0, -0.0)
+    slices += [nilpotent, 40.0 * nilpotent]
+    slices += [_with_one_norm(rng, n, norm) for norm in _NORM_EDGES + _PAST_700]
+    for scale in (1e-6, 0.2, 1.0, 7.0, 90.0, 650.0):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = scale * a / np.abs(a).sum(axis=0).max()
+        a.real[rng.random((n, n)) < 0.3] = -0.0
+        a.imag[rng.random((n, n)) < 0.3] = -0.0
+        slices += [a, a.real.astype(complex)]
+    stack = np.array(slices)
+    stack = stack[rng.permutation(len(stack))]
+    expected, stops, largest = _expm_stack_reference(stack)
+    assert np.array_equal(expm_stack(stack).view(np.uint64), expected.view(np.uint64))
+    norms = _one_norms(stack)
+    assert np.isnan(expected[norms > 700.0]).all()
+    assert (stops[(norms > 0.0) & (norms <= 1e-299)] == 1).all()
+    # The stack mixes slices with no squaring and with up to ten.
+    live = norms[(norms > 0.0) & (norms <= 700.0)]
+    assert live.min() < 1.0 and live.max() > 512.0
+    # The screen's premise: every partial sum has a 1-norm below 4.
+    assert largest < 4.0
+    for i in rng.permutation(len(stack))[:8]:
+        one = expm_stack(stack[i:i + 1])[0]
+        assert np.array_equal(one.view(np.uint64), expected[i].view(np.uint64))
 
 
 def test_expm_stack_validates_its_input():

@@ -269,6 +269,16 @@ def test_lindblad_pair_is_the_one_convention_that_closes():
         assert rel_residual(commutator(d_up, d_dn), d_up - d_dn) > 1e-3
 
 
+def test_lindblad_pair_has_the_bits_of_the_kron_form():
+    # The pair builds its Kronecker products by hand; X, Y and W keep the
+    # bytes of np.kron's, signs of zeros included.
+    pair = lindblad_pair()
+    d_up, d_dn = _dissipator_pair(1.0 / math.sqrt(2.0), "lk")
+    assert pair.X.tobytes() == d_up.tobytes()
+    assert pair.Y.tobytes() == d_dn.tobytes()
+    assert pair.W.tobytes() == commutator(d_up, d_dn).tobytes()
+
+
 def test_lindblad_inference_round_trip():
     pair = lindblad_pair()
     u, v, c, fit = infer_uvc(pair.X, pair.Y)

@@ -978,22 +978,23 @@ def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(
     assert expm_calls == []
 
 
-def test_a_41_by_41_sweep_runs_in_four_blocks(expm_calls, expm_stack_calls, tmp_path):
-    # 512 points per block at 4 requests each; the origin is in the second.
-    # A block stacks only what the previous block's table lacks: most of
-    # its e^X and e^{X+Y} were there.
-    assert sweep.BLOCK_SLICES == 2048
+def test_a_41_by_41_sweep_runs_in_two_blocks(expm_calls, expm_stack_calls, tmp_path):
+    # 1024 points per block at 4 requests each; the origin is in the first,
+    # whose 3x3 stack follows its 2x2 one.  The second block stacks only
+    # what the first block's table lacks, so each of the 1983 distinct
+    # matrices is stacked once.
+    assert sweep.BLOCK_SLICES == 4096
     assert main(_sweep_argv("disentangle-right", 41, tmp_path / "s.csv")) == 0
-    assert [a.shape[0] for a in expm_stack_calls] == [684, 569, 4, 568, 159]
+    assert [a.shape[0] for a in expm_stack_calls] == [1253, 4, 726]
     assert expm_calls == []
 
 
 # The 2x2 stacks of each sweep, block by block.
 _BUDGET_SIZES = {
-    ("disentangle-right", 60): [722, 569, 562, 577, 553, 565, 547, 16],
-    ("product", 20): [1881, 1817, 1816, 1836, 1834, 1816, 462],
-    # Every block holds whole rows, so the later blocks find each e^{-tX}
-    # and e^{tX} (v alone) in the first block's table and stack nothing.
+    ("disentangle-right", 60): [1291, 1127, 1115, 562],
+    ("product", 20): [3698, 3632, 3639, 451],
+    # The first block holds whole rows, so the later blocks find each
+    # e^{-tX} and e^{tX} (v alone) in the carried table and stack nothing.
     ("hadamard", 70): [140],
 }
 
@@ -1001,7 +1002,7 @@ _BUDGET_SIZES = {
 @pytest.mark.parametrize("check, steps", list(_BUDGET_SIZES))
 def test_no_stack_holds_more_than_the_block_budget(check, steps, expm_stack_calls, tmp_path):
     # More requested matrices than one block may hold; a product block of
-    # 64 points ends inside a row of 20.
+    # 128 points ends inside a row of 20.
     assert main(_sweep_argv(check, steps, tmp_path / "s.csv")) == 0
     sizes = [a.shape[0] for a in expm_stack_calls if a.shape[1] == 2]
     assert sizes == _BUDGET_SIZES[check, steps]
