@@ -18,9 +18,9 @@ e^x - 1 is computed without cancellation (_expm1), so phi1 is accurate
 everywhere, its zeros x = 2*pi*i*k included.  The kernel is the one
 overflow fallback: g_center's own nodes, and f_bch and gamma_swap through
 g_right.  No coefficient returns an inf or NaN part: it raises
-OverflowError instead.  g_right keeps its last two divided differences,
-keyed by the bits of (u, v), so the five coefficients at one point run the
-kernel at most twice: for g_r(u, v) and for g_r(v, u).
+OverflowError instead.  g_right keeps its last two results, keyed by the
+bits of (u, v), so the five coefficients at one point evaluate g_right at
+most twice, closed form or kernel: for g_r(u, v) and for g_r(v, u).
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ _DD_COEFFS = tuple(
     (1.0 / math.factorial(j + 1), 1.0 / math.factorial(j + 2))
     for j in range(1, _DD_TERMS)
 )
+# The same coefficients as complex numbers, for complex nodes.  CPython
+# multiplies a float by a complex as complex(c, 0.0) times it, so the
+# products are the same bits, without float's multiply first returning
+# NotImplemented.
+_DD_COEFFS_COMPLEX = tuple((complex(c1), complex(c2)) for c1, c2 in _DD_COEFFS)
 
 _TWO_PI = 2.0 * math.pi
 # f_bch is raised as a pole error anywhere within this distance of a
@@ -76,6 +81,8 @@ _POLE_SHELL = 1e-8
 # An exponential below the smallest normal double has lost digits to
 # underflow, or is 0.
 _TINY = sys.float_info.min
+# The largest x whose e^x is a finite double.
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 class EvalMethod(enum.Enum):
@@ -85,7 +92,7 @@ class EvalMethod(enum.Enum):
     DIVIDED_DIFFERENCE = "divided-difference"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoeffValue:
     """A coefficient value annotated with its evaluation path.
 
@@ -97,6 +104,20 @@ class CoeffValue:
     value: complex
     method: EvalMethod
     terms_used: int
+
+    # The generated __init__ of a frozen dataclass makes one
+    # object.__setattr__ call per field; the slots' own setters take about
+    # 60 % of its time.  repr, ==, hash and the frozen __setattr__ stay
+    # generated.
+    def __init__(self, value: complex, method: EvalMethod, terms_used: int) -> None:
+        _SET_VALUE(self, value)
+        _SET_METHOD(self, method)
+        _SET_TERMS_USED(self, terms_used)
+
+
+_SET_VALUE = CoeffValue.value.__set__
+_SET_METHOD = CoeffValue.method.__set__
+_SET_TERMS_USED = CoeffValue.terms_used.__set__
 
 
 class PoleError(ValueError):
@@ -133,24 +154,31 @@ def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[c
     radius <= 1/2, sum a Taylor series over complete homogeneous polynomials
     h_j, square the six-entry table s times (its diagonal from exp, as Al-Mohy
     & Higham 2009 advise: a quarter of the error) and multiply by e^m.  Where
-    that overflows or is not finite, m is the largest real part of a node
-    instead (top; Higham 2008, ch. 10), so no exponential in the table
-    exceeds 1, and an e^m past double range is applied as e^{m/2} e^{m/2}.
-    Raises OverflowError if e[x0, x1, x2] is not finite.
+    that overflows or is not finite, or where some e^{x_i - m} would, m is
+    the largest real part of a node instead (top; Higham 2008, ch. 10), so
+    no exponential in the table exceeds 1, and an e^m past double range is
+    applied as e^{m/2} e^{m/2}.  Only the exponentials that are read are
+    taken: three per squaring, and e^m.  Raises OverflowError if
+    e[x0, x1, x2] is not finite.
     """
     # Real nodes stay in float arithmetic: faster, and exactly real results.
-    exp = cmath.exp
+    exp, taylor = cmath.exp, _DD_COEFFS_COMPLEX
     if not (x0.imag or x1.imag or x2.imag):
-        x0, x1, x2, exp = x0.real, x1.real, x2.real, math.exp
+        x0, x1, x2, exp, taylor = x0.real, x1.real, x2.real, math.exp, _DD_COEFFS
     mean = max(x0.real, x1.real, x2.real) if top else (x0 + x1 + x2) / 3.0
     y0, y1, y2 = x0 - mean, x1 - mean, x2 - mean
+    if not top and max(y0.real, y1.real, y2.real) > _LOG_HUGE:
+        # On so wide a table the mean pass's squarings can lose digits: on
+        # 60 000 random points with |Re u|, |Re v| <= 2000 they reached a
+        # relative error of 5.8e-14 where the top pass kept 1.3e-15.
+        return _dd_exp(x0, x1, x2, True)
     s = max(0, math.frexp(max(abs(y0), abs(y1), abs(y2)))[1] + 1)
     h = math.ldexp(1.0, -s)
     z0, z1, z2 = y0 * h, y1 * h, y2 * h
     # p_i = z_i^j, h01 = h_j(z0, z1), h12 = h_j(z1, z2), h012 = h_j(z0, z1, z2).
     p0 = p1 = h01 = h12 = h012 = t01 = t12 = 1.0
     t02 = 0.5
-    for c1, c2 in _DD_COEFFS:
+    for c1, c2 in taylor:
         p0 *= z0
         p1 *= z1
         h01 = p0 + z1 * h01
@@ -159,17 +187,16 @@ def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[c
         t01 += c1 * h01
         t12 += c1 * h12
         t02 += c2 * h012
-    t00, t11, t22 = exp(z0), exp(z1), exp(z2)
     t01 *= h
     t12 *= h
     t02 *= h * h
     try:
         for _ in range(s):
+            t00, t11, t22 = exp(z0), exp(z1), exp(z2)
             t02 = t02 * (t00 + t22) + t01 * t12
             t01 *= t00 + t11
             t12 *= t11 + t22
             z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
-            t00, t11, t22 = exp(z0), exp(z1), exp(z2)
         dd2 = exp(mean) * t02
     except OverflowError:
         dd2 = math.inf
@@ -207,17 +234,7 @@ def g_right(u: complex, v: complex) -> CoeffValue:
     """
     u = complex(u)
     v = complex(v)
-    if not cmath.isfinite(u - v):
-        raise OverflowError(f"g_right overflows at {(u, v)}: u - v is past double range")
-    if min(abs(u), abs(v), abs(u - v)) >= SWITCH:
-        try:
-            eu = cmath.exp(u)
-            value = (u * (cmath.exp(u - v) - eu) + v * (eu - 1.0)) / (u * v * (u - v))
-            if cmath.isfinite(value):
-                return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
-        except OverflowError:
-            pass
-    return _g_right_dd(_PAIR.pack(u.real, u.imag, v.real, v.imag))
+    return _g_right(_PAIR.pack(u.real, u.imag, v.real, v.imag), u, v)
 
 
 # The four parts of (u, v) as raw bytes: -0.0 and +0.0 stay apart.
@@ -225,14 +242,24 @@ _PAIR = struct.Struct("4d")
 
 
 # Two entries hold one point: g_r(u, v) and g_r(v, u), which g_left,
-# g_center and f_bch ask for at the same (u, v).  An OverflowError is
-# not kept.
+# g_center, f_bch and gamma_swap ask for at the same (u, v).  The bits
+# decide a hit: equal bits mean equal u and v, and unequal bits never
+# compare equal.  An OverflowError is not kept.
 @functools.lru_cache(maxsize=2)
-def _g_right_dd(key: bytes) -> CoeffValue:
-    """g_r(u, v) = -e[u - v, u, 0] for the (u, v) whose parts key packs."""
-    ur, ui, vr, vi = _PAIR.unpack(key)
-    u, v = complex(ur, ui), complex(vr, vi)
-    dd2, terms = _dd_exp(u - v, u, 0.0)
+def _g_right(bits: bytes, u: complex, v: complex) -> CoeffValue:
+    """g_right at (u, v), whose parts bits packs."""
+    d = u - v
+    if not cmath.isfinite(d):
+        raise OverflowError(f"g_right overflows at {(u, v)}: u - v is past double range")
+    if min(abs(u), abs(v), abs(d)) >= SWITCH:
+        try:
+            eu = cmath.exp(u)
+            value = (u * (cmath.exp(d) - eu) + v * (eu - 1.0)) / (u * v * d)
+            if cmath.isfinite(value):
+                return CoeffValue(value, EvalMethod.CLOSED_FORM, 0)
+        except OverflowError:
+            pass
+    dd2, terms = _dd_exp(d, u, 0.0)
     return CoeffValue(complex(-dd2), EvalMethod.DIVIDED_DIFFERENCE, terms)
 
 

@@ -149,19 +149,28 @@ def expm_stack(A) -> np.ndarray:
 
 
 def _expm_stack(A: np.ndarray) -> np.ndarray:
-    n = A.shape[1]
     norms = _one_norms(A)
-    out = np.empty_like(A)
-    out[norms == 0.0] = np.eye(n)
-    out[norms > _EXPM_NORM_LIMIT] = np.nan
-    live = np.flatnonzero((norms > 0.0) & (norms <= _EXPM_NORM_LIMIT))
-    if not live.size:
-        return out
-    s = _scale_exponents(norms[live])
-    B = A[live] / (2.0 ** s)[:, None, None]
+    over = norms > _EXPM_NORM_LIMIT
+    if not over.any():
+        return _expm_live(A, norms)
+    out = np.full_like(A, np.nan)
+    live = np.flatnonzero(~over)
+    out[live] = _expm_live(A[live], norms[live])
+    return out
+
+
+def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    # expm of every slice, given their 1-norms, none above the limit.  A
+    # zero slice needs no case of its own: its first term is zero, so the
+    # stopping test fires at k = 1 on the identity exactly.
+    n = A.shape[1]
+    if not len(A):
+        return np.empty_like(A)
+    s = _scale_exponents(norms)
+    B = A / (2.0 ** s)[:, None, None]
     result = np.empty_like(B)
-    # Slices still accumulating: their positions in live, terms and sums.
-    todo = np.arange(live.size)
+    # Slices still accumulating: their positions in A, terms and sums.
+    todo = np.arange(len(A))
     partial = np.broadcast_to(np.eye(n, dtype=complex), B.shape).copy()
     for k in range(1, _EXPM_MAX_TERMS + 1):
         if k == 1:
@@ -187,8 +196,7 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
         squaring = np.flatnonzero(s > j)
         R = result[squaring]
         result[squaring] = R @ R
-    out[live] = result
-    return out
+    return result
 
 
 def _largest_parts(A: np.ndarray) -> np.ndarray:

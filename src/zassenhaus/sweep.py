@@ -111,9 +111,9 @@ def _g_right_array(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _dd_exp_real(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """coeffs._dd_exp(x0, x1, 0.0)[0] at each pair of real nodes, in its
-    operations and order: each point squares its own s times.  The
-    exponentials that _dd_exp takes and never reads (at s = 0, and after
-    the last squaring) are left out: none overflows inside _ARRAY_BOUND."""
+    operations and order: each point squares its own s times.  Inside
+    _ARRAY_BOUND no node lies more than 300 above the mean and nothing
+    overflows, so _dd_exp never takes its top pass there."""
     mean = (x0 + x1 + 0.0) / 3.0
     z0, z1, z2 = x0 - mean, x1 - mean, 0.0 - mean
     s = np.maximum(0, np.frexp(np.maximum(np.maximum(abs(z0), abs(z1)), abs(z2)))[1] + 1)

@@ -1,7 +1,9 @@
 """Coefficient evaluators: frozen oracle values, branch dispatch, seams."""
 
 import cmath
+import dataclasses
 import math
+import pickle
 import struct
 
 import mpmath
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from zassenhaus import coeffs
 from zassenhaus.coeffs import (
     SWITCH,
+    CoeffValue,
     EvalMethod,
     PoleError,
     f_bch,
@@ -176,7 +179,7 @@ def _bits(cv) -> tuple:
 
 
 def _cleared(u, v) -> tuple:
-    coeffs._g_right_dd.cache_clear()
+    coeffs._g_right.cache_clear()
     return _bits(g_right(u, v))
 
 
@@ -191,21 +194,21 @@ def kernel_runs(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(coeffs, "_dd_exp", counted)
-    coeffs._g_right_dd.cache_clear()
+    coeffs._g_right.cache_clear()
     yield runs
-    coeffs._g_right_dd.cache_clear()
+    coeffs._g_right.cache_clear()
 
 
 @pytest.mark.parametrize("v", [0.2 + 0.1j, complex(0.2, -0.0), complex(-0.0, 0.2)])
 def test_g_right_memo_keeps_signed_zeros_apart(v):
     points = [(complex(0.0, 0.0), v), (complex(-0.0, 0.0), v), (complex(0.0, -0.0), v)]
     want = [_cleared(u, v) for u, v in points]
-    coeffs._g_right_dd.cache_clear()
+    coeffs._g_right.cache_clear()
     for (u, v), bits in zip(points, want):
-        misses = coeffs._g_right_dd.cache_info().misses
+        misses = coeffs._g_right.cache_info().misses
         assert _bits(g_right(u, v)) == bits
         # u differs from the previous point only in the signs of zeros.
-        assert coeffs._g_right_dd.cache_info().misses == misses + 1
+        assert coeffs._g_right.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("u, v", [(0.1 + 0.2j, 0.1j), (0.1j, 0.1 + 0.2j), (0.1 + 0.2j, 1j)])
@@ -219,7 +222,7 @@ def test_g_right_memo_holds_one_point(kernel_runs):
     first, second = (0.1, 0.05j), (-0.1j, 0.05)
     for u, v in (first, first[::-1], second, second[::-1]):
         g_right(u, v)
-    assert coeffs._g_right_dd.cache_info().currsize == 2
+    assert coeffs._g_right.cache_info().currsize == 2
     assert len(kernel_runs) == 4
     g_right(*first)
     assert len(kernel_runs) == 5
@@ -231,7 +234,80 @@ def test_g_right_memo_keeps_no_overflow(kernel_runs):
             g_right(1100.0 + 1j, 0.1j)
     # Each call runs the kernel, and the kernel its top-shift retry.
     assert len(kernel_runs) == 2 * 2
-    assert coeffs._g_right_dd.cache_info().currsize == 0
+    assert coeffs._g_right.cache_info().currsize == 0
+
+
+def test_g_right_memo_keeps_no_overflow_of_u_minus_v():
+    coeffs._g_right.cache_clear()
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="u - v is past double range"):
+            g_right(1e308, -1e308)
+    assert coeffs._g_right.cache_info().misses == 2
+    assert coeffs._g_right.cache_info().currsize == 0
+
+
+def test_five_closed_form_coefficients_miss_the_memo_twice(kernel_runs):
+    u, v = 1 + 0.5j, -0.7 + 1j
+    for fn in (g_right, g_center, g_left, f_bch, gamma_swap):
+        assert fn(u, v).method is EvalMethod.CLOSED_FORM
+    info = coeffs._g_right.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    assert kernel_runs == []
+
+
+# --------------------------------------------------- the kernel, _dd_exp
+
+
+@pytest.mark.parametrize("u, v, s", [(0.5j, 0.2j, 0), (0.1 + 0.2j, 1j, 1)])
+def test_dd_exp_takes_only_the_exponentials_it_reads(monkeypatch, u, v, s):
+    # s squarings read three table exponentials each, and e^m follows.
+    calls = []
+    exp = cmath.exp
+
+    def counted(z):
+        calls.append(z)
+        return exp(z)
+
+    coeffs._g_right.cache_clear()
+    monkeypatch.setattr(cmath, "exp", counted)
+    cv = g_right(u, v)
+    assert cv.method is EvalMethod.DIVIDED_DIFFERENCE
+    assert cv.terms_used == coeffs._DD_TERMS + s
+    assert len(calls) == 3 * s + 1
+
+
+def test_dd_exp_takes_the_top_pass_where_a_table_exponential_would_overflow(kernel_runs):
+    # About their mean the nodes reach 720 > ln DBL_MAX: the mean pass gives
+    # way to the top pass before its Taylor sum, and the value keeps its
+    # digits (the mean pass's squarings lost 5.8e-14 here).
+    nodes = (427.00622513074563 + 19.78548540534545j, 0j, -1306.1983207520357 + 14.422201828339396j)
+    dd2, terms = coeffs._dd_exp(*nodes)
+    assert [args[3:] for args in kernel_runs] == [(), (True,)]
+    assert terms == coeffs._DD_TERMS + 12
+    with mpmath.workdps(60):
+        x0, x1, x2 = (mpmath.mpc(z.real, z.imag) for z in nodes)
+        e = mpmath.exp
+        want = complex(((e(x0) - e(x1)) / (x0 - x1) - (e(x1) - e(x2)) / (x1 - x2)) / (x0 - x2))
+    assert abs(dd2 - want) <= 1e-15 * abs(want)
+
+
+# ------------------------------------------------------------ CoeffValue
+
+
+def test_coeff_value_is_a_frozen_dataclass_with_its_generated_methods():
+    cv = CoeffValue(complex(0.5, -0.0), EvalMethod.CLOSED_FORM, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cv.value = 1.0
+    assert repr(cv) == (
+        "CoeffValue(value=(0.5-0j), method=<EvalMethod.CLOSED_FORM: 'closed-form'>, terms_used=0)"
+    )
+    same = CoeffValue(value=complex(0.5, -0.0), method=EvalMethod.CLOSED_FORM, terms_used=0)
+    assert same == cv and hash(same) == hash(cv)
+    assert CoeffValue(0.5, EvalMethod.DIVIDED_DIFFERENCE, 16) != cv
+    assert [f.name for f in dataclasses.fields(cv)] == ["value", "method", "terms_used"]
+    assert pickle.loads(pickle.dumps(cv)) == cv
+    # perfbench's coeff-plane check reads a tuple in a row as a PoleError.
+    assert not isinstance(cv, tuple)
 
 
 # ----------------------------------------------------- g_left, g_center

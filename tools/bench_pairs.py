@@ -18,7 +18,9 @@ id), host, summary (per workload and side, the median and quartiles of
 every end-to-end metric, and per metric how many pairs the change won and
 the ratio of the medians), runs (every result line) and traced (per
 workload and side, the traced result line with its span call counts).
-Quartiles are statistics.quantiles(n=4, method='exclusive').
+Quartiles are statistics.quantiles(n=4, method='exclusive').  At the end
+one line per workload on stderr gives, for items_per_s and call_ms_p50,
+the pairs the change won and the ratio of the medians.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import tempfile
 
 PAIRS = 10
 TRACE_SECONDS = 10.0
+# The metrics of the closing line per workload on stderr.
+HEADLINE = ("items_per_s", "call_ms_p50")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -116,6 +120,18 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def _headlines(summary: dict) -> list[str]:
+    """One line per workload: pairs won and median ratio of each HEADLINE metric."""
+    return [
+        f"bench_pairs: {workload}: " + ", ".join(
+            f"{name} {entry[f'{name}_pairs_won_by_change']}/{entry['pairs']} pairs won, "
+            f"median ratio {entry[f'{name}_median_ratio']:.3f}"
+            for name in HEADLINE
+        )
+        for workload, entry in summary.items()
+    ]
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     spec = _spec()
@@ -149,12 +165,13 @@ def main(argv=None) -> int:
                     "span_calls_per_item": {k: n / items for k, n in details["span_calls"].items()},
                 }
     shown = " ".join(command)
+    summary = _summary(runs, spec["end_to_end"])
     out = {
         "description": args.description,
         "command": f"{shown} --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
         "parent": parent,
         "host": _host(),
-        "summary": _summary(runs, spec["end_to_end"]),
+        "summary": summary,
         "runs": runs,
         "traced": traced,
     }
@@ -163,6 +180,8 @@ def main(argv=None) -> int:
         json.dump(out, fh, indent=1)
         fh.write("\n")
     print(f"bench_pairs: wrote {path}", file=sys.stderr)
+    for line in _headlines(summary):
+        print(line, file=sys.stderr)
     return 0
 
 
