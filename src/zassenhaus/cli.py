@@ -197,7 +197,10 @@ def _pair_from_files(x_path: str, y_path: str):
         return None, (
             f"--x/--y: dimension mismatch, {X.shape[0]} vs {Y.shape[0]}"
         )
-    u, v, c, fit = infer_uvc(X, Y)
+    try:
+        u, v, c, fit = infer_uvc(X, Y)
+    except ValueError as exc:
+        return None, f"--x/--y: {exc}"
     if fit > _FIT_LIMIT:
         return None, (
             "--x/--y: [X,Y] does not lie in span{X, Y, identity}: "

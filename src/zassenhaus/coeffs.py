@@ -17,10 +17,12 @@ v = 0 and u = v; near them g_right switches to a divided difference of exp
 e^x - 1 is computed without cancellation (_expm1), so phi1 is accurate
 everywhere, its zeros x = 2*pi*i*k included.  The kernel is the one
 overflow fallback: g_center's own nodes, and f_bch and gamma_swap through
-g_right.  No coefficient returns an inf or NaN part: it raises
-OverflowError instead.  g_right keeps its last two results, keyed by the
-bits of (u, v), so the five coefficients at one point evaluate g_right at
-most twice, closed form or kernel: for g_r(u, v) and for g_r(v, u).
+g_right.  Its Taylor sum and squarings (_dd_series, _dd_squarings) also
+run element by element on float arrays, in sweep.  No coefficient returns
+an inf or NaN part: it raises OverflowError instead.  g_right keeps its
+last two results, keyed by the bits of (u, v), so the five coefficients
+at one point evaluate g_right at most twice, closed form or kernel: for
+g_r(u, v) and for g_r(v, u).
 """
 
 from __future__ import annotations
@@ -146,70 +148,80 @@ def phi1(x: complex) -> complex:
     return complex(math.expm1(x.real) / x.real if x.real else 1.0, x.imag)
 
 
-def _dd_exp(x0: complex, x1: complex, x2: complex, top: bool = False) -> tuple[complex, int]:
+def _dd_exp(x0: complex, x1: complex, x2: complex) -> tuple[complex, int]:
     """(e[x0, x1, x2], Taylor terms + squarings) for exp.
 
     The corner of exp([[x0, 1, 0], [0, x1, 1], [0, 0, x2]]) (Opitz 1964), as
     McCurdy, Ng & Parlett (1984): shift by the mean m, scale by h = 2^-s to
-    radius <= 1/2, sum a Taylor series over complete homogeneous polynomials
-    h_j, square the six-entry table s times (its diagonal from exp, as Al-Mohy
-    & Higham 2009 advise: a quarter of the error) and multiply by e^m.  Where
-    that overflows or is not finite, or where some e^{x_i - m} would, m is
-    the largest real part of a node instead (top; Higham 2008, ch. 10), so
-    no exponential in the table exceeds 1, and an e^m past double range is
-    applied as e^{m/2} e^{m/2}.  Only the exponentials that are read are
-    taken: three per squaring, and e^m.  Raises OverflowError if
+    radius <= 1/2, sum a Taylor series (_dd_series), square the six-entry
+    table s times (_dd_squarings) and multiply by e^m.  Where that
+    overflows or is not finite, or where some e^{x_i - m} would, a second
+    pass takes m as the largest real part of a node instead (Higham 2008,
+    ch. 10), so no exponential in the table exceeds 1, and an e^m past
+    double range is applied as e^{m/2} e^{m/2}.  Raises OverflowError if
     e[x0, x1, x2] is not finite.
     """
     # Real nodes stay in float arithmetic: faster, and exactly real results.
     exp, taylor = cmath.exp, _DD_COEFFS_COMPLEX
     if not (x0.imag or x1.imag or x2.imag):
         x0, x1, x2, exp, taylor = x0.real, x1.real, x2.real, math.exp, _DD_COEFFS
-    mean = max(x0.real, x1.real, x2.real) if top else (x0 + x1 + x2) / 3.0
-    y0, y1, y2 = x0 - mean, x1 - mean, x2 - mean
-    if not top and max(y0.real, y1.real, y2.real) > _LOG_HUGE:
-        # On so wide a table the mean pass's squarings can lose digits: on
-        # 60 000 random points with |Re u|, |Re v| <= 2000 they reached a
-        # relative error of 5.8e-14 where the top pass kept 1.3e-15.
-        return _dd_exp(x0, x1, x2, True)
-    s = max(0, math.frexp(max(abs(y0), abs(y1), abs(y2)))[1] + 1)
-    h = math.ldexp(1.0, -s)
-    z0, z1, z2 = y0 * h, y1 * h, y2 * h
+    for top in (False, True):
+        mean = max(x0.real, x1.real, x2.real) if top else (x0 + x1 + x2) / 3.0
+        y0, y1, y2 = x0 - mean, x1 - mean, x2 - mean
+        if not top and max(y0.real, y1.real, y2.real) > _LOG_HUGE:
+            # On so wide a table the mean pass's squarings can lose digits: on
+            # 60 000 random points with |Re u|, |Re v| <= 2000 they reached a
+            # relative error of 5.8e-14 where the top pass kept 1.3e-15.
+            continue
+        s = max(0, math.frexp(max(abs(y0), abs(y1), abs(y2)))[1] + 1)
+        h = math.ldexp(1.0, -s)
+        z0, z1, z2 = y0 * h, y1 * h, y2 * h
+        try:
+            t02 = _dd_squarings(*_dd_series(z0, z1, z2, h, taylor), z0, z1, z2, s, exp)
+            dd2 = exp(mean) * t02
+        except OverflowError:
+            dd2 = math.inf
+            if top:
+                # Past m = 2 ln DBL_MAX, e^{m/2} overflows too and dd2 stays inf.
+                with contextlib.suppress(OverflowError):
+                    half = math.exp(mean / 2.0)
+                    dd2 = t02 * half * half
+        if cmath.isfinite(dd2):
+            return dd2, _DD_TERMS + s
+    raise OverflowError(f"divided difference of exp overflows at {(x0, x1, x2)}")
+
+
+def _dd_series(z0, z1, z2, h, taylor):
+    """The table's off-diagonal (h e[z0, z1], h e[z1, z2], h^2 e[z0, z1, z2])
+    at the scaled nodes z, each e by its Taylor sum over the complete
+    homogeneous polynomials h_j with the coefficients taylor.  Like
+    _dd_squarings it uses only +, * and a given exp, so the same lines run
+    on Python numbers and, element by element, on float arrays."""
     # p_i = z_i^j, h01 = h_j(z0, z1), h12 = h_j(z1, z2), h012 = h_j(z0, z1, z2).
     p0 = p1 = h01 = h12 = h012 = t01 = t12 = 1.0
     t02 = 0.5
     for c1, c2 in taylor:
-        p0 *= z0
-        p1 *= z1
+        p0 = p0 * z0
+        p1 = p1 * z1
         h01 = p0 + z1 * h01
         h12 = p1 + z2 * h12
         h012 = h01 + z2 * h012
-        t01 += c1 * h01
-        t12 += c1 * h12
-        t02 += c2 * h012
-    t01 *= h
-    t12 *= h
-    t02 *= h * h
-    try:
-        for _ in range(s):
-            t00, t11, t22 = exp(z0), exp(z1), exp(z2)
-            t02 = t02 * (t00 + t22) + t01 * t12
-            t01 *= t00 + t11
-            t12 *= t11 + t22
-            z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
-        dd2 = exp(mean) * t02
-    except OverflowError:
-        dd2 = math.inf
-        if top:
-            # Past m = 2 ln DBL_MAX, e^{m/2} overflows too and dd2 stays inf.
-            with contextlib.suppress(OverflowError):
-                half = math.exp(mean / 2.0)
-                dd2 = t02 * half * half
-    if cmath.isfinite(dd2):
-        return dd2, _DD_TERMS + s
-    if not top:
-        return _dd_exp(x0, x1, x2, True)
-    raise OverflowError(f"divided difference of exp overflows at {(x0, x1, x2)}")
+        t01 = t01 + c1 * h01
+        t12 = t12 + c1 * h12
+        t02 = t02 + c2 * h012
+    return t01 * h, t12 * h, t02 * (h * h)
+
+
+def _dd_squarings(t01, t12, t02, z0, z1, z2, s: int, exp):
+    """The corner t02 after s squarings of the table, its diagonal from exp
+    (a quarter of the error: Al-Mohy & Higham 2009), three exponentials each."""
+    for _ in range(s):
+        t00, t11, t22 = exp(z0), exp(z1), exp(z2)
+        t02 = t02 * (t00 + t22) + t01 * t12
+        t01 = t01 * (t00 + t11)
+        t12 = t12 * (t11 + t22)
+        z0, z1, z2 = 2.0 * z0, 2.0 * z1, 2.0 * z2
+    return t02
 
 
 def g_right(u: complex, v: complex) -> CoeffValue:

@@ -313,6 +313,7 @@ def _rescaled_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _frobenius_stack(a - b) / np.maximum(_frobenius_stack(a), _frobenius_stack(b))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:
     """Least-squares fit of [X, Y] onto span{X, Y, identity}.
 
@@ -322,7 +323,8 @@ def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:
     singular or its condition estimate exceeds 1e12 (the basis matrices
     nearly dependent), the minimum-norm least-squares solution is returned
     instead.  A fit_residual well above zero means the pair is NOT in the
-    affine commutator class.
+    affine commutator class.  Raises ValueError where the Gram system is
+    not finite, [X, Y] included, without a numpy warning.
     """
     X = as_matrix(X)
     Y = as_matrix(Y)
@@ -337,6 +339,8 @@ def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:
         rhs[i] = np.vdot(Bi, W)
         for j, Bj in enumerate(basis):
             gram[i, j] = np.vdot(Bi, Bj)
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise ValueError("the Gram system of the fit of [X, Y] overflows: the entries are too large")
     coef = None
     try:
         cond = float(np.linalg.cond(gram))

@@ -46,15 +46,17 @@ def c_contour(n: int, u: complex, v: complex) -> complex:
     The 64-node trapezoid rule on the circle |t| = r, r = n / max(|u|,
     |u - v|, 1), where the terms of the Taylor series peak at index n, so
     rounding stays near the scale of C_n.  Raises OverflowError where
-    g_right or r^{2-n} leaves double range.
+    u - v, r, g_right, r^{2-n} or the result leaves double range.
     """
     if n < 2:
         raise ValueError(f"coefficient index must be >= 2, got {n}")
     u = complex(u)
     v = complex(v)
     r = n / max(abs(u), abs(u - v), 1.0)
+    if not r:
+        raise OverflowError(f"c_contour overflows at {(u, v)}: u - v is past double range")
     total = 0j
     for k, w in enumerate(_ROOTS):
         t = r * w
         total += g_right(t * u, t * v).value * _ROOTS[-k * (n - 2) % _NODES]
-    return total * r ** (2 - n) / _NODES
+    return _finite(total * r ** (2 - n) / _NODES, f"C_{n}", u, v)

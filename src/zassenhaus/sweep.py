@@ -19,9 +19,9 @@ on that point's pair.
 A coefficient comes point by point from its scalar function, except
 g_right and g_left = g_right(v, u) at a block's real points, which
 _g_right_array computes at once where the check reads them: g_right's
-closed form and kernel on float arrays, in the scalar operations and
-order, so every value has the scalar bits, the sign of an imaginary
-zero included.
+closed form on float arrays, in the scalar operations and order, and its
+kernel by the same two stages that the scalar kernel runs, so every value
+has the scalar bits, the sign of an imaginary zero included.
 
 A point where the check fails (see verify) is written with an infinite
 residual, and the others go on.  The stacked arithmetic runs with numpy's
@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from . import verify
-from .coeffs import _DD_COEFFS, SWITCH, g_left, g_right
+from .coeffs import _DD_COEFFS, SWITCH, _dd_series, _dd_squarings, g_left, g_right
 from .matrices import _commutator
 from .realizations import heisenberg_3x3
 
@@ -83,7 +83,7 @@ def _g_right_array(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     form where min(|u|, |v|, |u - v|) >= SWITCH, and its kernel
     -e[u - v, u, 0] elsewhere; both are run here on float arrays in the
     scalar operations and order: CPython's complex arithmetic on (re, im)
-    pairs, and _dd_exp's real-node path.
+    pairs, and the kernel's own _dd_series and _dd_squarings on real nodes.
     """
     ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
     done = (ui == 0.0) & (vi == 0.0) & (np.maximum(abs(ur), abs(vr)) <= _ARRAY_BOUND)
@@ -104,45 +104,22 @@ def _g_right_array(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     denom = bottom[0] + bottom[1] * ratio
     values.real[c] = (top[0] + top[1] * ratio) / denom
     values.imag[c] = (top[1] - top[0] * ratio) / denom
+    # The kernel -e[u - v, u, 0] by _dd_exp's own stages: inside _ARRAY_BOUND
+    # no node lies more than 300 above the mean and nothing overflows, so it
+    # takes its mean pass.  Each distinct s squares the points that have it.
     k = np.flatnonzero(done & ~closed)
-    values.real[k] = -_dd_exp_real(ur[k] - vr[k], ur[k])
-    return values, done
-
-
-def _dd_exp_real(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """coeffs._dd_exp(x0, x1, 0.0)[0] at each pair of real nodes, in its
-    operations and order: each point squares its own s times.  Inside
-    _ARRAY_BOUND no node lies more than 300 above the mean and nothing
-    overflows, so _dd_exp never takes its top pass there."""
+    x0, x1 = ur[k] - vr[k], ur[k]
     mean = (x0 + x1 + 0.0) / 3.0
-    z0, z1, z2 = x0 - mean, x1 - mean, 0.0 - mean
-    s = np.maximum(0, np.frexp(np.maximum(np.maximum(abs(z0), abs(z1)), abs(z2)))[1] + 1)
+    y0, y1, y2 = x0 - mean, x1 - mean, 0.0 - mean
+    s = np.maximum(0, np.frexp(np.maximum(np.maximum(abs(y0), abs(y1)), abs(y2)))[1] + 1)
     h = np.ldexp(1.0, -s)
-    z0, z1, z2 = z0 * h, z1 * h, z2 * h
-    p0 = p1 = h01 = h12 = h012 = t01 = t12 = np.ones_like(mean)
-    t02 = np.full_like(mean, 0.5)
-    for c1, c2 in _DD_COEFFS:
-        p0 = p0 * z0
-        p1 = p1 * z1
-        h01 = p0 + z1 * h01
-        h12 = p1 + z2 * h12
-        h012 = h01 + z2 * h012
-        t01 = t01 + c1 * h01
-        t12 = t12 + c1 * h12
-        t02 = t02 + c2 * h012
-    t01 = t01 * h
-    t12 = t12 * h
-    t02 = t02 * (h * h)
-    for step in range(s.max(initial=0)):
-        a = np.flatnonzero(s > step)
-        t00, t11, t22 = _exp(z0[a]), _exp(z1[a]), _exp(z2[a])
-        t02[a] = t02[a] * (t00 + t22) + t01[a] * t12[a]
-        t01[a] *= t00 + t11
-        t12[a] *= t11 + t22
-        z0[a] *= 2.0
-        z1[a] *= 2.0
-        z2[a] *= 2.0
-    return _exp(mean) * t02
+    z = y0 * h, y1 * h, y2 * h
+    t01, t12, t02 = _dd_series(*z, h, _DD_COEFFS)
+    for n in set(s.tolist()):
+        i = np.flatnonzero(s == n)
+        t02[i] = _dd_squarings(t01[i], t12[i], t02[i], *(zi[i] for zi in z), n, _exp)
+    values.real[k] = -(_exp(mean) * t02)
+    return values, done
 
 
 # The array forms a block's subject uses, keyed by the package's own

@@ -642,9 +642,9 @@ def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
     gathered first, in one expm_stack call.
     tol = None selects the default 1e-10, relaxed to 1e-9 when
     ||expm(X+Y)||_F exceeds 1e6 (large-norm exponentials cannot do
-    better in doubles).  A check that raises is converted into a failed
-    result carrying the error in its metadata, so the report is always
-    complete.
+    better in doubles), overflows, or cannot be taken because X + Y is not
+    finite.  A check that raises is converted into a failed result
+    carrying the error in its metadata, so the report is always complete.
     """
     s = _subject(pair)
     s.gather(c.request for c in CHECKS.values())
@@ -653,7 +653,7 @@ def run_suite(pair: AlgebraPair, tol: float | None = None) -> CheckReport:
         try:
             if _frobenius(s.exp("x+y")) > NORM_RELAX_LIMIT:
                 tol = RELAXED_TOL
-        except OverflowError:
+        except (OverflowError, ValueError):
             tol = RELAXED_TOL
     results = []
     for name, check in CHECKS.items():

@@ -161,6 +161,15 @@ def test_cn_table_reports_a_contour_past_double_range(capsys):
     assert last[0] == "800" and last[2:] == ["overflow", "overflow"]
 
 
+@pytest.mark.parametrize("u, v, n", [("1e308", "-1e308", 3), ("1e154", "0", 4)])
+def test_cn_table_reports_a_contour_whose_radius_or_sum_leaves_double_range(u, v, n, capsys):
+    # u - v = -inf made the radius 0, and 0.0 ** -1 a ZeroDivisionError; at
+    # u = 1e154 the sum times r^{2-n} was -inf+nanj and printed as -inf.
+    assert cli.main(["cn-table", f"--u={u}", f"--v={v}", "--max-n", str(n)]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert last == [str(n), "overflow", "overflow", "overflow"]
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -209,6 +218,25 @@ def test_verify_file_pair_outside_class_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err
     assert "fit_residual" in err
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([[0.0, 1e200], [0.0, 0.0]], [[1.0, 1e200], [0.0, 0.0]]),
+        ([[1.0, 1e200], [0.0, 0.0]], [[0.0, 1e200], [0.0, 0.0]]),
+        ([[1e160, 1e160], [0.0, 0.0]], [[0.0, 1e160], [0.0, 1e160]]),
+    ],
+)
+def test_verify_file_pair_whose_fit_overflows_is_refused(tmp_path, x, y, capsys):
+    # Gram entries near 1e400, or a commutator past double range: lstsq
+    # raised LinAlgError out of main.
+    x = _write_matrix(tmp_path / "x.json", x)
+    y = _write_matrix(tmp_path / "y.json", y)
+    assert cli.main(["verify", "--x", x, "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --x/--y: the Gram system of the fit of [X, Y] overflows")
 
 
 def test_verify_file_dimension_mismatch(tmp_path, capsys):

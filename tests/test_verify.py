@@ -385,6 +385,21 @@ def test_run_suite_converts_errors_into_failed_results():
         assert by_name[name].passed, name
 
 
+def test_run_suite_reports_every_check_where_x_plus_y_is_not_finite():
+    # X + Y holds 2e308 = inf: the tolerance probe's e^{X+Y} raised its
+    # ValueError out of run_suite instead of relaxing the tolerance.
+    X = np.array([[0, 1e308], [0, 0]], dtype=complex)
+    Y = np.array([[1, 1e308], [0, 0]], dtype=complex)
+    report = run_suite(AlgebraPair(X, Y, -1, 0, 0, matrices.commutator(X, Y), "huge"))
+    assert [r.name for r in report.results] == list(verify.CHECKS)
+    assert not any(r.passed for r in report.results)
+    assert all(r.tolerance == RELAXED_TOL and r.residual == math.inf for r in report.results)
+    errors = {r.name: r.metadata["error"] for r in report.results}
+    assert all(error.startswith(("OverflowError", "ValueError")) for error in errors.values())
+    reads_x_plus_y = [name for name, error in errors.items() if error == "ValueError: matrix entries must be finite"]
+    assert reads_x_plus_y == ["ab-structure", "integral", "product"]
+
+
 def test_passed_flag_is_consistent_with_residual():
     for pair in [AFFINE, HEIS, su11_pair(Ladder.RAISE_SQ, 6)]:
         for r in run_suite(pair).results:
