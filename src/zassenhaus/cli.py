@@ -265,9 +265,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     us = np.linspace(args.u_min, args.u_max, args.steps).tolist()
     vs = np.linspace(args.v_min, args.v_max, args.steps).tolist()
-    # Each coordinate is formatted once; u_im and v_im are always 0.
-    v_texts = [_fmt_float(v, 17) for v in vs]
+    # Each coordinate is formatted once; u_im and v_im are always 0.  A
+    # line is its row's u text, its column's text up to the residual, the
+    # residual and one of two ends.
     zero = _fmt_float(0.0, 17)
+    middles = [f",{zero},{_fmt_float(v, 17)},{zero}," for v in vs]
     # Opened before any point is computed, so that a path that cannot be
     # written fails at once; this truncates an existing file, and a sweep
     # cut short leaves the rows written so far.  No field needs quoting, so
@@ -290,14 +292,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for u in us:
             u_text = _fmt_float(u, 17)
             lines = []
-            # zip draws from v_texts first, so it stops at the end of a row
+            # zip draws from middles first, so it stops at the end of a row
             # without taking the next row's first residual.
-            for v_text, residual in zip(v_texts, residuals):
-                passed = residual <= DEFAULT_TOL
-                if not passed:
+            for middle, residual in zip(middles, residuals):
+                if residual <= DEFAULT_TOL:
+                    end = ",true\r\n"
+                else:
+                    end = ",false\r\n"
                     failures += 1
-                passed_text = "true" if passed else "false"
-                lines.append(f"{u_text},{zero},{v_text},{zero},{residual:.17g},{passed_text}\r\n")
+                lines.append(f"{u_text}{middle}{residual:.17g}{end}")
             fh.write("".join(lines))
     print(
         f"sweep {args.check}: wrote {len(us) * len(vs)} rows to {args.out}; "

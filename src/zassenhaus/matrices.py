@@ -7,10 +7,8 @@ function; nothing mutates its arguments.
 expm_stack is the matrix exponential of every slice of a stack, each
 with its own scaling, stopping test and squarings; expm is its one-slice
 case, so every slice of a stack is bit-identical to expm of that slice.
-Its stopping test compares two exact 1-norms, and runs only on a slice
-whose Taylor term passes a screen of one reduction, its largest real or
-imaginary part: on any other slice the test cannot fire, so the screen
-changes no slice's stopping term and no bit (see _EXPM_SCREEN).
+Its stopping test compares two exact 1-norms on every slice still
+accumulating, each norm reduced along the stack (see _one_norms).
 
 The public functions validate their arguments.  The underscored kernels
 (_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
@@ -49,15 +47,6 @@ MAX_DIM = 64
 # below EXPM_REL_EPS of the partial sum's, or after EXPM_MAX_TERMS terms.
 _EXPM_REL_EPS = 1e-18
 _EXPM_MAX_TERMS = 60
-# The stopping test runs only on a slice whose term has no real or
-# imaginary part of this size or more; it cannot fire on the others.  The
-# scaled slice has a 1-norm of at most 1, so every computed partial sum
-# has one below e(1 + 1e-12) < 4, and the test's bound, EXPM_REL_EPS times
-# that norm, is below this (4 * EXPM_REL_EPS is exact, and rounding is
-# monotone).  A term's computed 1-norm is at least its largest entry
-# modulus, a sum of nonnegative floats being no smaller than its parts,
-# and that modulus, hypot(re, im), at least |re| and |im|.
-_EXPM_SCREEN = 4 * _EXPM_REL_EPS
 # A 1-norm beyond this puts e^A outside double range.
 _EXPM_NORM_LIMIT = 700.0
 
@@ -92,9 +81,26 @@ def _same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionMismatch(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
+def _stack_last(A: np.ndarray) -> np.ndarray:
+    # A (p, q, M) copy of the M matrices of a (..., p, q) array.  A
+    # reduction over each matrix's entries then runs along the stack, one
+    # inner loop of length M per entry, where reducing within each matrix
+    # runs one of length q per row of each matrix.
+    return A.reshape(-1, *A.shape[-2:]).transpose(1, 2, 0).copy()
+
+
+def _per_slice(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(A, axis=(-2, -1)) of a (..., p, q) array, reduced
+    along the stack: for np.logical_and and np.logical_or, the same
+    result as A.all and A.any over each matrix."""
+    return ufunc.reduce(_stack_last(A), axis=(0, 1)).reshape(A.shape[:-2])
+
+
 def _one_norms(A: np.ndarray) -> np.ndarray:
     # The 1-norm of each slice of an (N, n, n) stack: max column sum.
-    return np.maximum.reduce(np.add.reduce(np.abs(A), axis=1), axis=1)
+    # Reduced along the stack, each column sum adds its rows in row order,
+    # as np.add.reduce(axis=1) of the stack does, so it has the same bits.
+    return np.maximum.reduce(np.add.reduce(_stack_last(np.abs(A)), axis=0), axis=0)
 
 
 def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -138,12 +144,9 @@ def expm_stack(A) -> np.ndarray:
     term) and exactly s squarings.  Every slice of the result is
     therefore bit-identical to expm of that slice; a zero slice gives the
     identity exactly.  The stopping test, ||term||_1 < 1e-18 ||partial||_1,
-    runs only on the slices whose term has no real or imaginary part of
-    4e-18 or more: a partial sum's 1-norm stays below 4 and a term's is
-    at least its largest part, so on the other slices the test cannot
-    fire.  A slice whose 1-norm exceeds 700 comes back filled with NaN and
-    leaves the other slices untouched; expm of that slice raises
-    OverflowError.
+    runs on every slice still accumulating, after each term.  A slice
+    whose 1-norm exceeds 700 comes back filled with NaN and leaves the
+    other slices untouched; expm of that slice raises OverflowError.
     """
     return _expm_stack(_as_square(A, 3, "an (N, n, n) stack"))
 
@@ -181,10 +184,9 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
             term = term @ B
             term /= k
         partial += term
-        # The stopping test, on the slices that pass the screen only.
-        done = _largest_parts(term) < _EXPM_SCREEN
-        if done.any():
-            done[done] = _one_norms(term[done]) < _EXPM_REL_EPS * _one_norms(partial[done])
+        # The term's and the partial sum's 1-norms, in one reduction.
+        term_norms, partial_norms = _one_norms(np.concatenate([term, partial])).reshape(2, -1)
+        done = term_norms < _EXPM_REL_EPS * partial_norms
         if done.any():
             result[todo[done]] = partial[done]
             going = ~done
@@ -197,11 +199,6 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
         R = result[squaring]
         result[squaring] = R @ R
     return result
-
-
-def _largest_parts(A: np.ndarray) -> np.ndarray:
-    # The largest |re| or |im| of each slice's entries, in one reduction.
-    return np.abs(A.view(float).reshape(len(A), -1)).max(axis=1)
 
 
 def _scale_exponents(norms: np.ndarray) -> np.ndarray:
@@ -288,7 +285,7 @@ def _rel_residuals(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     C-contiguous (..., n, n) arrays that broadcast to at least one leading
     axis, with its bits wherever finite; finite is False where
     _rel_residual raises."""
-    finite = np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1))
+    finite = _per_slice(np.logical_and, np.isfinite(A) & np.isfinite(B))
     scale = np.maximum(np.maximum(1.0, _frobenius_stack(A)), _frobenius_stack(B))
     residuals = _frobenius_stack(A - B) / scale
     # A finite pair whose sums of squares overflow: its scale or residual

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import verify
 from .coeffs import _DD_COEFFS, SWITCH, _dd_series, _dd_squarings, g_left, g_right
-from .matrices import _commutator
+from .matrices import _commutator, _per_slice
 from .realizations import heisenberg_3x3
 
 __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
@@ -149,7 +149,7 @@ def lattice_points(u: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, tuple
         W = _commutator(X, Y)
     origin = (u == 0.0) & (v == 0.0)
     groups = []
-    affine = np.flatnonzero(~origin & np.isfinite(W).all(axis=(1, 2)))
+    affine = np.flatnonzero(~origin & _per_slice(np.logical_and, np.isfinite(W)))
     if affine.size:
         groups.append((affine, (X[affine], Y[affine], W[affine], u[affine], v[affine])))
     origin = np.flatnonzero(origin)

@@ -44,6 +44,7 @@ from .matrices import (
     _commutator,
     _conjugate_series,
     _frobenius,
+    _per_slice,
     _rel_residual,
     _rel_residuals,
     expm,
@@ -230,10 +231,10 @@ class _Subject:
     def gather(self, requests, table=None):
         """Exponentiate each distinct matrix that the requests ((fn, args)
         or None) name, once: keyed by raw bytes (-0.0 and +0.0 stay apart)
-        in one np.unique call, in one expm_stack call.  A matrix other than
-        X, Y and X + Y fails where a value its request read failed; one
-        with a non-finite entry or a NaN exponential fails; a failed
-        exponential is the identity.
+        and sorted in one _unique_rows call, in one expm_stack call.  A
+        matrix other than X, Y and X + Y fails where a value its request
+        read failed; one with a non-finite entry or a NaN exponential fails;
+        a failed exponential is the identity.
 
         Returns the table (keys, exps): the sorted distinct keys and their
         exponentials, or None where nothing is requested.  Each key is
@@ -257,15 +258,13 @@ class _Subject:
             return None
         keys, n, N = list(named), self.X.shape[-1], self.size
         A = np.array(list(named.values())).reshape(-1, n, n)
-        ok = np.isfinite(A).all(axis=(1, 2))
+        ok = _per_slice(np.logical_and, np.isfinite(A))
         for k, key in enumerate(keys):
             for i in inherited.get(key, ()):
                 ok[k * N + i] = False
         live = np.flatnonzero(ok)
         rows = A[live].reshape(len(live), n * n)
-        # One raw-bytes key per matrix: the row of its n*n entries.
-        content = rows.view(np.dtype((np.void, rows.itemsize * n * n))).ravel()
-        distinct, first, inverse = np.unique(content, return_index=True, return_inverse=True)
+        distinct, first, inverse = _unique_rows(rows)
         # No table is an empty one: every distinct matrix misses.
         known, carried = table or (distinct[:0], np.empty((0, n, n), dtype=complex))
         at = np.searchsorted(known, distinct)
@@ -280,12 +279,32 @@ class _Subject:
         pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
         identity = len(exps)
         where = np.full(len(A), identity)
-        where[live] = np.where(np.isnan(exps).any(axis=(1, 2)), identity, np.arange(identity))[inverse]
+        where[live] = np.where(_per_slice(np.logical_or, np.isnan(exps)), identity, np.arange(identity))[inverse]
         for p in np.flatnonzero(where == identity).tolist():
             key, i = keys[p // N], p % N
             self.failed.setdefault(key, {})[i] = inherited.get(key, {}).get(i, A[p])
         self.exps.update(zip(keys, _read_only(pool[where.reshape(len(keys), *self.X.shape[:-2])])))
         return distinct, exps
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(keys, return_index=True, return_inverse=True), keys the
+    raw bytes of each row of a C-contiguous (M, k) complex array as one
+    void each (so -0.0 and +0.0, and NaN payloads, stay apart).
+
+    np.unique's own steps, its stable sort and its cumulative sum, but each
+    sorted key is compared with the next by its 64-bit words, along the
+    stack, where np.unique compares void scalars one pair at a time."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    words = rows.view(np.uint64)[order, None]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    new[1:] = _per_slice(np.logical_or, words[1:] != words[:-1])
+    first = order[new]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return keys[first], first, inverse
 
 
 def _subject(pair, *request) -> _Subject:
@@ -520,7 +539,7 @@ def _request_hadamard(s, t: complex) -> dict:
 def _hadamard(s, t: complex, K: int):
     series = _conjugate_series(s.X, s.Y, t, K)
     # An ad power past double range: the error of a validated commutator.
-    s.fail_unless(np.isfinite(series).all(axis=(-2, -1)))
+    s.fail_unless(_per_slice(np.logical_and, np.isfinite(series)))
     direct = s.exp(("-tX", t)) @ s.Y @ s.exp(("tX", t))
     return s.residual(series, direct)
 

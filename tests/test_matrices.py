@@ -22,7 +22,7 @@ from zassenhaus.matrices import (
     load_matrix,
     rel_residual,
 )
-from zassenhaus.matrices import _frobenius_stack, _one_norms, _rel_residuals
+from zassenhaus.matrices import _frobenius_stack, _one_norms, _per_slice, _rel_residuals
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -370,6 +370,54 @@ def test_expm_stack_has_the_bits_of_the_unscreened_loop(n):
     for i in rng.permutation(len(stack))[:8]:
         one = expm_stack(stack[i:i + 1])[0]
         assert np.array_equal(one.view(np.uint64), expected[i].view(np.uint64))
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e-300]
+
+
+def _awkward_stack(rng, N, n, scale=1.0):
+    """N complex n x n matrices whose parts span 40 decades times scale, a
+    third of the slices with no special value, the others with NaN, +-inf,
+    -0.0 or subnormal parts at a rate of 1 % or 20 %."""
+    parts = rng.normal(size=(N, n, 2 * n)) * 10.0 ** rng.uniform(-20.0, 20.0, size=(N, n, 2 * n)) * scale
+    rate = rng.choice([0.0, 0.01, 0.2], size=(N, 1, 1))
+    special = rng.random(parts.shape) < rate
+    parts[special] = rng.choice(_SPECIALS, size=int(special.sum()))
+    return parts.view(complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
+def test_one_norms_has_the_bits_of_the_reduction_within_each_slice(n):
+    rng = np.random.default_rng(2500 + n)
+    stacks = [_awkward_stack(rng, N, n) for N in (1, 3, 40)]
+    stacks.append(_awkward_stack(rng, 40, n, 1e-290))  # subnormal column sums
+    # A finite, an infinite and a NaN norm, whatever the draws gave.
+    stacks.append(np.ones((3, n, n), dtype=complex))
+    stacks[-1][0, -1, 0], stacks[-1][1, 0, -1] = complex(-np.inf, 1.0), complex(0.0, np.nan)
+    for A in stacks:
+        expected = np.maximum.reduce(np.add.reduce(np.abs(A), axis=1), axis=1)
+        assert np.array_equal(_one_norms(A).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (1, 1, 1), (7, 2, 2), (5, 3, 3), (4, 8, 8), (3, 2, 64, 64), (2, 2)])
+def test_per_slice_is_all_and_any_over_each_matrix(shape):
+    rng = np.random.default_rng(2520 + len(shape) + shape[-1])
+    for rate in (0.0, 0.02, 0.5, 0.98, 1.0):
+        mask = rng.random(shape) < rate
+        for ufunc, reduce in ((np.logical_and, mask.all), (np.logical_or, mask.any)):
+            got, expected = _per_slice(ufunc, mask), reduce(axis=(-2, -1))
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
+def test_rel_residuals_flags_a_non_finite_pair_as_the_reduction_within_each_pair_does():
+    rng = np.random.default_rng(2530)
+    for shape_a, shape_b in (((9, 2, 2), (9, 2, 2)), ((3, 3), (6, 3, 3)), ((2, 5, 4, 4), (5, 4, 4))):
+        A, B = (_awkward_stack(rng, int(np.prod(s[:-2])), s[-1]).reshape(s) for s in (shape_a, shape_b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, finite = _rel_residuals(A, B)
+        expected = np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1))
+        assert finite.shape == expected.shape and np.array_equal(finite, expected)
 
 
 def test_expm_stack_validates_its_input():

@@ -1216,3 +1216,39 @@ def test_no_non_finite_matrix_or_nan_result_enters_the_table(expm_stack_calls):
     assert list(s.failed) == [("-tX", 1e308 + 0j), ("tX", 1e308 + 0j)]
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         s.exp(("tX", 1e308 + 0j))
+
+
+def _nan(payload: int, negative: bool = False) -> float:
+    """The quiet NaN with this payload (below 2**51) and sign."""
+    return np.array([(int(negative) << 63) | (0xFFF << 51) | payload], dtype=np.uint64).view(float)[0]
+
+
+def _rows_of_parts(parts) -> np.ndarray:
+    # Complex rows with exactly these (re, im) bits: a product like 1j * -0.0
+    # would not keep the sign of every zero.
+    return np.array(parts, dtype=float).view(complex)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9, 64])
+def test_unique_rows_is_np_unique_of_the_raw_bytes(k):
+    rng = np.random.default_rng(2540 + k)
+    base = rng.normal(size=2 * k)
+    variants = [base.copy() for _ in range(8)]
+    # Keys that differ only in the sign of a zero, or a NaN's payload or
+    # sign, and subnormal and infinite parts.
+    variants[0][0], variants[1][0] = 0.0, -0.0
+    variants[2][-1], variants[3][-1], variants[4][-1] = _nan(0), _nan(1), _nan(0, negative=True)
+    variants[5][k - 1], variants[6][k - 1] = 5e-324, -np.inf
+    variants += [rng.normal(size=2 * k) for _ in range(4)]
+    pool = _rows_of_parts(variants)
+    cases = [pool[:0], pool[:1], pool, pool[rng.integers(len(pool), size=200)]]
+    for rows in cases:
+        keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
+        expected = np.unique(keys, return_index=True, return_inverse=True)
+        got = verify._unique_rows(rows)
+        assert got[0].dtype == expected[0].dtype and got[0].tobytes() == expected[0].tobytes()
+        for a, b in zip(got[1:], expected[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # Each variant is a key of its own, though as numbers 0.0 == -0.0 and NaN != NaN.
+    assert len(verify._unique_rows(pool)[0]) == len(pool)
+    assert len(verify._unique_rows(cases[-1])[0]) == len(np.unique(cases[-1].view(np.uint64), axis=0))
