@@ -8,7 +8,14 @@ expm_stack is the matrix exponential of every slice of a stack, each
 with its own scaling, stopping test and squarings; expm is its one-slice
 case, so every slice of a stack is bit-identical to expm of that slice.
 Its stopping test compares two exact 1-norms on every slice still
-accumulating, each norm reduced along the stack (see _one_norms).
+accumulating, each norm reduced along the stack (see _one_norms).  A
+real stack with no nonzero entry below its first row (every point of
+affine_2x2 with real u and v) takes each Taylor term as t00 * B in place
+of term @ B: each entry of that product is t00 b0j beside exact zeros,
+so @ rounds it once in any summation order, with or without a fused
+multiply-add, and the elementwise product gives the same value.  Only
+the sign of a zero can differ, and no partial sum keeps it: they start
+from the identity, whose zeros are +0, and +0 + (+-0) = +0.
 
 The public functions validate their arguments.  The underscored kernels
 (_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
@@ -147,6 +154,10 @@ def expm_stack(A) -> np.ndarray:
     runs on every slice still accumulating, after each term.  A slice
     whose 1-norm exceeds 700 comes back filled with NaN and leaves the
     other slices untouched; expm of that slice raises OverflowError.
+    Where every slice is real with no nonzero entry below its first row,
+    each Taylor term is t00 * B, with the bits of term @ B (see the module
+    docstring), so a slice's bits still do not depend on its partners.
+    The squarings always take @.
     """
     return _expm_stack(_as_square(A, 3, "an (N, n, n) stack"))
 
@@ -172,6 +183,9 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
     s = _scale_exponents(norms)
     B = A / (2.0 ** s)[:, None, None]
     result = np.empty_like(B)
+    # A real stack with no nonzero entry below its first row: each entry of
+    # term @ B is t00 b0j beside exact zeros, one rounding in any order.
+    one_row = not B.imag.any() and not B[:, 1:].any()
     # Slices still accumulating: their positions in A, terms and sums.
     todo = np.arange(len(A))
     partial = np.broadcast_to(np.eye(n, dtype=complex), B.shape).copy()
@@ -181,7 +195,7 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
             # no partial sum keeps: it never holds a -0.0.
             term = B
         else:
-            term = term @ B
+            term = term[:, :1, :1] * B if one_row else term @ B
             term /= k
         partial += term
         # The term's and the partial sum's 1-norms, in one reduction.

@@ -96,8 +96,11 @@ def affine_2x2(u: complex, v: complex, b: complex, d: complex) -> AlgebraPair:
     """Minimal 2x2 realization of [X,Y] = uX + vY (c = 0).
 
     X = [[v, b], [0, 0]] and Y = [[-u, d], [0, 0]] give
-    [X, Y] = (ub + vd) E12 = uX + vY with every floating-point operation
-    landing exactly (the only nonzero entry is a sum of two products).
+    [X, Y] = (ub + vd) E12 = uX + vY.  For real entries each entry of XY
+    and YX is a single product beside exact zeros, rounded once, and
+    W[0, 0] = v(-u) - (-u)v is exactly 0 (NaN where uv overflows); the
+    only nonzero entry, ub + vd, is still rounded once.  For complex
+    entries each of those products is a sum of two real products.
     Requires ub + vd != 0, otherwise W = 0 and the pair is degenerate.
     """
     u = complex(u)

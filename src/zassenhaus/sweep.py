@@ -16,6 +16,16 @@ operation on each slice, and so is each stacked Frobenius norm and each
 expm_stack slice, so every residual has the bits of the public check's
 on that point's pair.
 
+The lattice is real, and its W = [X, Y] is written in closed form, with
+no product of matrices.  The nonzero entries of XY and YX are v(-u),
+vd, (-u)v and -u, with d = +-1, and every other real product that @
+adds into an entry has a factor 0.  So @ rounds each entry once, in any
+summation order and with or without a fused multiply-add, and
+W = (p - p, vd + u) in its first row, with p = v(-u), has its bits, the
+NaN where uv overflows included.  For complex u and v, XY[0, 0] and
+YX[0, 0] would each be a sum of two real products, which a fused kernel
+need not round to the same value.
+
 A coefficient comes point by point from its scalar function, except
 g_right and g_left = g_right(v, u) at a block's real points, which
 _g_right_array computes at once where the check reads them: g_right's
@@ -39,7 +49,6 @@ import numpy as np
 
 from . import verify
 from .coeffs import _DD_COEFFS, SWITCH, _dd_series, _dd_squarings, g_left, g_right
-from .matrices import _commutator, _per_slice
 from .realizations import heisenberg_3x3
 
 __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
@@ -137,19 +146,26 @@ def lattice_points(u: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, tuple
     pair heisenberg_3x3(1) as another, in the order of their first point.
     A stack is (X, Y, W, u, v): (N, n, n) arrays X, Y and W = [X, Y], and
     the N points' u and v.  A point whose W has a non-finite entry, where
-    AlgebraPair would refuse the pair, is in no stack.
+    AlgebraPair would refuse the pair, is in no stack.  u and v are real
+    float arrays: W is written as (p - p, vd + u) in its first row, with
+    p = v(-u) and zeros elsewhere, the bits of _commutator(X, Y) for a
+    real pair (see the module docstring), and not for a complex one.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.where(u + v != 0.0, 1.0, -1.0)
+        p = v * -u
+        w00, w01 = p - p, v * d + u
     X = np.zeros((len(u), 2, 2), dtype=complex)
-    Y = np.zeros_like(X)
+    Y, W = np.zeros_like(X), np.zeros_like(X)
     X[:, 0, 0] = v
     X[:, 0, 1] = 1.0
     Y[:, 0, 0] = -u.astype(complex)
-    Y[:, 0, 1] = np.where(u + v != 0.0, 1.0, -1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = _commutator(X, Y)
+    Y[:, 0, 1] = d
+    W[:, 0, 0] = w00
+    W[:, 0, 1] = w01
     origin = (u == 0.0) & (v == 0.0)
     groups = []
-    affine = np.flatnonzero(~origin & _per_slice(np.logical_and, np.isfinite(W)))
+    affine = np.flatnonzero(~origin & np.isfinite(w00) & np.isfinite(w01))
     if affine.size:
         groups.append((affine, (X[affine], Y[affine], W[affine], u[affine], v[affine])))
     origin = np.flatnonzero(origin)

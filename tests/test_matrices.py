@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from zassenhaus import matrices
 from zassenhaus.matrices import (
     MAX_DIM,
     _frobenius,
@@ -370,6 +371,82 @@ def test_expm_stack_has_the_bits_of_the_unscreened_loop(n):
     for i in rng.permutation(len(stack))[:8]:
         one = expm_stack(stack[i:i + 1])[0]
         assert np.array_equal(one.view(np.uint64), expected[i].view(np.uint64))
+
+
+def _taylor_products(stack):
+    """(expm_stack of a valid stack, how many Taylor products term @ B it
+    made): a squaring R @ R is the one product with one array on both
+    sides."""
+    taylor = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            taylor.append(self is not other)
+            return super().__matmul__(other)
+
+    return np.asarray(matrices._expm_stack(stack.view(Counted))), sum(taylor)
+
+
+_ONE_ROW_NORMS = [1e-300, 3e-300, 1e-200, 1e-20, 1e-3, 0.3, 0.75, 1.0, 1.5, 7.0, 90.0, 600.0,
+                  np.nextafter(700.0, 0.0), 700.0]
+
+
+def _one_row_stack(rng, n):
+    """Real n x n slices with no nonzero entry below the first row: first
+    rows of 1-norm 1e-300 to 700, rows of +-5e-324, rows with a zero
+    diagonal entry, all-zero rows, and -0.0 in about half of the zero
+    real parts and of the imaginary parts."""
+    rows = []
+    for norm in _ONE_ROW_NORMS:
+        row = norm * rng.uniform(-1.0, 1.0, n)
+        row[rng.integers(n)] = norm * rng.choice([1.0, -1.0])
+        rows.append(row)
+    tiny = rng.choice([5e-324, -5e-324], n)
+    rows += [tiny, np.concatenate([[3.0], tiny[1:]]), np.zeros(n), np.full(n, -0.0)]
+    rows += [np.concatenate([[zero], rng.uniform(-40.0, 40.0, n - 1)]) for zero in (0.0, -0.0)]
+    stack = np.zeros((len(rows), n, n), dtype=complex)
+    stack[:, 0] = rows
+    zero = (stack.real == 0.0) & (rng.random(stack.shape) < 0.5)
+    stack.real[zero] = -0.0
+    stack.imag[rng.random(stack.shape) < 0.5] = -0.0
+    return stack[rng.permutation(len(stack))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_a_real_one_row_stack_takes_no_taylor_product_and_has_the_bytes_of_the_loop(n):
+    # Each entry of term @ B is t00 b0j beside exact zeros: the elementwise
+    # product rounds it once, as the loop's @ does.
+    rng = np.random.default_rng(2600 + n)
+    stack = _one_row_stack(rng, n)
+    out, taylor = _taylor_products(stack)
+    assert taylor == 0
+    assert out.tobytes() == _expm_stack_reference(stack)[0].tobytes()
+    assert expm_stack(stack).tobytes() == out.tobytes()
+    for a, e in zip(stack, out):
+        assert expm(a).tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_a_complex_or_two_row_slice_sends_the_stack_to_matmul_with_the_same_bytes(n):
+    rng = np.random.default_rng(2620 + n)
+    one_row = _one_row_stack(rng, n)
+    # Two slices well inside the limit, so that neither leaves the stack.
+    i, j = np.flatnonzero((_one_norms(one_row) > 0.1) & (_one_norms(one_row) < 100.0))[:2]
+    stacks = [one_row.copy()]
+    stacks[0][i, 0, -1] += 1e-3j
+    if n > 1:
+        stacks.append(one_row.copy())
+        stacks[1][j, n - 1, 0] = 0.25
+    for stack in stacks:
+        out, taylor = _taylor_products(stack)
+        assert taylor > 0
+        assert out.tobytes() == _expm_stack_reference(stack)[0].tobytes()
+        for a, e in zip(stack, out):
+            assert expm(a).tobytes() == e.tobytes()
+    # The real one-row slices kept their bits through the other path.
+    same = np.ones(len(one_row), dtype=bool)
+    same[[i, j]] = False
+    assert out[same].tobytes() == _taylor_products(one_row)[0][same].tobytes()
 
 
 _SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e-300]

@@ -8,7 +8,8 @@ import pytest
 
 from zassenhaus import coeffs, sweep, verify
 from zassenhaus.coeffs import g_left, g_right
-from zassenhaus.sweep import lattice_residuals
+from zassenhaus.realizations import affine_2x2, heisenberg_3x3
+from zassenhaus.sweep import lattice_points, lattice_residuals
 
 _RNG_SEED = 21
 _BOUND = sweep._ARRAY_BOUND
@@ -137,3 +138,52 @@ def test_only_a_check_that_reads_g_right_or_g_left_computes_the_array_form(check
     }
     assert calls == reads.get(check, [])
     assert [r.hex() for r in residuals] == [r.hex() for r in _scalar_residuals(check, grid, grid, monkeypatch)]
+
+
+# Zeros of both signs, the smallest subnormal, 1.3e154 (uv stays finite,
+# 1.69e308), 1.4e154 and 1e308 (uv overflows, so W[0, 0] is NaN; with
+# u + v = 0, vd + u = 2e308 does too), each against each.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.3e154, -1.3e154, 1.4e154, -1.4e154, 1e308, -1e308, 1.0, -2.5]
+
+
+def _realization(u, v):
+    """The pair of a lattice point, or None where it cannot be built."""
+    if u == 0.0 and v == 0.0:
+        return heisenberg_3x3(1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return affine_2x2(u, v, 1, 1 if u + v != 0.0 else -1)
+    except ValueError:
+        return None
+
+
+def test_lattice_points_have_the_bytes_of_the_realizations_and_refuse_the_same_points():
+    u, v = np.repeat(_EDGES, len(_EDGES)), np.tile(_EDGES, len(_EDGES))
+    pairs = [_realization(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    seen = []
+    for positions, (X, Y, W, us, vs) in lattice_points(u, v):
+        for j, i in enumerate(positions.tolist()):
+            pair = pairs[i]
+            for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
+                assert got[j].tobytes() == want.tobytes()
+            assert (complex(us[j]), complex(vs[j])) == (pair.u, pair.v)
+            seen.append(i)
+    assert sorted(seen) == [i for i, pair in enumerate(pairs) if pair is not None]
+    # Both overflows refuse points, and 1.3e154 squared does not.
+    assert pairs[_EDGES.index(1.4e154) * (len(_EDGES) + 1)] is None
+    assert pairs[_EDGES.index(1e308) * len(_EDGES) + _EDGES.index(-1e308)] is None
+    assert pairs[_EDGES.index(1.3e154) * (len(_EDGES) + 1)] is not None
+
+
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_lattice_of_edges_has_the_public_residual_at_each_point(check):
+    residuals = list(lattice_residuals(check, _EDGES, _EDGES))
+    expected = []
+    for a in _EDGES:
+        for b in _EDGES:
+            pair = _realization(a, b)
+            try:
+                expected.append(verify.CHECKS[check](pair, verify.DEFAULT_TOL).residual if pair else math.inf)
+            except Exception:  # noqa: BLE001 - the sweep writes inf where the check raises
+                expected.append(math.inf)
+    assert [r.hex() for r in residuals] == [r.hex() for r in expected]

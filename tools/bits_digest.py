@@ -9,12 +9,16 @@ numpy.  The families:
 - verify: the stdout and exit code of ``zassenhaus verify --pair P
   --format json`` for each of the five built-in pairs;
 - sweep: the CSV bytes and exit code of ``zassenhaus sweep`` for each of
-  the nine checks on each of WINDOWS, the last reaching |u| = |v| = 700;
+  the nine checks on each of WINDOWS: one reaching |u| = |v| = 700, one
+  out to |u| = |v| = 1.5e154, where uv leaves double range at some points
+  (their pairs are refused) and not at others, and one from --u-min=-0;
 - coeffs: the five coefficients' value bits, method and terms_used (or
   the exception's type and message) at each of a seeded set of points:
   complex points at several scales, and real points on and beside the
   switch seams, the diagonal u = v, the axes, the line u + v = 0 and the
-  lines u - v = 2 pi i k, out to |u| = 800.
+  lines u - v = 2 pi i k, out to |u| = 800.  The points are drawn with
+  numpy's generator and scaled with math.pow, so that they do not depend
+  on numpy's CPU dispatch.
 
 ``--tree DIR`` digests the package in DIR/src in place of this
 checkout's.  ``--against REV`` exports REV with ``git archive`` into a
@@ -42,7 +46,13 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = ("affine2", "heisenberg3", "su11-raise", "su11-lower", "lindblad")
 # (u_min, u_max, v_min, v_max, steps) of each sweep.
-WINDOWS = ((-3.0, 3.0, -3.0, 3.0, 9), (-40.0, 25.0, -12.0, 60.0, 8), (-700.0, 700.0, -700.0, 700.0, 11))
+WINDOWS = (
+    (-3.0, 3.0, -3.0, 3.0, 9),
+    (-40.0, 25.0, -12.0, 60.0, 8),
+    (-700.0, 700.0, -700.0, 700.0, 11),
+    (-1.5e154, 1.5e154, -1.5e154, 1.5e154, 7),
+    (-0.0, 3.0, -3.0, 3.0, 7),
+)
 SEED = 2501
 
 
@@ -91,7 +101,8 @@ def _points() -> list[tuple[complex, complex]]:
         im = rng.uniform(-scale, scale, size=(2000, 2)) * (rng.random((2000, 2)) < 0.7)
         points += [(complex(a, b), complex(c, d)) for (a, c), (b, d) in zip(re.tolist(), im.tolist())]
     u = rng.uniform(-800.0, 800.0, size=1500).tolist()
-    tiny = (10.0 ** rng.uniform(-16.0, 0.0, size=1500) * rng.choice([-1.0, 1.0], size=1500)).tolist()
+    exponents, signs = rng.uniform(-16.0, 0.0, size=1500).tolist(), rng.choice([-1.0, 1.0], size=1500).tolist()
+    tiny = [math.pow(10.0, e) * sign for e, sign in zip(exponents, signs)]
     for a, d in zip(u, tiny):
         points += [(a, a + d), (a, d), (d, a), (a, -a + d), (a, -a)]
     for a, d in zip(rng.uniform(-2.0, 2.0, size=500).tolist(), tiny):
