@@ -8,13 +8,11 @@ Each stack is a verify subject with a points axis, read by the same
 request and arithmetic as one pair: each distinct requested matrix is
 exponentiated once, in one expm_stack call per shape per block, and the
 check's products and relative residual run once over the stack.  A block
-carries the previous block's table of distinct matrices and exponentials,
-one per shape, and stacks only what that table lacks: e^X depends on v
-alone and e^{X+Y} on v - u, so most of them were in the previous block.  A
-stacked @, commutator or scalar multiple is bit-identical to the same
-operation on each slice, and so is each stacked Frobenius norm and each
-expm_stack slice, so every residual has the bits of the public check's
-on that point's pair.
+keeps nothing from the block before: a matrix that two blocks name is
+stacked in each.  A stacked @, commutator or scalar multiple is
+bit-identical to the same operation on each slice, and so is each
+stacked Frobenius norm and each expm_stack slice, so every residual has
+the bits of the public check's on that point's pair.
 
 The lattice is real, and its W = [X, Y] is written in closed form, with
 no product of matrices.  The nonzero entries of XY and YX are v(-u),
@@ -54,13 +52,13 @@ from .realizations import heisenberg_3x3
 __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 
 # The matrices that a block may request, over all its points: this bounds
-# a block's memory, and that of the one table it carries, whatever the
-# lattice size.  The 41x41 disentangle-right sweep (4 per point) runs in
-# two blocks of at most 1024 points, and stacks each of its distinct
-# matrices once.  Sized by measurement on that sweep (perfbench's
-# sweep-lattice): its peak memory is 35.3 MiB, 0.7 MiB above four blocks
-# of 512 points; one block for the whole lattice measured about 2 MiB
-# above one row per block.
+# a block's memory whatever the lattice size.  The 41x41 disentangle-right
+# sweep (4 per point) runs in two blocks of at most 1024 points, which
+# stack 2102 slices for its 1983 distinct matrices.  Sized by measurement
+# on that sweep (perfbench's sweep-lattice), while each block carried the
+# previous block's exponentials: its peak memory was 35.3 MiB, 0.7 MiB
+# above four blocks of 512 points; one block for the whole lattice
+# measured about 2 MiB above one row per block.
 BLOCK_SLICES = 4096
 
 
@@ -183,24 +181,20 @@ def lattice_residuals(name: str, us, vs):
     Yields one float per point, row by row (u major), inf where the check
     raises.  The points run in blocks of at most BLOCK_SLICES requested
     matrices, each built by lattice_points; a block may end inside a row.
-    Each block gathers with the previous block's table of its shape and
-    keeps its own for the next; nothing outlives the call.
+    Each block gathers its own stacks and keeps nothing for the next.
     """
     check = verify.CHECKS[name]
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     size = max(1, BLOCK_SLICES // max(1, check.slices))
     total = len(us) * len(vs)
-    tables = {}
     for start in range(0, total, size):
         flat = np.arange(start, min(start + size, total))
         u, v = us[flat // len(vs)], vs[flat % len(vs)]
         residuals = np.full(len(flat), math.inf)
-        carried, tables = tables, {}
         with np.errstate(over="ignore", invalid="ignore"):
             for positions, stack in lattice_points(u, v):
                 s = verify._Subject(*stack, arrays=_ARRAYS)
-                n = s.X.shape[-1]
-                tables[n] = s.gather([check.request], carried.get(n))
+                s.gather([check.request])
                 residuals[positions] = check.residual(s).reshape(len(positions))
                 residuals[positions[list(s.errors)]] = math.inf
         yield from residuals.tolist()

@@ -16,17 +16,18 @@ subject gathers its requests at once: each distinct matrix, keyed by
 content, is exponentiated once in one expm_stack call, each slice
 bit-identical to expm of its matrix.  run_suite gathers all nine checks
 of a pair (27 of affine2's 40 matrices are distinct, 9 of
-heisenberg3's); a check called on a pair gathers its own.  A sweep block
-also takes the previous block's table of distinct matrices and their
-exponentials, and stacks only those the table lacks; a slice is the
-same bits whatever its stack partners, so a carried one is too.
+heisenberg3's); a check called on a pair gathers its own, and a sweep
+block gathers its check's, keeping nothing from the block before.
 
 Errors stay with their check and its order.  A subject records each
 failure by item and point: a value that raises (PoleError,
-OverflowError), a matrix built from it, a non-finite matrix, and one
-whose exponential comes back NaN (a 1-norm past 700).  A check fails at
-the first failed item it reads: a pair raises that error (for an
-exponential, what expm raises on its matrix); a block's point fails alone.
+OverflowError), a non-finite matrix, and one whose exponential comes
+back NaN (a 1-norm past 700).  A matrix built from a failed value takes
+its fill and is exponentiated as any other, so each check reads the
+values its matrices are built from, no later than their exponentials.
+A check fails at the first failed item it reads: a pair raises that
+error (for an exponential, what expm raises on its matrix); a block's
+point fails alone.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class _Subject:
         self.u, self.v = u, v
         self.arrays = arrays or {}
         self.values, self.cvs, self.exps, self.failed, self.errors = {}, {}, {}, {}, {}
-        # The values that a request reads while it is gathered.
-        self.reads = None
+        # True while requests are gathered: their value reads raise nothing.
+        self.gathering = False
 
     def _fail(self, failures: dict) -> None:
         # What the check read failed at these points: a pair raises its
@@ -160,10 +161,8 @@ class _Subject:
             self.errors.setdefault(i, failure)
 
     def _read(self, item) -> None:
-        if self.reads is None:
+        if not self.gathering:
             self._fail(self.failed.get(item, {}))
-        else:
-            self.reads.append(item)
 
     def fail_unless(self, finite: np.ndarray) -> None:
         """expm's ValueError wherever finite (one bool per matrix) is False."""
@@ -228,69 +227,42 @@ class _Subject:
         self.fail_unless(finite)
         return residuals[..., None, None] if self.block else residuals
 
-    def gather(self, requests, table=None):
+    def gather(self, requests) -> None:
         """Exponentiate each distinct matrix that the requests ((fn, args)
         or None) name, once: keyed by raw bytes (-0.0 and +0.0 stay apart)
-        and sorted in one _unique_rows call, in one expm_stack call.  A
-        matrix other than X, Y and X + Y fails where a value its request
-        read failed; one with a non-finite entry or a NaN exponential fails;
-        a failed exponential is the identity.
-
-        Returns the table (keys, exps): the sorted distinct keys and their
-        exponentials, or None where nothing is requested.  Each key is
-        looked up with one np.searchsorted call in the table of an earlier
-        gather of the same shape, if one is given (none is an empty table),
-        and only the keys it lacks are stacked (none: no expm_stack call)."""
-        named, inherited = {}, {}
+        and sorted in one _unique_rows call, in one expm_stack call (none
+        where no matrix is finite).  A value a request reads raises
+        nothing here: it fails where a check reads it, and a matrix built
+        from its fill is exponentiated as any other.  A matrix with a
+        non-finite entry or a NaN exponential fails; a failed exponential
+        is the identity."""
+        named = {}
+        self.gathering = True
         for request in filter(None, requests):
-            self.reads = []
-            matrices = request[0](self, *request[1])
-            failed = {}
-            for name in reversed(self.reads):
-                failed.update(self.failed.get(name, {}))
-            self.reads = None
-            for key, M in matrices.items():
-                if key not in named:
-                    named[key] = M
-                    if failed and key not in ("x", "y", "x+y"):
-                        inherited[key] = failed
+            for key, M in request[0](self, *request[1]).items():
+                named.setdefault(key, M)
+        self.gathering = False
         if not named:
-            return None
-        keys, n, N = list(named), self.X.shape[-1], self.size
+            return
+        keys, n = list(named), self.X.shape[-1]
         A = np.array(list(named.values())).reshape(-1, n, n)
-        ok = _per_slice(np.logical_and, np.isfinite(A))
-        for k, key in enumerate(keys):
-            for i in inherited.get(key, ()):
-                ok[k * N + i] = False
-        live = np.flatnonzero(ok)
-        rows = A[live].reshape(len(live), n * n)
-        distinct, first, inverse = _unique_rows(rows)
-        # No table is an empty one: every distinct matrix misses.
-        known, carried = table or (distinct[:0], np.empty((0, n, n), dtype=complex))
-        at = np.searchsorted(known, distinct)
-        hit = at < len(known)
-        hit[hit] = known[at[hit]] == distinct[hit]
-        miss = np.flatnonzero(~hit)
-        exps = np.empty((len(distinct), n, n), dtype=complex)
-        exps[hit] = carried[at[hit]]
-        if miss.size:
-            exps[miss] = expm_stack(rows[first[miss]].reshape(-1, n, n))
+        live = np.flatnonzero(_per_slice(np.logical_and, np.isfinite(A)))
+        first, inverse = _unique_rows(A[live].reshape(len(live), n * n))
+        exps = expm_stack(A[live[first]]) if first.size else A[:0]
         # The pool: each distinct exponential, then the identity at its end.
         pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
         identity = len(exps)
         where = np.full(len(A), identity)
         where[live] = np.where(_per_slice(np.logical_or, np.isnan(exps)), identity, np.arange(identity))[inverse]
         for p in np.flatnonzero(where == identity).tolist():
-            key, i = keys[p // N], p % N
-            self.failed.setdefault(key, {})[i] = inherited.get(key, {}).get(i, A[p])
+            self.failed.setdefault(keys[p // self.size], {})[p % self.size] = A[p]
         self.exps.update(zip(keys, _read_only(pool[where.reshape(len(keys), *self.X.shape[:-2])])))
-        return distinct, exps
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(keys, return_index=True, return_inverse=True), keys the
-    raw bytes of each row of a C-contiguous (M, k) complex array as one
-    void each (so -0.0 and +0.0, and NaN payloads, stay apart).
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_index=True, return_inverse=True)[1:], keys
+    the raw bytes of each row of a C-contiguous (M, k) complex array as
+    one void each (so -0.0 and +0.0, and NaN payloads, stay apart).
 
     np.unique's own steps, its stable sort and its cumulative sum, but each
     sorted key is compared with the next by its 64-bit words, along the
@@ -304,7 +276,7 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = order[new]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new) - 1
-    return keys[first], first, inverse
+    return first, inverse
 
 
 def _subject(pair, *request) -> _Subject:
@@ -331,6 +303,7 @@ def _request_disentangle(s, side: Side) -> dict:
 
 def _disentangle(s, side: Side):
     exp = s.exp
+    s.coefficient(_side_coefficient(side))
     if side is Side.RIGHT:
         rhs = s.x_times_y() @ exp(side)
     elif side is Side.CENTER:
@@ -360,6 +333,7 @@ def _request_swap(s) -> dict:
 
 
 def _swap(s):
+    s.coefficient(gamma_swap)
     return s.residual(s.x_times_y(), s.exp("y") @ s.exp("x") @ s.exp("swap"))
 
 
@@ -376,6 +350,7 @@ def _request_bch(s) -> dict:
 
 
 def _bch(s):
+    s.coefficient(f_bch)
     return s.residual(s.x_times_y(), s.exp("bch"))
 
 
@@ -492,6 +467,7 @@ def _product(s, N: int):
     """(residual after each partial product, g_r)."""
     lhs = s.exp("x+y")
     rhs = s.x_times_y()
+    _product_coefficients(s, N)
     partials = []
     for n in range(2, N + 1):
         rhs = rhs @ s.exp(("C_n W", n))

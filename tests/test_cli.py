@@ -431,6 +431,17 @@ def test_argument_errors_name_the_flag_and_the_reason(capsys):
     with pytest.raises(SystemExit):
         cli.main(["coeff", "--u", "abc", "--v", "1"])
     assert "argument --u: invalid float value: 'abc'" in capsys.readouterr().err
+    # One validator for both integer flags, each with its own bound.
+    sweep = ["sweep", "--check", "swap", "--u-min", "0", "--u-max", "1", "--v-min", "0", "--v-max", "1"]
+    for argv, message in (
+        ([*sweep, "--steps", "abc", "--out", "x.csv"], "argument --steps: invalid int value: 'abc'"),
+        ([*sweep, "--steps", "0", "--out", "x.csv"], "argument --steps: must be >= 1, got 0"),
+        (["cn-table", "--u", "1", "--v", "1", "--max-n", "2.5"], "argument --max-n: invalid int value: '2.5'"),
+        (["cn-table", "--u", "1", "--v", "1", "--max-n", "1"], "argument --max-n: must be >= 2, got 1"),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_span_error_names_the_flags(tmp_path, capsys):

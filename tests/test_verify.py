@@ -651,7 +651,8 @@ def _overflowing(u, v):
             "swap",
             "ValueError: matrix entries must be finite",
         ),
-        # A coefficient that raises leaves its request out.
+        # A coefficient that raises is 0 in its request, so g_c W is a zero
+        # matrix, the one the vanishing odd C_n W already stack.
         (
             "g_center",
             _overflowing,
@@ -871,6 +872,50 @@ def test_a_point_that_cannot_be_computed_fails_alone(check, u, vs, error, monkey
     assert any("error" not in r.metadata for r in results)
 
 
+# The value functions a check reads, by the check's name in CHECKS.
+_VALUES_READ = {
+    "disentangle-right": {"g_right"},
+    "disentangle-center": {"g_center"},
+    "disentangle-left": {"g_left"},
+    "swap": {"gamma_swap"},
+    "bch": {"f_bch"},
+    "ab-structure": {"g_left", "f_bch"},
+    "integral": {"quadrature_gr", "g_right"},
+    "product": {"c_sequence", "g_right"},
+    "hadamard": set(),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["g_right", "g_center", "g_left", "f_bch", "gamma_swap", "quadrature_gr", "c_sequence"]
+)
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_check_reads_each_value_its_matrices_are_built_from(check, name, monkeypatch):
+    # The value raises at the middle point of a 3-point block.  A matrix
+    # built from its fill is exponentiated as any other, so only the
+    # check's own read of the value can fail that point.
+    planted = OverflowError(f"{name} raises at v = 0.5")
+    compute = getattr(verify, name)
+
+    def raising(*args):
+        # (u, v), (u, v, nodes) or (N, u, v): only v is ever 0.5.
+        if 0.5 in args:
+            raise planted
+        return compute(*args)
+
+    monkeypatch.setattr(verify, name, raising)
+    pairs = [_lattice_pair(1.0, v) for v in (-0.5, 0.5, 2.0)]
+    residuals = _block_residuals(check, pairs).tolist()
+    alone = [_alone(check, lambda pair=pair: pair, DEFAULT_TOL).residual for pair in pairs]
+    assert [_bits(r) for r in residuals] == [_bits(r) for r in alone]
+    reads = name in _VALUES_READ[check]
+    assert [r == math.inf for r in residuals] == [False, reads, False]
+    if reads:
+        with pytest.raises(OverflowError) as raised:
+            _ALONE[check](pairs[1], DEFAULT_TOL)
+        assert raised.value is planted
+
+
 def test_stacked_exponentials_are_read_only():
     # What a gathered stack of the u = 0 row's 2x2 points holds, for every
     # check that reads an exponential.
@@ -995,22 +1040,22 @@ def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(
 
 def test_a_41_by_41_sweep_runs_in_two_blocks(expm_calls, expm_stack_calls, tmp_path):
     # 1024 points per block at 4 requests each; the origin is in the first,
-    # whose 3x3 stack follows its 2x2 one.  The second block stacks only
-    # what the first block's table lacks, so each of the 1983 distinct
-    # matrices is stacked once.
+    # whose 3x3 stack follows its 2x2 one.  Each block stacks every distinct
+    # matrix it names, so the 119 of the 1983 that both blocks name are
+    # stacked twice: 2102 slices in all.
     assert sweep.BLOCK_SLICES == 4096
     assert main(_sweep_argv("disentangle-right", 41, tmp_path / "s.csv")) == 0
-    assert [a.shape[0] for a in expm_stack_calls] == [1253, 4, 726]
+    assert [a.shape[0] for a in expm_stack_calls] == [1253, 4, 845]
     assert expm_calls == []
 
 
 # The 2x2 stacks of each sweep, block by block.
 _BUDGET_SIZES = {
-    ("disentangle-right", 60): [1291, 1127, 1115, 562],
-    ("product", 20): [3698, 3632, 3639, 451],
-    # The first block holds whole rows, so the later blocks find each
-    # e^{-tX} and e^{tX} (v alone) in the carried table and stack nothing.
-    ("hadamard", 70): [140],
+    ("disentangle-right", 60): [1291, 1319, 1298, 733],
+    ("product", 20): [3698, 3721, 3732, 497],
+    # Each block holds whole rows, so each stacks the same e^{-tX} and
+    # e^{tX} (v alone) of the 70 columns.
+    ("hadamard", 70): [140, 140, 140],
 }
 
 
@@ -1031,30 +1076,23 @@ def _stacked(calls):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_carried_nan_exponential_fails_its_point_in_every_block(expm_stack_calls, tmp_path, monkeypatch):
+def test_a_nan_exponential_fails_its_point_in_every_block(expm_stack_calls, tmp_path, monkeypatch):
     # X = [[v, 1], [0, 0]] has 1-norm v, so e^X is NaN at v = 702 and 704.
     # Blocks of 12 points split the 9x9 lattice; the last column (v = 704)
-    # is in each of the seven blocks, and every block after the first reads
-    # its NaN e^X from the previous block's table.
+    # is in each of the seven blocks, and each block stacks its own NaN e^X.
     monkeypatch.setattr(sweep, "BLOCK_SLICES", 4 * 12)
     window = (-1.0, 1.0, 688.0, 704.0)
     out = tmp_path / "s.csv"
     assert main(_sweep_argv("disentangle-right", 9, out, window)) == 1
     X = np.array([[704.0, 1.0], [0.0, 0.0]], dtype=complex)
-    assert _stacked(expm_stack_calls)[X.tobytes()] == 1
+    assert _stacked(expm_stack_calls)[X.tobytes()] == 7
     assert out.read_bytes().decode("utf-8") == _per_pair_csv("disentangle-right", window, 9)
     rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert [r[4:] for r in rows if float(r[2]) > 700.0] == [["inf", "false"]] * 18
-    # The carried NaN fails the point that reads it, as a stacked one does.
-    request = verify.CHECKS["disentangle-right"].request
-    first = verify._Subject(*_stack([_lattice_pair(-1.0, 704.0)]))
-    table = first.gather([request])
-    later = verify._Subject(*_stack([_lattice_pair(1.0, 704.0), _lattice_pair(1.0, 688.0)]))
-    expm_stack_calls.clear()
-    later.gather([request], table)
-    assert _stacked(expm_stack_calls)[X.tobytes()] == 0
-    assert np.array_equal(later.failed["x"][0], X)
-    assert 1 not in later.failed["x"]
+    # The NaN fails the point that reads it, and no other.
+    s = _gathered("disentangle-right", [_lattice_pair(1.0, 704.0), _lattice_pair(1.0, 688.0)])
+    assert np.array_equal(s.failed["x"][0], X)
+    assert 1 not in s.failed["x"]
 
 
 def test_nothing_is_carried_from_one_sweep_to_the_next(expm_stack_calls, tmp_path):
@@ -1066,21 +1104,38 @@ def test_nothing_is_carried_from_one_sweep_to_the_next(expm_stack_calls, tmp_pat
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_a_matrix_in_two_blocks_that_are_not_adjacent_is_stacked_in_each(expm_stack_calls, monkeypatch):
+def test_a_matrix_is_stacked_once_in_each_block_that_names_it(expm_stack_calls, monkeypatch):
     # Blocks of two points over the 3x3 lattice read v in the order
-    # (v0, v1), (v2, v0), (v1, v2), (v0, v1), (v2).  Only the previous
-    # block's table is carried, so each e^{-tX} and e^{tX} (v alone) is
-    # stacked twice: once where it first appears and again after a block
-    # without it.
+    # (v0, v1), (v2, v0), (v1, v2), (v0, v1), (v2).  Nothing is carried
+    # from block to block, so each e^{-tX} and e^{tX} (v alone) is stacked
+    # in each of the three blocks that name its v.
     monkeypatch.setattr(sweep, "BLOCK_SLICES", 2 * 2)
     us = vs = [1.0, 2.0, 3.0]
     residuals = list(lattice_residuals("hadamard", us, vs))
-    assert [a.shape[0] for a in expm_stack_calls] == [4, 2, 2, 2, 2]
-    assert sorted(_stacked(expm_stack_calls).values()) == [2] * 6
+    assert [a.shape[0] for a in expm_stack_calls] == [4, 4, 4, 4, 2]
+    assert sorted(_stacked(expm_stack_calls).values()) == [3] * 6
     assert [_bits(r) for r in residuals] == [
         _bits(_alone("hadamard", lambda u=u, v=v: _lattice_pair(u, v), DEFAULT_TOL).residual)
         for u in us for v in vs
     ]
+
+
+@pytest.mark.parametrize(
+    "window, steps",
+    [((-0.0, 3.0, -3.0, 3.0), 7), ((-3.0, 3.0, -0.0, 3.0), 7), ((-0.0, 3.0, -0.0, 3.0), 1)],
+)
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_lower_bound_of_minus_zero_keeps_its_sign(check, window, steps, tmp_path):
+    # np.linspace starts at +0.0 from a start of -0.0; the sweep checks and
+    # writes the point it was given.
+    out = tmp_path / "s.csv"
+    main(_sweep_argv(check, steps, out, window))
+    first = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+    u, v = window[0], window[2]
+    assert (first[0], first[2]) == (_fmt_float(u, 17), _fmt_float(v, 17))
+    assert "-0" in (first[0], first[2])
+    alone = _alone(check, lambda: _lattice_pair(u, v), DEFAULT_TOL)
+    assert _bits(float(first[4])) == _bits(alone.residual)
 
 
 def test_a_sweep_into_a_missing_directory_computes_nothing(expm_stack_calls, tmp_path, capsys):
@@ -1246,8 +1301,8 @@ def test_unique_rows_is_np_unique_of_the_raw_bytes(k):
         keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
         expected = np.unique(keys, return_index=True, return_inverse=True)
         got = verify._unique_rows(rows)
-        assert got[0].dtype == expected[0].dtype and got[0].tobytes() == expected[0].tobytes()
-        for a, b in zip(got[1:], expected[1:]):
+        assert len(got) == 2 and keys[got[0]].tobytes() == expected[0].tobytes()
+        for a, b in zip(got, expected[1:]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     # Each variant is a key of its own, though as numbers 0.0 == -0.0 and NaN != NaN.
     assert len(verify._unique_rows(pool)[0]) == len(pool)

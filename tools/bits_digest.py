@@ -11,7 +11,9 @@ numpy.  The families:
 - sweep: the CSV bytes and exit code of ``zassenhaus sweep`` for each of
   the nine checks on each of WINDOWS: one reaching |u| = |v| = 700, one
   out to |u| = |v| = 1.5e154, where uv leaves double range at some points
-  (their pairs are refused) and not at others, and one from --u-min=-0;
+  (their pairs are refused) and not at others, one from --u-min=-0, and
+  the 41x41 lattice over [-2, 2]^2, which every check that requests three
+  or more matrices per point runs in more than one block;
 - coeffs: the five coefficients' value bits, method and terms_used (or
   the exception's type and message) at each of a seeded set of points:
   complex points at several scales, and real points on and beside the
@@ -52,6 +54,7 @@ WINDOWS = (
     (-700.0, 700.0, -700.0, 700.0, 11),
     (-1.5e154, 1.5e154, -1.5e154, 1.5e154, 7),
     (-0.0, 3.0, -3.0, 3.0, 7),
+    (-2.0, 2.0, -2.0, 2.0, 41),
 )
 SEED = 2501
 
