@@ -27,7 +27,7 @@ from collections.abc import Callable, Mapping
 import numpy as np
 
 from .coeffs import PoleError, f_bch, g_center, g_left, g_right, gamma_swap, zass_coeff
-from .matrices import DimensionMismatch, commutator, infer_uvc, load_matrix
+from .matrices import commutator, infer_uvc, load_matrix
 from .realizations import (
     AlgebraPair,
     Ladder,
@@ -185,21 +185,16 @@ def _cmd_cn_table(args: argparse.Namespace) -> int:
 
 def _pair_from_files(x_path: str, y_path: str):
     """Load and vet a file-supplied pair; returns (pair, error_message)."""
-    try:
-        X = load_matrix(x_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return None, f"--x: {exc}"
-    try:
-        Y = load_matrix(y_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return None, f"--y: {exc}"
-    if X.shape != Y.shape:
-        return None, (
-            f"--x/--y: dimension mismatch, {X.shape[0]} vs {Y.shape[0]}"
-        )
+    matrices = []
+    for flag, path in (("--x", x_path), ("--y", y_path)):
+        try:
+            matrices.append(load_matrix(path))
+        except (OSError, ValueError) as exc:
+            return None, f"{flag}: {exc}"
+    X, Y = matrices
     try:
         u, v, c, fit = infer_uvc(X, Y)
-    except ValueError as exc:
+    except ValueError as exc:  # a DimensionMismatch included
         return None, f"--x/--y: {exc}"
     if fit > _FIT_LIMIT:
         return None, (
@@ -263,11 +258,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Imported here, so that no other command compiles the block plan.
     from .sweep import lattice_residuals
 
-    us = np.linspace(args.u_min, args.u_max, args.steps).tolist()
-    vs = np.linspace(args.v_min, args.v_max, args.steps).tolist()
-    # linspace starts at +0.0 from a start of -0.0; any other start it
-    # keeps bit for bit.
-    us[0], vs[0] = args.u_min, args.v_min
+    us = _axis(args.u_min, args.u_max, args.steps)
+    vs = _axis(args.v_min, args.v_max, args.steps)
     # Each coordinate is formatted once; u_im and v_im are always 0.  A
     # line is its row's u text, its column's text up to the residual, the
     # residual and one of two ends.
@@ -309,6 +301,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"failures: {failures}"
     )
     return 0 if failures == 0 else 1
+
+
+def _axis(low: float, high: float, steps: int) -> list[float]:
+    """np.linspace(low, high, steps) with the sign of a zero low kept.
+
+    linspace computes each point but the last as low + i * step, which is
+    +0.0 from a low of -0.0 where i * step is 0: at the first point, and
+    at every point of an axis whose bounds are equal.  Those points take
+    low itself; the last of two or more stays high."""
+    lows = max(1, steps - 1) if low == high else 1
+    return [low] * lows + np.linspace(low, high, steps).tolist()[lows:]
 
 
 def _cmd_integral(args: argparse.Namespace) -> int:

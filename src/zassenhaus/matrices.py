@@ -25,7 +25,8 @@ _rel_residuals also take (N, n, n) stacks, and each slice of their
 result is bit-identical to their result for that slice alone (for
 _conjugate_series, up to the sign of a zero entry).  Both residual kernels
 rescale a pair whose sums of squares overflow in one place,
-_rescaled_residuals.
+_rescaled_residuals, by the power of two of _unit_scale; infer_uvc
+scales its least-squares problem by the same powers.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ _EXPM_REL_EPS = 1e-18
 _EXPM_MAX_TERMS = 60
 # A 1-norm beyond this puts e^A outside double range.
 _EXPM_NORM_LIMIT = 700.0
-
-# Gram systems with condition estimates beyond this are treated as rank
-# deficient and solved in the minimum-norm sense instead.
-_GRAM_COND_LIMIT = 1e12
 
 
 class DimensionMismatch(ValueError):
@@ -311,6 +308,12 @@ def _rel_residuals(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return residuals, finite
 
 
+def _unit_scale(big: np.ndarray) -> np.ndarray:
+    """The power of two that brings each nonnegative big into [1/2, 1);
+    1 for a zero.  Scaling by it is exact."""
+    return np.ldexp(1.0, -np.frexp(big)[1])
+
+
 def _rescaled_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The relative residual of each pair of finite matrices whose sums of
     squares leave double range: the same quotient, computed on A and B
@@ -319,7 +322,7 @@ def _rescaled_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     entries far below the largest can lose bits, to underflow.  Such a
     pair's norms are far above 1, so the 1 of max(1, ...) drops out."""
     big = np.maximum(np.abs(A).max(axis=(-2, -1)), np.abs(B).max(axis=(-2, -1)))
-    c = np.ldexp(1.0, -np.frexp(big)[1])[..., None, None]
+    c = _unit_scale(big)[..., None, None]
     a, b = A * c, B * c
     return _frobenius_stack(a - b) / np.maximum(_frobenius_stack(a), _frobenius_stack(b))
 
@@ -328,42 +331,38 @@ def _rescaled_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:
     """Least-squares fit of [X, Y] onto span{X, Y, identity}.
 
-    Returns (u, v, c, fit_residual) where fit_residual is the relative
-    residual of [X,Y] - (uX + vY + c*identity).  The 3x3 Gram system in
-    the Frobenius inner product is solved by pivoted elimination; if it is
-    singular or its condition estimate exceeds 1e12 (the basis matrices
-    nearly dependent), the minimum-norm least-squares solution is returned
-    instead.  A fit_residual well above zero means the pair is NOT in the
-    affine commutator class.  Raises ValueError where the Gram system is
-    not finite, [X, Y] included, without a numpy warning.
+    Returns (u, v, c, fit_residual): the minimum-norm least-squares
+    solution of uX + vY + c*identity = [X, Y], from one solve of that
+    n^2 x 3 problem, and fit_residual = ||[X,Y] - (uX + vY + c*identity)||_F
+    / (||X||_F ||Y||_F), 0 where [X, Y] = 0.  The solve runs on each basis
+    matrix and on [X, Y] scaled by the power of two that brings its
+    largest entry modulus into [1/2, 1): exact, so a small basis matrix is
+    not taken for rank deficiency, and no entry or norm leaves double
+    range.  A fit_residual well above zero means the pair is NOT in the
+    affine commutator class; it does not change when X or Y is scaled.
+    Raises ValueError where [X, Y] is not finite.
     """
     X = as_matrix(X)
     Y = as_matrix(Y)
     _same_dim(X, Y)
-    n = X.shape[0]
-    W = commutator(X, Y)
-    eye = np.eye(n, dtype=complex)
-    basis = (X, Y, eye)
-    gram = np.empty((3, 3), dtype=complex)
-    rhs = np.empty(3, dtype=complex)
-    for i, Bi in enumerate(basis):
-        rhs[i] = np.vdot(Bi, W)
-        for j, Bj in enumerate(basis):
-            gram[i, j] = np.vdot(Bi, Bj)
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-        raise ValueError("the Gram system of the fit of [X, Y] overflows: the entries are too large")
-    coef = None
-    try:
-        cond = float(np.linalg.cond(gram))
-        if math.isfinite(cond) and cond <= _GRAM_COND_LIMIT:
-            coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        coef = None
-    if coef is None:
-        coef = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    u, v, c = (complex(z) for z in coef)
-    fit = rel_residual(W, u * X + v * Y + c * eye)
-    return u, v, c, fit
+    W = _commutator(X, Y).ravel()
+    if not np.isfinite(W).all():
+        raise ValueError("[X, Y] is not finite: the entries of X and Y are too large")
+    basis = np.stack([X.ravel(), Y.ravel(), np.eye(len(X), dtype=complex).ravel()], axis=1)
+    # The largest modulus of X, Y, the identity and [X, Y].
+    big = np.append(np.abs(basis).max(axis=0), np.abs(W).max())
+    *col, w = _unit_scale(big)
+    A, b = basis * col, W * w
+    coef = np.linalg.lstsq(A, b, rcond=None)[0]
+    u, v, c = (complex(z) for z in coef * col / w)
+    if not W.any():
+        return u, v, c, 0.0
+    # ||(b - A coef) / w|| / (||A[:, 0] / col[0]|| ||A[:, 1] / col[1]||): its
+    # power of two col[0] col[1] / w goes in by exponent, since it can leave
+    # double range where the fit does not.
+    ex, ey, _, ew = np.frexp(big)[1].tolist()
+    quotient = _frobenius(b - A @ coef) / (_frobenius(A[:, 0]) * _frobenius(A[:, 1]))
+    return u, v, c, math.ldexp(quotient, ew - ex - ey)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -49,7 +49,11 @@ came to be computed on rescaled matrices: the 8 ``nan,false`` rows of
 (their ``.out`` failure counts 15 -> 7 and 17 -> 12), and the 8 failing
 v >= 516 rows of ``sweep-integral-failures-5.csv`` report their identity
 residual, about 5e-6 to 3e-5, where the NaN one left the quadrature
-error, about 1e-8.
+error, about 1e-8.  They were regenerated when file pairs came to have
+their (u, v, c) from one least-squares solve in place of the Gram
+system: in ``verify-overflow-*`` the swap coefficient, the ab-structure
+residual and its u - v moved by 1 to 2 ulps (u - v is -1 in exact
+arithmetic; it reads -1.0000000000000007, and read -1.0000000000000004).
 """
 
 from __future__ import annotations

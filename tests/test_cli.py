@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -211,13 +212,28 @@ def test_verify_file_pair(tmp_path, capsys):
     assert "all passed: yes" in out
 
 
-def test_verify_file_pair_outside_class_is_refused(tmp_path, capsys):
-    x = _write_matrix(tmp_path / "x.json", [[0.0, 1.0], [0.0, 0.0]])
-    y = _write_matrix(tmp_path / "y.json", [[0.0, 0.0], [1.0, 0.0]])
+@pytest.mark.parametrize("s", [1.0, 1e-5])
+def test_verify_file_pair_outside_class_is_refused(tmp_path, s, capsys):
+    # [sE12, sE21] = s^2 diag(1, -1) is as far outside span{X, Y, identity}
+    # at s = 1e-5 as at s = 1: a fit floored at 1 read 1.4e-10 there.
+    x = _write_matrix(tmp_path / "x.json", [[0.0, s], [0.0, 0.0]])
+    y = _write_matrix(tmp_path / "y.json", [[0.0, 0.0], [s, 0.0]])
     assert cli.main(["verify", "--x", x, "--y", y]) == 2
-    err = capsys.readouterr().err
-    assert "error" in err
-    assert "fit_residual" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+    assert "fit_residual = 1.41421" in captured.err
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_verify_file_pair_with_a_small_generator(tmp_path, eps, capsys):
+    # affine_2x2(1, eps, eps, 1): X = [[eps, eps], [0, 0]] beside
+    # Y = [[-1, 1], [0, 0]].  A fit through the Gram system of {X, Y, I}
+    # lost u and failed 7 of the 9 checks, or refused the pair.
+    x = _write_matrix(tmp_path / "x.json", [[eps, eps], [0.0, 0.0]])
+    y = _write_matrix(tmp_path / "y.json", [[-1.0, 1.0], [0.0, 0.0]])
+    assert cli.main(["verify", "--x", x, "--y", y]) == 0
+    assert "all passed: yes" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -225,18 +241,32 @@ def test_verify_file_pair_outside_class_is_refused(tmp_path, capsys):
     [
         ([[0.0, 1e200], [0.0, 0.0]], [[1.0, 1e200], [0.0, 0.0]]),
         ([[1.0, 1e200], [0.0, 0.0]], [[0.0, 1e200], [0.0, 0.0]]),
-        ([[1e160, 1e160], [0.0, 0.0]], [[0.0, 1e160], [0.0, 1e160]]),
     ],
 )
-def test_verify_file_pair_whose_fit_overflows_is_refused(tmp_path, x, y, capsys):
-    # Gram entries near 1e400, or a commutator past double range: lstsq
-    # raised LinAlgError out of main.
+def test_verify_file_pair_with_huge_entries_is_checked(tmp_path, x, y, capsys):
+    # [X, Y] = -X and Y: in the class, with norms near 1e200 whose squares
+    # leave double range.  The checks that need an exponential fail on its
+    # 1-norm.  X and Y agree but in an entry 1e-200 of their norm, so the
+    # fit takes them as parallel and finds u = v; ab-structure's
+    # [A, B] = (u - v) A then fails without an error.
     x = _write_matrix(tmp_path / "x.json", x)
     y = _write_matrix(tmp_path / "y.json", y)
+    assert cli.main(["verify", "--x", x, "--y", y, "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert not any(check["passed"] for check in checks)
+    errors = [check["metadata"]["error"] for check in checks if "error" in check["metadata"]]
+    assert len(errors) == 8
+    assert all(re.fullmatch(r"OverflowError: matrix 1-norm \S+ exceeds 700; .*", e) for e in errors)
+
+
+def test_verify_file_pair_whose_commutator_overflows_is_refused(tmp_path, capsys):
+    # XY holds 1e160 * 1e160: lstsq raised LinAlgError out of main.
+    x = _write_matrix(tmp_path / "x.json", [[1e160, 1e160], [0.0, 0.0]])
+    y = _write_matrix(tmp_path / "y.json", [[0.0, 1e160], [0.0, 1e160]])
     assert cli.main(["verify", "--x", x, "--y", y]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --x/--y: the Gram system of the fit of [X, Y] overflows")
+    assert captured.err.startswith("error: --x/--y: [X, Y] is not finite")
 
 
 def test_verify_file_dimension_mismatch(tmp_path, capsys):

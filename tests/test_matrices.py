@@ -24,6 +24,7 @@ from zassenhaus.matrices import (
     rel_residual,
 )
 from zassenhaus.matrices import _frobenius_stack, _one_norms, _per_slice, _rel_residuals
+from zassenhaus.realizations import Ladder, affine_2x2, lindblad_pair, shift_center, su11_pair
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -588,8 +589,6 @@ def test_rel_residual_past_the_range_of_the_squared_norms():
 
 
 def test_infer_uvc_recovers_affine_structure():
-    from zassenhaus.realizations import affine_2x2
-
     pair = affine_2x2(1.0, -2.0, 1.0, 1.0)
     u, v, c, fit = infer_uvc(pair.X, pair.Y)
     assert abs(u - 1.0) < 1e-12
@@ -605,19 +604,75 @@ def test_infer_uvc_on_equal_inputs_gives_zero_commutator():
     assert fit == 0.0
 
 
-def test_infer_uvc_flags_pairs_outside_the_class():
-    # [E12, E21] = diag(1, -1) is not spanned by {E12, E21, I}
-    _, _, _, fit = infer_uvc(E12, E21)
-    assert fit > 0.1
+@pytest.mark.parametrize("s", [1.0, 1e-5])
+def test_infer_uvc_flags_pairs_outside_the_class(s):
+    # [sE12, sE21] = s^2 diag(1, -1) is not spanned by {E12, E21, I}, and is
+    # as far from that span at s = 1e-5 as at s = 1: a fit floored at 1
+    # read 1.4e-10 there.
+    _, _, _, fit = infer_uvc(s * E12, s * E21)
+    assert fit > 1
 
 
-def test_infer_uvc_min_norm_fallback_on_degenerate_gram():
-    # nearly parallel inputs make the Gram matrix ill-conditioned
+def test_infer_uvc_on_nearly_parallel_inputs():
+    # [X, Y] = 1e-7 diag(1, -1) is nearly in span{X, Y, I}; the fit says
+    # how nearly, relative to ||X|| ||Y||.
     x = E12
     y = E12 + 1e-7 * E21
     u, v, c, fit = infer_uvc(x, y)
     assert np.isfinite(fit)
     assert fit <= 1e-6
+
+
+def _uvc_error(pair, s, inferred):
+    # The error of the (u, v, c) inferred for (sX, Y/s), each weighted by
+    # the norm of its basis matrix and taken relative to the true ones.
+    n = pair.dim
+    weights = np.array([np.linalg.norm(s * pair.X), np.linalg.norm(pair.Y / s), math.sqrt(n)])
+    true = np.array([pair.u / s, pair.v * s, pair.c])
+    return np.linalg.norm((np.array(inferred) - true) * weights) / np.linalg.norm(true * weights)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+def test_infer_uvc_recovers_a_pair_with_a_small_v(eps):
+    # X = [[eps, eps], [0, 0]] is small beside Y: a Gram system of
+    # {X, Y, I} squared its conditioning and lost u.
+    pair = affine_2x2(1.0, eps, eps, 1.0)
+    u, v, c, fit = infer_uvc(pair.X, pair.Y)
+    assert _uvc_error(pair, 1.0, (u, v, c)) <= 1e-14
+    assert fit <= 1e-14
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: affine_2x2(1, 2, 1, 1),
+        lambda: su11_pair(Ladder.LOWER_SQ, 8),
+        lindblad_pair,
+        lambda: shift_center(affine_2x2(1, 2, 1, 1), 0.3),
+    ],
+    ids=["affine2", "su11-lower", "lindblad", "shifted-affine2"],
+)
+def test_infer_uvc_recovers_a_scaled_pair(build, s):
+    # [sX, Y/s] = [X, Y] = (u/s) sX + (vs) Y/s + c.
+    pair = build()
+    u, v, c, fit = infer_uvc(s * pair.X, pair.Y / s)
+    assert _uvc_error(pair, s, (u, v, c)) <= 1e-14
+    assert fit <= 1e-14
+
+
+def test_infer_uvc_fits_a_commutator_that_cancels():
+    # [X, Y] = (1 + v) E12 with v = -1 + 1e-9: X and Y are nearly parallel,
+    # so u and v are ill-determined, but the fit is not.
+    pair = affine_2x2(1.0, -1.0 + 1e-9, 1.0, 1.0)
+    assert infer_uvc(pair.X, pair.Y)[3] <= 1e-14
+
+
+def test_infer_uvc_refuses_a_commutator_that_is_not_finite():
+    x = np.array([[1e160, 1e160], [0.0, 0.0]])
+    y = np.array([[0.0, 1e160], [0.0, 1e160]])
+    with pytest.raises(ValueError, match=r"^\[X, Y\] is not finite"):
+        infer_uvc(x, y)
 
 
 # ------------------------------------------------------------- load_matrix

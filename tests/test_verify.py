@@ -1122,20 +1122,30 @@ def test_a_matrix_is_stacked_once_in_each_block_that_names_it(expm_stack_calls, 
 
 @pytest.mark.parametrize(
     "window, steps",
-    [((-0.0, 3.0, -3.0, 3.0), 7), ((-3.0, 3.0, -0.0, 3.0), 7), ((-0.0, 3.0, -0.0, 3.0), 1)],
+    [
+        ((-0.0, 3.0, -3.0, 3.0), 7),
+        ((-3.0, 3.0, -0.0, 3.0), 7),
+        ((-0.0, 3.0, -0.0, 3.0), 1),
+        ((-0.0, -0.0, -3.0, 3.0), 3),
+    ],
 )
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_lower_bound_of_minus_zero_keeps_its_sign(check, window, steps, tmp_path):
-    # np.linspace starts at +0.0 from a start of -0.0; the sweep checks and
-    # writes the point it was given.
+    # np.linspace starts at +0.0 from a start of -0.0, and puts +0.0 inside
+    # [-0.0, -0.0]; the sweep checks and writes the points it was given.
     out = tmp_path / "s.csv"
     main(_sweep_argv(check, steps, out, window))
-    first = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    first = rows[0]
     u, v = window[0], window[2]
     assert (first[0], first[2]) == (_fmt_float(u, 17), _fmt_float(v, 17))
     assert "-0" in (first[0], first[2])
     alone = _alone(check, lambda: _lattice_pair(u, v), DEFAULT_TOL)
     assert _bits(float(first[4])) == _bits(alone.residual)
+    if window[0] == window[1]:
+        # Every row of a zero-width u axis is the row u = -0.
+        assert {row[0] for row in rows} == {"-0"}
+        assert [row[2:] for row in rows] == [row[2:] for row in rows[:steps]] * steps
 
 
 def test_a_sweep_into_a_missing_directory_computes_nothing(expm_stack_calls, tmp_path, capsys):

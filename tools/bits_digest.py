@@ -14,6 +14,11 @@ numpy.  The families:
   (their pairs are refused) and not at others, one from --u-min=-0, and
   the 41x41 lattice over [-2, 2]^2, which every check that requests three
   or more matrices per point runs in more than one block;
+- files: the stdout, stderr and exit code of ``zassenhaus verify --x X
+  --y Y --format json`` on the golden overflow files and on FILE_PAIRS,
+  written to a temporary directory: a pair with a small generator, a
+  scaled su11 pair and a shifted affine pair, whose (u, v, c) the
+  command infers from the matrices;
 - coeffs: the five coefficients' value bits, method and terms_used (or
   the exception's type and message) at each of a seeded set of points:
   complex points at several scales, and real points on and beside the
@@ -35,6 +40,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import struct
@@ -57,6 +63,13 @@ WINDOWS = (
     (-2.0, 2.0, -2.0, 2.0, 41),
 )
 SEED = 2501
+# name -> (the pair, built from the realizations module, and the s of the
+# file pair (sX, Y/s)).
+FILE_PAIRS = {
+    "small-v": (lambda r: r.affine_2x2(1, 1e-9, 1e-9, 1), 1.0),
+    "su11-lower-scaled": (lambda r: r.su11_pair(r.Ladder.LOWER_SQ, 8), 100.0),
+    "affine2-shifted": (lambda r: r.shift_center(r.affine_2x2(1, 2, 1, 1), 0.3), 1.0),
+}
 
 
 def _parse_args(argv):
@@ -67,11 +80,11 @@ def _parse_args(argv):
 
 
 def _cli(main, argv: list[str]) -> bytes:
-    # The stdout and exit code of one CLI command, run in this process.
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    # The exit code, stdout and stderr of one CLI command, run in this process.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"{code}\n{out.getvalue()}".encode()
+    return f"{code}\n{out.getvalue()}{err.getvalue()}".encode()
 
 
 def _verify_family(cli):
@@ -93,6 +106,26 @@ def _sweep_family(cli, checks):
                 h.update(_cli(cli.main, argv).replace(path.encode(), b"OUT"))
                 with open(path, "rb") as fh:
                     h.update(fh.read())
+    return h
+
+
+def _write_matrix(path: str, A) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"dim": len(A), "re": A.real.tolist(), "im": A.imag.tolist()}, fh)
+    return path
+
+
+def _files_family(cli, realizations):
+    h = hashlib.sha256()
+    golden = os.path.join(ROOT, "tests", "golden")
+    pairs = [(os.path.join(golden, "overflow_x.json"), os.path.join(golden, "overflow_y.json"))]
+    with tempfile.TemporaryDirectory(prefix="bits-digest-") as tmp:
+        for name, (build, s) in FILE_PAIRS.items():
+            pair = build(realizations)
+            pairs.append((_write_matrix(os.path.join(tmp, f"{name}-x.json"), s * pair.X),
+                          _write_matrix(os.path.join(tmp, f"{name}-y.json"), pair.Y / s)))
+        for x, y in pairs:
+            h.update(_cli(cli.main, ["verify", "--x", x, "--y", y, "--format", "json"]))
     return h
 
 
@@ -135,13 +168,14 @@ def _coeffs_family(coeffs):
 def _digests(tree: str) -> dict[str, str]:
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(tree, "src"))
-    from zassenhaus import cli, coeffs
+    from zassenhaus import cli, coeffs, realizations
     from zassenhaus.verify import CHECKS
 
     with np.errstate(all="ignore"):
         families = {
             "verify": _verify_family(cli),
             "sweep": _sweep_family(cli, CHECKS),
+            "files": _files_family(cli, realizations),
             "coeffs": _coeffs_family(coeffs),
         }
     return {name: h.hexdigest() for name, h in families.items()}
