@@ -8,14 +8,20 @@ expm_stack is the matrix exponential of every slice of a stack, each
 with its own scaling, stopping test and squarings; expm is its one-slice
 case, so every slice of a stack is bit-identical to expm of that slice.
 Its stopping test compares two exact 1-norms on every slice still
-accumulating, each norm reduced along the stack (see _one_norms).  A
-real stack with no nonzero entry below its first row (every point of
-affine_2x2 with real u and v) takes each Taylor term as t00 * B in place
-of term @ B: each entry of that product is t00 b0j beside exact zeros,
-so @ rounds it once in any summation order, with or without a fused
-multiply-add, and the elementwise product gives the same value.  Only
-the sign of a zero can differ, and no partial sum keeps it: they start
-from the identity, whose zeros are +0, and +0 + (+-0) = +0.
+accumulating, each norm reduced along the stack (see _one_norms), the
+terms and partial sums held in one buffer.  Each term is the previous
+one @ B times 1/k: numpy divides a complex array by k that way, so it
+has the bits of the quotient.  A real stack with no nonzero entry below
+its first row (every point of affine_2x2 with real u and v) takes each
+Taylor term as t00 * B in place of term @ B: each entry of that product
+is t00 b0j beside exact zeros, so @ rounds it once in any summation
+order, with or without a fused multiply-add, and the elementwise product
+gives the same value.  Only the sign of a zero can differ, and no
+partial sum keeps it: they start from the identity, whose zeros are +0,
+and +0 + (+-0) = +0.  So such a stack sums only the real parts of its
+first rows: every partial sum is the identity below its first row and
+has +0 imaginary parts, and the 1-norm of its column j > 0 is
+|p0j| + 1, rounded once, as the column sum rounds it.
 
 The public functions validate their arguments.  The underscored kernels
 (_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
@@ -101,9 +107,10 @@ def _per_slice(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
 
 
 def _one_norms(A: np.ndarray) -> np.ndarray:
-    # The 1-norm of each slice of an (N, n, n) stack: max column sum.
-    # Reduced along the stack, each column sum adds its rows in row order,
-    # as np.add.reduce(axis=1) of the stack does, so it has the same bits.
+    # The 1-norm of each matrix of a (..., n, n) array, in one flat axis:
+    # max column sum.  Reduced along the stack, each column sum adds its
+    # rows in row order, as np.add.reduce(axis=1) of the stack does, so it
+    # has the same bits.
     return np.maximum.reduce(np.add.reduce(_stack_last(np.abs(A)), axis=0), axis=0)
 
 
@@ -152,9 +159,11 @@ def expm_stack(A) -> np.ndarray:
     whose 1-norm exceeds 700 comes back filled with NaN and leaves the
     other slices untouched; expm of that slice raises OverflowError.
     Where every slice is real with no nonzero entry below its first row,
-    each Taylor term is t00 * B, with the bits of term @ B (see the module
-    docstring), so a slice's bits still do not depend on its partners.
-    The squarings always take @.
+    each Taylor term is t00 * B, with the bits of term @ B, and the sums
+    run on the real parts of the first rows (see the module docstring),
+    so a slice's bits still do not depend on its partners.  The
+    squarings always take @.  The slices still accumulating are held as
+    one buffer of their terms and partial sums.
     """
     return _expm_stack(_as_square(A, 3, "an (N, n, n) stack"))
 
@@ -178,33 +187,64 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
     if not len(A):
         return np.empty_like(A)
     s = _scale_exponents(norms)
-    B = A / (2.0 ** s)[:, None, None]
-    result = np.empty_like(B)
-    # A real stack with no nonzero entry below its first row: each entry of
-    # term @ B is t00 b0j beside exact zeros, one rounding in any order.
+    result = B = A / (2.0 ** s)[:, None, None]
+    # A real stack with no nonzero entry below its first row sums the real
+    # parts of its first rows, as (n, N) arrays (see the module docstring).
     one_row = not B.imag.any() and not B[:, 1:].any()
-    # Slices still accumulating: their positions in A, terms and sums.
+    if one_row:
+        factor = B[:, 0].real.T.copy()
+        sums = np.empty_like(factor)
+        start = np.eye(n, 1)
+        axis = -1
+    else:
+        # result starts as B; a slice's row takes its sum when it stops,
+        # and B's row is not read again.
+        factor, sums, start = B, result, np.eye(n)
+        axis = -3
+
+    def at(i):
+        # Index i along the stack's axis of factor, sums or buf.
+        return (..., i) + (slice(None),) * (-1 - axis)
+
+    # Slices still accumulating: their positions in A, and their terms and
+    # partial sums in one buffer, whose norms are taken at once.
+    # empty_like keeps the subclass of B.
     todo = np.arange(len(A))
-    partial = np.broadcast_to(np.eye(n, dtype=complex), B.shape).copy()
+    buf = np.empty_like(factor, shape=(2, *factor.shape))
+    term, partial = buf
+    # I @ B would differ from B only in the signs of zeros, which no
+    # partial sum keeps: it never holds a -0.0.
+    term[...] = factor
+    partial[...] = start
     for k in range(1, _EXPM_MAX_TERMS + 1):
-        if k == 1:
-            # I @ B would differ from B only in the signs of zeros, which
-            # no partial sum keeps: it never holds a -0.0.
-            term = B
-        else:
-            term = term[:, :1, :1] * B if one_row else term @ B
-            term /= k
+        if k > 1:
+            # Times 1/k: numpy's quotient by k (see the module docstring).
+            if one_row:
+                np.multiply(term[0], factor, out=term)
+                term *= 1.0 / k
+            else:
+                np.multiply((term @ factor).view(float), 1.0 / k, out=term.view(float))
         partial += term
-        # The term's and the partial sum's 1-norms, in one reduction.
-        term_norms, partial_norms = _one_norms(np.concatenate([term, partial])).reshape(2, -1)
+        if one_row:
+            # A partial sum's column j > 0 adds the identity's 1 below its
+            # first row: |p0j| + 1, rounded once, as the column sum is.
+            a = np.abs(buf)
+            a[1, 1:] += 1.0
+            term_norms, partial_norms = np.maximum.reduce(a, axis=1)
+        else:
+            term_norms, partial_norms = _one_norms(buf).reshape(2, -1)
         done = term_norms < _EXPM_REL_EPS * partial_norms
         if done.any():
-            result[todo[done]] = partial[done]
+            sums[at(todo[done])] = np.compress(done, partial, axis)
             going = ~done
-            todo, term, B, partial = todo[going], term[going], B[going], partial[going]
+            todo, factor, buf = todo[going], np.compress(going, factor, axis), np.compress(going, buf, axis)
+            term, partial = buf
             if not todo.size:
                 break
-    result[todo] = partial
+    sums[at(todo)] = partial
+    if one_row:
+        result[...] = np.eye(n)
+        result[:, 0] = sums.T
     for j in range(int(s.max())):
         squaring = np.flatnonzero(s > j)
         R = result[squaring]
@@ -340,7 +380,9 @@ def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:
     not taken for rank deficiency, and no entry or norm leaves double
     range.  A fit_residual well above zero means the pair is NOT in the
     affine commutator class; it does not change when X or Y is scaled.
-    Raises ValueError where [X, Y] is not finite.
+    Raises ValueError where [X, Y] is not finite, and where [X, Y] is not
+    zero but the scaled basis has rank below 3 (lstsq's cutoff): such a
+    pair's fit can be small while its (u, v, c) is wrong.
     """
     X = as_matrix(X)
     Y = as_matrix(Y)
@@ -353,10 +395,16 @@ def infer_uvc(X, Y) -> tuple[complex, complex, complex, float]:
     big = np.append(np.abs(basis).max(axis=0), np.abs(W).max())
     *col, w = _unit_scale(big)
     A, b = basis * col, W * w
-    coef = np.linalg.lstsq(A, b, rcond=None)[0]
+    coef, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     u, v, c = (complex(z) for z in coef * col / w)
     if not W.any():
         return u, v, c, 0.0
+    # In exact arithmetic a dependent {X, Y, I} forces [X, Y] = 0.
+    if rank < 3:
+        raise ValueError(
+            "X, Y and the identity are numerically dependent but [X, Y] is not zero: "
+            "(u, v, c) is not determined"
+        )
     # ||(b - A coef) / w|| / (||A[:, 0] / col[0]|| ||A[:, 1] / col[1]||): its
     # power of two col[0] col[1] / w goes in by exponent, since it can leave
     # double range where the fit does not.

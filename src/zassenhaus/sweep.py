@@ -9,10 +9,13 @@ request and arithmetic as one pair: each distinct requested matrix is
 exponentiated once, in one expm_stack call per shape per block, and the
 check's products and relative residual run once over the stack.  A block
 keeps nothing from the block before: a matrix that two blocks name is
-stacked in each.  A stacked @, commutator or scalar multiple is
-bit-identical to the same operation on each slice, and so is each
-stacked Frobenius norm and each expm_stack slice, so every residual has
-the bits of the public check's on that point's pair.
+stacked in each.  A block's memory is a few copies of its requested
+matrices: lattice_points fills only the stacks it returns, and gather
+holds one stack of the requested matrices, which it drops before
+expm_stack.  A stacked @, commutator or scalar multiple is bit-identical
+to the same operation on each slice, and so is each stacked Frobenius
+norm and each expm_stack slice, so every residual has the bits of the
+public check's on that point's pair.
 
 The lattice is real, and its W = [X, Y] is written in closed form, with
 no product of matrices.  The nonzero entries of XY and YX are v(-u),
@@ -53,13 +56,12 @@ __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 
 # The matrices that a block may request, over all its points: this bounds
 # a block's memory whatever the lattice size.  The 41x41 disentangle-right
-# sweep (4 per point) runs in two blocks of at most 1024 points, which
-# stack 2102 slices for its 1983 distinct matrices.  Sized by measurement
-# on that sweep (perfbench's sweep-lattice), while each block carried the
-# previous block's exponentials: its peak memory was 35.3 MiB, 0.7 MiB
-# above four blocks of 512 points; one block for the whole lattice
-# measured about 2 MiB above one row per block.
-BLOCK_SLICES = 4096
+# sweep (4 per point, 6724 in all) runs in one block, which stacks its 1983
+# distinct matrices once.  Sized by measurement on that sweep (perfbench's
+# sweep-lattice): its peak traced memory is 1.44 MiB, about 3.5 copies of
+# its requested matrices, against 1.48 MiB for two blocks of 4096 when each
+# held about 5.9 copies of its own.
+BLOCK_SLICES = 8192
 
 
 # A point past this modulus, or with a non-finite part, gets g_r from the
@@ -153,19 +155,20 @@ def lattice_points(u: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, tuple
         d = np.where(u + v != 0.0, 1.0, -1.0)
         p = v * -u
         w00, w01 = p - p, v * d + u
-    X = np.zeros((len(u), 2, 2), dtype=complex)
-    Y, W = np.zeros_like(X), np.zeros_like(X)
-    X[:, 0, 0] = v
-    X[:, 0, 1] = 1.0
-    Y[:, 0, 0] = -u.astype(complex)
-    Y[:, 0, 1] = d
-    W[:, 0, 0] = w00
-    W[:, 0, 1] = w01
     origin = (u == 0.0) & (v == 0.0)
     groups = []
     affine = np.flatnonzero(~origin & np.isfinite(w00) & np.isfinite(w01))
     if affine.size:
-        groups.append((affine, (X[affine], Y[affine], W[affine], u[affine], v[affine])))
+        u, v, d, w00, w01 = (x[affine] for x in (u, v, d, w00, w01))
+        X = np.zeros((len(affine), 2, 2), dtype=complex)
+        Y, W = np.zeros_like(X), np.zeros_like(X)
+        X[:, 0, 0] = v
+        X[:, 0, 1] = 1.0
+        Y[:, 0, 0] = -u.astype(complex)
+        Y[:, 0, 1] = d
+        W[:, 0, 0] = w00
+        W[:, 0, 1] = w01
+        groups.append((affine, (X, Y, W, u, v)))
     origin = np.flatnonzero(origin)
     if origin.size:
         pair = heisenberg_3x3(1)

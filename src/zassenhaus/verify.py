@@ -235,28 +235,45 @@ class _Subject:
         nothing here: it fails where a check reads it, and a matrix built
         from its fill is exponentiated as any other.  A matrix with a
         non-finite entry or a NaN exponential fails; a failed exponential
-        is the identity."""
+        is the identity.  It holds one stack of the requested matrices:
+        the request's own matrices go once that stack is built, and the
+        stack goes before expm_stack, so a failure keeps a copy of its own
+        matrix (a NaN exponential's from the stack of distinct matrices)."""
         named = {}
         self.gathering = True
         for request in filter(None, requests):
-            for key, M in request[0](self, *request[1]).items():
-                named.setdefault(key, M)
+            named.update({key: M for key, M in request[0](self, *request[1]).items() if key not in named})
         self.gathering = False
         if not named:
             return
         keys, n = list(named), self.X.shape[-1]
         A = np.array(list(named.values())).reshape(-1, n, n)
-        live = np.flatnonzero(_per_slice(np.logical_and, np.isfinite(A)))
-        first, inverse = _unique_rows(A[live].reshape(len(live), n * n))
-        exps = expm_stack(A[live[first]]) if first.size else A[:0]
+        del named  # the request's own stacks (X + Y, g W, ...)
+        finite = _per_slice(np.logical_and, np.isfinite(A))
+        live = np.flatnonzero(finite)
+        # A failure keeps a copy of its own matrix, by its position in A.
+        failures = {p: A[p].copy() for p in np.flatnonzero(~finite).tolist()}
+        rows = A if len(live) == len(A) else A[live]
+        first, inverse = _unique_rows(rows.reshape(len(live), n * n))
+        distinct = rows[first]
+        del A, rows
+        exps = expm_stack(distinct) if first.size else distinct
+        nan = _per_slice(np.logical_or, np.isnan(exps))
+        # A NaN exponential's matrix, from the distinct stack.
+        for i in np.flatnonzero(nan[inverse]).tolist():
+            failures[int(live[i])] = distinct[inverse[i]].copy()
+        for p in sorted(failures):
+            self.failed.setdefault(keys[p // self.size], {})[p % self.size] = failures[p]
         # The pool: each distinct exponential, then the identity at its end.
         pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
         identity = len(exps)
-        where = np.full(len(A), identity)
-        where[live] = np.where(_per_slice(np.logical_or, np.isnan(exps)), identity, np.arange(identity))[inverse]
-        for p in np.flatnonzero(where == identity).tolist():
-            self.failed.setdefault(keys[p // self.size], {})[p % self.size] = A[p]
+        where = np.full(len(finite), identity)
+        where[live] = np.where(nan, identity, np.arange(identity))[inverse]
         self.exps.update(zip(keys, _read_only(pool[where.reshape(len(keys), *self.X.shape[:-2])])))
+
+
+# The sorted rows that _unique_rows compares at once.
+_UNIQUE_CHUNK = 1024
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,10 +286,13 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack, where np.unique compares void scalars one pair at a time."""
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
-    words = rows.view(np.uint64)[order, None]
-    new = np.empty(len(order), dtype=bool)
-    new[:1] = True
-    new[1:] = _per_slice(np.logical_or, words[1:] != words[:-1])
+    words = rows.view(np.uint64)
+    new = np.ones(len(order), dtype=bool)
+    # Each sorted key against the one before it, _UNIQUE_CHUNK at a time:
+    # the sorted copy of the words stays small.
+    for a in range(1, len(order), _UNIQUE_CHUNK):
+        w = words[order[a - 1:a + _UNIQUE_CHUNK], None]
+        new[a:a + len(w) - 1] = _per_slice(np.logical_or, w[1:] != w[:-1])
     first = order[new]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new) - 1

@@ -241,22 +241,24 @@ def test_verify_file_pair_with_a_small_generator(tmp_path, eps, capsys):
     [
         ([[0.0, 1e200], [0.0, 0.0]], [[1.0, 1e200], [0.0, 0.0]]),
         ([[1.0, 1e200], [0.0, 0.0]], [[0.0, 1e200], [0.0, 0.0]]),
+        ([[1.0, 1.0], [0.0, 0.0]], [[1.0 + 1e-15, 1.0], [0.0, 0.0]]),
     ],
 )
-def test_verify_file_pair_with_huge_entries_is_checked(tmp_path, x, y, capsys):
-    # [X, Y] = -X and Y: in the class, with norms near 1e200 whose squares
-    # leave double range.  The checks that need an exponential fail on its
-    # 1-norm.  X and Y agree but in an entry 1e-200 of their norm, so the
-    # fit takes them as parallel and finds u = v; ab-structure's
-    # [A, B] = (u - v) A then fails without an error.
+def test_verify_file_pair_with_a_numerically_dependent_basis_is_refused(tmp_path, x, y, capsys):
+    # [X, Y] = -X, Y and Y - (1 + 1e-15) X: in the class, but X and Y
+    # differ only in an entry far below their norm, so the scaled basis
+    # {X, Y, I} has rank 2.  The fit took them as parallel and found u = v:
+    # on the 1e200 pairs ab-structure's [A, B] = (u - v) A then failed
+    # without an error.
     x = _write_matrix(tmp_path / "x.json", x)
     y = _write_matrix(tmp_path / "y.json", y)
-    assert cli.main(["verify", "--x", x, "--y", y, "--format", "json"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    assert not any(check["passed"] for check in checks)
-    errors = [check["metadata"]["error"] for check in checks if "error" in check["metadata"]]
-    assert len(errors) == 8
-    assert all(re.fullmatch(r"OverflowError: matrix 1-norm \S+ exceeds 700; .*", e) for e in errors)
+    assert cli.main(["verify", "--x", x, "--y", y, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --x/--y: X, Y and the identity are numerically dependent but [X, Y] is not zero: "
+        "(u, v, c) is not determined\n"
+    )
 
 
 def test_verify_file_pair_whose_commutator_overflows_is_refused(tmp_path, capsys):

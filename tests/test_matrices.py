@@ -668,6 +668,27 @@ def test_infer_uvc_fits_a_commutator_that_cancels():
     assert infer_uvc(pair.X, pair.Y)[3] <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([[0.0, 1e200], [0.0, 0.0]], [[1.0, 1e200], [0.0, 0.0]]),
+        ([[1.0, 1e200], [0.0, 0.0]], [[0.0, 1e200], [0.0, 0.0]]),
+        ([[1.0, 1.0], [0.0, 0.0]], [[1.0 + 1e-15, 1.0], [0.0, 0.0]]),
+    ],
+)
+def test_infer_uvc_refuses_a_dependent_basis_with_a_nonzero_commutator(x, y):
+    # [X, Y] = -X, Y and Y - (1 + 1e-15) X: in the class, but X and Y
+    # differ only far below their norm, so lstsq's rank is 2.  Its
+    # minimum-norm solution had u = v, with a fit below 4e-16.
+    with pytest.raises(ValueError, match=r"^X, Y and the identity are numerically dependent"):
+        infer_uvc(x, y)
+
+
+def test_infer_uvc_accepts_a_dependent_basis_whose_commutator_is_zero():
+    # Rank 1: X, Y and I are all multiples of I, and [X, Y] = 0.
+    assert infer_uvc(2.0 * np.eye(3), -np.eye(3))[3] == 0.0
+
+
 def test_infer_uvc_refuses_a_commutator_that_is_not_finite():
     x = np.array([[1e160, 1e160], [0.0, 0.0]])
     y = np.array([[0.0, 1e160], [0.0, 1e160]])

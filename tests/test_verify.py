@@ -1038,31 +1038,29 @@ def test_a_41_by_41_sweep_stacks_each_distinct_exponential_once(
     assert expm_calls == []
 
 
-def test_a_41_by_41_sweep_runs_in_two_blocks(expm_calls, expm_stack_calls, tmp_path):
-    # 1024 points per block at 4 requests each; the origin is in the first,
-    # whose 3x3 stack follows its 2x2 one.  Each block stacks every distinct
-    # matrix it names, so the 119 of the 1983 that both blocks name are
-    # stacked twice: 2102 slices in all.
-    assert sweep.BLOCK_SLICES == 4096
+def test_a_41_by_41_sweep_runs_in_one_block(expm_calls, expm_stack_calls, tmp_path):
+    # 6724 requests (4 per point) fit the budget: one call per shape stacks
+    # the 1979 distinct 2x2 matrices, then the origin's four 3x3.
+    assert sweep.BLOCK_SLICES == 8192
     assert main(_sweep_argv("disentangle-right", 41, tmp_path / "s.csv")) == 0
-    assert [a.shape[0] for a in expm_stack_calls] == [1253, 4, 845]
+    assert [a.shape[0] for a in expm_stack_calls] == [1979, 4]
     assert expm_calls == []
 
 
 # The 2x2 stacks of each sweep, block by block.
 _BUDGET_SIZES = {
-    ("disentangle-right", 60): [1291, 1319, 1298, 733],
-    ("product", 20): [3698, 3721, 3732, 497],
-    # Each block holds whole rows, so each stacks the same e^{-tX} and
-    # e^{tX} (v alone) of the 70 columns.
-    ("hadamard", 70): [140, 140, 140],
+    ("disentangle-right", 60): [2418, 1860],
+    ("product", 20): [7330, 4183],
+    # Each block holds a whole row or more, so each stacks the same e^{-tX}
+    # and e^{tX} (v alone) of the 70 columns.
+    ("hadamard", 70): [140, 140],
 }
 
 
 @pytest.mark.parametrize("check, steps", list(_BUDGET_SIZES))
 def test_no_stack_holds_more_than_the_block_budget(check, steps, expm_stack_calls, tmp_path):
     # More requested matrices than one block may hold; a product block of
-    # 128 points ends inside a row of 20.
+    # 256 points ends inside a row of 20.
     assert main(_sweep_argv(check, steps, tmp_path / "s.csv")) == 0
     sizes = [a.shape[0] for a in expm_stack_calls if a.shape[1] == 2]
     assert sizes == _BUDGET_SIZES[check, steps]
@@ -1093,6 +1091,23 @@ def test_a_nan_exponential_fails_its_point_in_every_block(expm_stack_calls, tmp_
     s = _gathered("disentangle-right", [_lattice_pair(1.0, 704.0), _lattice_pair(1.0, 688.0)])
     assert np.array_equal(s.failed["x"][0], X)
     assert 1 not in s.failed["x"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_point_keeps_a_copy_of_its_own_matrix():
+    # Point 0's e^X and e^{X+Y} are NaN (1-norms 704 and 703), and point 1's
+    # X has a NaN entry, so its X + Y does too.  gather drops its stack of
+    # the requested matrices before expm_stack; each failure owns the bytes
+    # of its matrix.
+    X, Y, W, u, v = _stack([_lattice_pair(1.0, 704.0), _lattice_pair(1.0, 688.0), _lattice_pair(1.0, 2.0)])
+    X[1, 1, 0] = np.nan
+    s = verify._Subject(X, Y, W, u, v)
+    s.gather([verify.CHECKS["disentangle-right"].request])
+    assert {key: sorted(rows) for key, rows in s.failed.items()} == {"x": [0, 1], "x+y": [0, 1]}
+    for key, M in (("x", X), ("x+y", X + Y)):
+        for i in (0, 1):
+            assert s.failed[key][i].flags.owndata
+            assert s.failed[key][i].tobytes() == M[i].tobytes()
 
 
 def test_nothing_is_carried_from_one_sweep_to_the_next(expm_stack_calls, tmp_path):

@@ -3,15 +3,18 @@
     python3 tools/bench_pairs.py --pr 19 --description "..."
 
 It may be run from any directory, and uses only the standard library.
-The parent is HEAD, exported with ``git archive`` into a temporary
-directory, and the change is the working tree as it stands.  For each
-workload of ``BENCHMARK.json`` it runs PAIRS pairs: both sides run
-``perfbench/run.py`` with the same seed (100 * pr + pair + 1) for
-``run_seconds`` of ``BENCHMARK.json``, one after the other, each from its
-own tree with ``PYTHONDONTWRITEBYTECODE=1``, and the side that runs first
-alternates from pair to pair.  Then each side makes one ``--trace 1`` run
-of each workload for TRACE_SECONDS, so every workload's per-layer figures
-are there to explain its end-to-end ones.
+Both sides run from copies in one temporary directory, at paths of one
+length, since the length of the path a tree runs from alone moved
+sweep-lattice by 2-6 %: the parent is HEAD, exported with ``git archive``
+into ``<tmp>/parent``, and the change is the working tree as it stands,
+its files (``git ls-files --cached --others --exclude-standard``) copied
+into ``<tmp>/change``.  For each workload of ``BENCHMARK.json`` it runs
+PAIRS pairs: both sides run ``perfbench/run.py`` with the same seed
+(100 * pr + pair + 1) for ``run_seconds`` of ``BENCHMARK.json``, one after
+the other, each from its own tree with ``PYTHONDONTWRITEBYTECODE=1``, and
+the side that runs first alternates from pair to pair.  Then each side
+makes one ``--trace 1`` run of each workload for TRACE_SECONDS, so every
+workload's per-layer figures are there to explain its end-to-end ones.
 
 The file holds seven keys: description, command, parent (the full commit
 id), host, summary (per workload and side, the median and quartiles of
@@ -30,6 +33,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -58,6 +62,22 @@ def _spec() -> dict:
 
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], capture_output=True, check=True, cwd=ROOT).stdout
+
+
+def _trees(tmp: str, parent: str) -> dict[str, str]:
+    """{side: tree}: HEAD exported to tmp/parent, the working tree's files
+    copied to tmp/change."""
+    trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", parent))) as tar:
+        tar.extractall(trees["parent"], filter="data")
+    files = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode().split("\0")
+    for name in filter(None, files):
+        source = os.path.join(ROOT, name)
+        if os.path.isfile(source):  # a file deleted from the tree is still in the index
+            target = os.path.join(trees["change"], name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+    return trees
 
 
 def _host() -> str:
@@ -138,10 +158,8 @@ def main(argv=None) -> int:
     parent = _git("rev-parse", "HEAD").decode().strip()
     command, seconds = spec["command"], spec["run_seconds"]
     runs, traced = [], {}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
-        with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", parent))) as tar:
-            tar.extractall(parent_tree, filter="data")
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = _trees(tmp, parent)
         base = 100 * args.pr
         workloads = [w["name"] for w in spec["workloads"]]
         for workload in workloads:

@@ -11,9 +11,10 @@ numpy.  The families:
 - sweep: the CSV bytes and exit code of ``zassenhaus sweep`` for each of
   the nine checks on each of WINDOWS: one reaching |u| = |v| = 700, one
   out to |u| = |v| = 1.5e154, where uv leaves double range at some points
-  (their pairs are refused) and not at others, one from --u-min=-0, and
-  the 41x41 lattice over [-2, 2]^2, which every check that requests three
-  or more matrices per point runs in more than one block;
+  (their pairs are refused) and not at others, one from --u-min=-0, the
+  41x41 lattice over [-2, 2]^2, and the 65x65 one, whose 4225 points every
+  check that requests two or more matrices per point runs in more than one
+  block;
 - files: the stdout, stderr and exit code of ``zassenhaus verify --x X
   --y Y --format json`` on the golden overflow files and on FILE_PAIRS,
   written to a temporary directory: a pair with a small generator, a
@@ -61,6 +62,7 @@ WINDOWS = (
     (-1.5e154, 1.5e154, -1.5e154, 1.5e154, 7),
     (-0.0, 3.0, -3.0, 3.0, 7),
     (-2.0, 2.0, -2.0, 2.0, 41),
+    (-2.0, 2.0, -2.0, 2.0, 65),
 )
 SEED = 2501
 # name -> (the pair, built from the realizations module, and the s of the
