@@ -1,8 +1,14 @@
 """Dense complex-matrix kernel for the verification harness.
 
 Matrices are plain numpy complex128 arrays, validated on entry: square,
-finite, dimension between 1 and MAX_DIM.  Everything here is a pure
-function; nothing mutates its arguments.
+dimension between 1 and MAX_DIM, and finite except in expm_stack.
+Everything here is a pure function; nothing mutates its arguments.
+
+NaN is the one mark of a value that cannot be computed, set where the
+value is made.  expm_stack fills a slice with NaN exactly where expm of
+that slice raises: a non-finite entry (ValueError) or a 1-norm past 700
+(OverflowError).  _rel_residual and _rel_residuals are non-finite
+exactly where rel_residual raises: a pair with a non-finite entry.
 
 expm_stack is the matrix exponential of every slice of a stack, each
 with its own scaling, stopping test and squarings; expm is its one-slice
@@ -25,14 +31,14 @@ has +0 imaginary parts, and the 1-norm of its column j > 0 is
 
 The public functions validate their arguments.  The underscored kernels
 (_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
-take arrays that are already valid complex matrices of one shape, for
-callers that built them so.  _commutator, _conjugate_series and
-_rel_residuals also take (N, n, n) stacks, and each slice of their
-result is bit-identical to their result for that slice alone (for
-_conjugate_series, up to the sign of a zero entry).  Both residual kernels
-rescale a pair whose sums of squares overflow in one place,
-_rescaled_residuals, by the power of two of _unit_scale; infer_uvc
-scales its least-squares problem by the same powers.
+take complex arrays of one valid shape, for callers that built them so;
+a non-finite entry goes on into their results.  _commutator,
+_conjugate_series and _rel_residuals also take (N, n, n) stacks, and each
+slice of their result is bit-identical to their result for that slice
+alone (for _conjugate_series, up to the sign of a zero entry).  Both
+residual kernels rescale a pair whose sums of squares overflow in one
+place, _rescaled_residuals, by the power of two of _unit_scale;
+infer_uvc scales its least-squares problem by the same powers.
 """
 
 from __future__ import annotations
@@ -71,7 +77,10 @@ class DimensionMismatch(ValueError):
 
 def as_matrix(obj) -> np.ndarray:
     """Validate obj as a square complex matrix and return it as complex128."""
-    return _as_square(obj, 2, "a square matrix")
+    A = _as_square(obj, 2, "a square matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
+    return A
 
 
 def _as_square(obj, ndim: int, expected: str) -> np.ndarray:
@@ -81,8 +90,6 @@ def _as_square(obj, ndim: int, expected: str) -> np.ndarray:
     n = A.shape[-1]
     if n < 1 or n > MAX_DIM:
         raise DimensionMismatch(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
     return A
 
 
@@ -156,8 +163,10 @@ def expm_stack(A) -> np.ndarray:
     therefore bit-identical to expm of that slice; a zero slice gives the
     identity exactly.  The stopping test, ||term||_1 < 1e-18 ||partial||_1,
     runs on every slice still accumulating, after each term.  A slice
-    whose 1-norm exceeds 700 comes back filled with NaN and leaves the
-    other slices untouched; expm of that slice raises OverflowError.
+    comes back filled with NaN exactly where expm of that slice raises,
+    and leaves the other slices untouched: one with a non-finite entry
+    (ValueError) or a 1-norm past 700 (OverflowError).  Only the stack's
+    shape is validated.
     Where every slice is real with no nonzero entry below its first row,
     each Taylor term is t00 * B, with the bits of term @ B, and the sums
     run on the real parts of the first rows (see the module docstring),
@@ -170,7 +179,8 @@ def expm_stack(A) -> np.ndarray:
 
 def _expm_stack(A: np.ndarray) -> np.ndarray:
     norms = _one_norms(A)
-    over = norms > _EXPM_NORM_LIMIT
+    # A non-finite entry makes the norm inf or NaN.
+    over = ~(norms <= _EXPM_NORM_LIMIT)
     if not over.any():
         return _expm_live(A, norms)
     out = np.full_like(A, np.nan)
@@ -317,10 +327,6 @@ def _rel_residual(A: np.ndarray, B: np.ndarray) -> float:
         residual = _frobenius(A - B) / max(1.0, norm_a, norm_b)
         if math.isfinite(residual):
             return residual
-    else:
-        # A non-finite entry: raise the ValueError rel_residual raises.
-        as_matrix(A)
-        as_matrix(B)
     return float(_rescaled_residuals(A, B))
 
 
@@ -331,21 +337,19 @@ def _frobenius_stack(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _rel_residuals(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(residuals, finite): _rel_residual of each matrix pair of two
-    C-contiguous (..., n, n) arrays that broadcast to at least one leading
-    axis, with its bits wherever finite; finite is False where
-    _rel_residual raises."""
-    finite = _per_slice(np.logical_and, np.isfinite(A) & np.isfinite(B))
+def _rel_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """_rel_residual of each matrix pair of two C-contiguous (..., n, n)
+    arrays that broadcast to at least one leading axis, with its bits."""
     scale = np.maximum(np.maximum(1.0, _frobenius_stack(A)), _frobenius_stack(B))
     residuals = _frobenius_stack(A - B) / scale
-    # A finite pair whose sums of squares overflow: its scale or residual
-    # is not finite (an infinite scale made the residual 0 or NaN).
-    past = finite & ~np.isfinite(residuals + scale)
+    # A pair whose sums of squares overflow, or with a non-finite entry:
+    # its scale or residual is not finite (an infinite scale made the
+    # residual 0 or NaN).
+    past = ~np.isfinite(residuals + scale)
     if past.any():
         A, B = np.broadcast_arrays(A, B)
         residuals[past] = _rescaled_residuals(A[past], B[past])
-    return residuals, finite
+    return residuals
 
 
 def _unit_scale(big: np.ndarray) -> np.ndarray:
@@ -360,7 +364,8 @@ def _rescaled_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     times the power of two that brings their largest entry modulus into
     [1/2, 1), so no sum of squares overflows.  Exact scaling: only
     entries far below the largest can lose bits, to underflow.  Such a
-    pair's norms are far above 1, so the 1 of max(1, ...) drops out."""
+    pair's norms are far above 1, so the 1 of max(1, ...) drops out.  A
+    pair with a non-finite entry gets NaN, whatever its scaling."""
     big = np.maximum(np.abs(A).max(axis=(-2, -1)), np.abs(B).max(axis=(-2, -1)))
     c = _unit_scale(big)[..., None, None]
     a, b = A * c, B * c

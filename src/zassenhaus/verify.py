@@ -21,13 +21,15 @@ block gathers its check's, keeping nothing from the block before.
 
 Errors stay with their check and its order.  A subject records each
 failure by item and point: a value that raises (PoleError,
-OverflowError), a non-finite matrix, and one whose exponential comes
-back NaN (a 1-norm past 700).  A matrix built from a failed value takes
-its fill and is exponentiated as any other, so each check reads the
-values its matrices are built from, no later than their exponentials.
-A check fails at the first failed item it reads: a pair raises that
-error (for an exponential, what expm raises on its matrix); a block's
-point fails alone.
+OverflowError), and a matrix whose exponential comes back NaN, which
+expm_stack gives exactly where expm raises (a non-finite entry or a
+1-norm past 700).  A matrix built from a failed value takes its fill
+and is exponentiated as any other, so each check reads the values its
+matrices are built from, no later than their exponentials.  A check
+fails at the first failed item it reads, or at a residual that is not
+finite (one of its matrices is not): a pair raises that error (for an
+exponential, what expm raises on its matrix; for a residual,
+rel_residual's ValueError); a block's point fails alone.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class _Subject:
     a block's are (N, n, n) stacks and (N, 1, 1) arrays.  values (by name),
     cvs (a pair's CoeffValues) and exps (read-only, by key) are computed
     once.  failed: item -> {point: the exception, or the matrix whose
-    exponential the stack could not give}; errors: point -> the first
+    exponential came back NaN}; errors: point -> the first
     failure a block's check read.  arrays: coefficient function -> its
     array form (u, v) -> (values, done) over a block's points, which a
     block uses for that function where a check reads it (the sweep's
@@ -165,7 +167,9 @@ class _Subject:
             self._fail(self.failed.get(item, {}))
 
     def fail_unless(self, finite: np.ndarray) -> None:
-        """expm's ValueError wherever finite (one bool per matrix) is False."""
+        """expm's ValueError at each point where finite (one bool per
+        matrix or residual, the points along its last axis) is False: a
+        matrix or a residual pair with a non-finite entry."""
         bad = np.flatnonzero(~finite.reshape(-1, self.size).all(axis=0)).tolist()
         self._fail({i: ValueError("matrix entries must be finite") for i in bad})
 
@@ -220,25 +224,27 @@ class _Subject:
 
     def residual(self, A: np.ndarray, B: np.ndarray):
         """Relative residual of A against B, or against each matrix along
-        B's extra leading axis in one call."""
+        B's extra leading axis in one call; rel_residual's ValueError where
+        a pair has a non-finite entry (its residual is not finite)."""
         if not self.block and B.ndim == 2:
-            return _rel_residual(A, B)
-        residuals, finite = _rel_residuals(A, B)
-        self.fail_unless(finite)
+            residuals = _rel_residual(A, B)
+        else:
+            residuals = _rel_residuals(A, B)
+        self.fail_unless(np.isfinite(residuals))
         return residuals[..., None, None] if self.block else residuals
 
     def gather(self, requests) -> None:
         """Exponentiate each distinct matrix that the requests ((fn, args)
         or None) name, once: keyed by raw bytes (-0.0 and +0.0 stay apart)
-        and sorted in one _unique_rows call, in one expm_stack call (none
-        where no matrix is finite).  A value a request reads raises
-        nothing here: it fails where a check reads it, and a matrix built
-        from its fill is exponentiated as any other.  A matrix with a
-        non-finite entry or a NaN exponential fails; a failed exponential
-        is the identity.  It holds one stack of the requested matrices:
-        the request's own matrices go once that stack is built, and the
-        stack goes before expm_stack, so a failure keeps a copy of its own
-        matrix (a NaN exponential's from the stack of distinct matrices)."""
+        and sorted in one _unique_rows call, in one expm_stack call.  A
+        value a request reads raises nothing here: it fails where a check
+        reads it, and a matrix built from its fill is exponentiated as any
+        other.  A matrix whose exponential comes back NaN (where expm
+        raises on it) fails, and its exponential is the identity.  It
+        holds one stack of the requested matrices: the request's own
+        matrices go once that stack is built, and the stack goes before
+        expm_stack, so a failure keeps a copy of its matrix from the stack
+        of distinct matrices."""
         named = {}
         self.gathering = True
         for request in filter(None, requests):
@@ -249,26 +255,17 @@ class _Subject:
         keys, n = list(named), self.X.shape[-1]
         A = np.array(list(named.values())).reshape(-1, n, n)
         del named  # the request's own stacks (X + Y, g W, ...)
-        finite = _per_slice(np.logical_and, np.isfinite(A))
-        live = np.flatnonzero(finite)
-        # A failure keeps a copy of its own matrix, by its position in A.
-        failures = {p: A[p].copy() for p in np.flatnonzero(~finite).tolist()}
-        rows = A if len(live) == len(A) else A[live]
-        first, inverse = _unique_rows(rows.reshape(len(live), n * n))
-        distinct = rows[first]
-        del A, rows
-        exps = expm_stack(distinct) if first.size else distinct
+        first, inverse = _unique_rows(A.reshape(len(A), n * n))
+        distinct = A[first]
+        del A
+        exps = expm_stack(distinct)
         nan = _per_slice(np.logical_or, np.isnan(exps))
-        # A NaN exponential's matrix, from the distinct stack.
-        for i in np.flatnonzero(nan[inverse]).tolist():
-            failures[int(live[i])] = distinct[inverse[i]].copy()
-        for p in sorted(failures):
-            self.failed.setdefault(keys[p // self.size], {})[p % self.size] = failures[p]
+        # A NaN exponential keeps a copy of its matrix, from the distinct stack.
+        for p in np.flatnonzero(nan[inverse]).tolist():
+            self.failed.setdefault(keys[p // self.size], {})[p % self.size] = distinct[inverse[p]].copy()
         # The pool: each distinct exponential, then the identity at its end.
         pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
-        identity = len(exps)
-        where = np.full(len(finite), identity)
-        where[live] = np.where(nan, identity, np.arange(identity))[inverse]
+        where = np.where(nan, len(exps), np.arange(len(exps)))[inverse]
         self.exps.update(zip(keys, _read_only(pool[where.reshape(len(keys), *self.X.shape[:-2])])))
 
 

@@ -26,9 +26,17 @@ OverflowError later, in one of the product's e^{C_n W}, so it pins the
 per-point error path of a stacked row.  The four ``sweep-<check>-failures-5``
 cases (disentangle-right, bch, integral, hadamard; captured before each
 lattice row was checked as stacks) pin rows that mix passing points with
-points that fail: an exponential past the 1-norm limit, a non-finite
-X + Y + fW, an infinite or NaN residual, or a truncated adjoint series far
-from the conjugation product.  The coeff cases at u = v = 1000
+points that fail: for the first three, an exponential past the 1-norm
+limit (OverflowError) and a residual above the tolerance, and for
+hadamard, a truncated adjoint series far from the conjugation product.
+No value raises in them, and none of their points gathers a non-finite
+matrix or meets a non-finite residual.  The ``verify-sum-overflow`` cases,
+added later, run one file as both X and Y, X = Y = 1e308 E_12: [X, Y] is
+exactly 0, so the pair is accepted, while X + Y and X + Y + fW are
+infinite.  They are the CLI's one pin of a gathered non-finite matrix:
+six checks fail with expm's OverflowError on e^X or e^{tX}, and
+ab-structure, integral and product with ValueError, what expm and
+rel_residual raise on a matrix that is not finite.  The coeff cases at u = v = 1000
 were added later: every coefficient there but g_center is past double
 range, and coeff reports each one as overflowed with exit status 0.  They
 were regenerated when g_center learnt to return e^{-1000} g_r(1000, 1000),
@@ -83,10 +91,10 @@ CHECKS = (
 )
 _SQUARE = ["--u-min", "-2", "--u-max", "2", "--v-min", "-2", "--v-max", "2"]
 # Windows whose rows mix passing points with failing ones: a gW, I_32 W
-# or X + Y + fW past the 1-norm limit (OverflowError), a non-finite
-# X + Y + fW (ValueError), an infinite residual, and hadamard's truncated
-# series far from the conjugation product.  |u|, |v| and |u - v| stay
-# <= 700, where e^u, e^v and e^{u - v} are normal doubles.
+# or X + Y + fW past the 1-norm limit (OverflowError), a residual above
+# the tolerance, and hadamard's truncated series far from the conjugation
+# product.  |u|, |v| and |u - v| stay <= 700, where e^u, e^v and
+# e^{u - v} are normal doubles.
 _FAILURE_WINDOWS = {
     "disentangle-right": ["--u-min", "-4", "--u-max", "12", "--v-min", "-6", "--v-max", "690"],
     "bch": ["--u-min", "-175", "--u-max", "350", "--v-min", "0", "--v-max", "525"],
@@ -105,6 +113,13 @@ def _cases() -> dict[str, list[str]]:
             "verify",
             "--x", str(GOLDEN_DIR / "overflow_x.json"),
             "--y", str(GOLDEN_DIR / "overflow_y.json"),
+            "--format", fmt,
+        ]
+    for fmt in ("json", "text"):
+        cases[f"verify-sum-overflow-{fmt}"] = [
+            "verify",
+            "--x", str(GOLDEN_DIR / "sum_overflow.json"),
+            "--y", str(GOLDEN_DIR / "sum_overflow.json"),
             "--format", fmt,
         ]
     for fmt in ("json", "text"):

@@ -642,14 +642,16 @@ def _overflowing(u, v):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize(
-    "coefficient, replacement, failing, error",
+    "coefficient, replacement, failing, error, stacked",
     [
-        # gamma W past double range: expm raises on it as on the check alone.
+        # gamma W past double range is stacked, and its exponential comes
+        # back NaN: expm raises on it as on the check alone.
         (
             "gamma_swap",
             lambda u, v: CoeffValue(1e308 + 0j, EvalMethod.CLOSED_FORM, 0),
             "swap",
             "ValueError: matrix entries must be finite",
+            _DISTINCT_PER_SUITE["affine2"],
         ),
         # A coefficient that raises is 0 in its request, so g_c W is a zero
         # matrix, the one the vanishing odd C_n W already stack.
@@ -658,19 +660,20 @@ def _overflowing(u, v):
             _overflowing,
             "disentangle-center",
             "OverflowError: divided difference of exp overflows",
+            _DISTINCT_PER_SUITE["affine2"] - 1,
         ),
     ],
 )
 def test_a_request_that_cannot_be_built_fails_only_its_own_check(
-    coefficient, replacement, failing, error, monkeypatch, expm_stack_calls
+    coefficient, replacement, failing, error, stacked, monkeypatch, expm_stack_calls
 ):
-    # The other distinct exponentials are still stacked, and every other check
+    # The distinct exponentials are still stacked, and every other check
     # gives what it gives on an untouched pair.
     expected = run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
     monkeypatch.setattr(verify, coefficient, replacement)
     expm_stack_calls.clear()
     report = run_suite(affine_2x2(1.0, 2.0, 1.0, 1.0))
-    assert [a.shape[0] for a in expm_stack_calls] == [_DISTINCT_PER_SUITE["affine2"] - 1]
+    assert [a.shape[0] for a in expm_stack_calls] == [stacked]
     for got, want in zip(report.results, expected.results):
         if got.name == failing:
             assert got.metadata == {"error": error}
@@ -1272,7 +1275,7 @@ def test_a_block_shares_exponentials_across_its_rows(expm_stack_calls):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-def test_no_non_finite_matrix_or_nan_result_enters_the_table(expm_stack_calls):
+def test_no_nan_exponential_enters_the_table(expm_stack_calls):
     overflow = _overflow_pair()
     X, Y = overflow.X, overflow.Y
     # e^{X+Y} comes back NaN from a block's stack: the point fails at its
@@ -1288,14 +1291,15 @@ def test_no_non_finite_matrix_or_nan_result_enters_the_table(expm_stack_calls):
     assert list(s.failed) == ["x+y"]
     with pytest.raises(OverflowError, match="matrix 1-norm 800 exceeds 700"):
         s.exp("x+y")
-    # t X has an entry past double range: nothing is stacked, and each
-    # read raises expm's error.
+    # t X has an entry past double range: both are stacked, their
+    # exponentials come back NaN, and each read raises expm's error.
     expm_stack_calls.clear()
     s = verify._subject(affine_2x2(1.0, 2.0, 1.0, 1.0), verify._request_hadamard, 1e308 + 0j)
-    assert expm_stack_calls == []
+    assert [a.shape[0] for a in expm_stack_calls] == [2]
     assert list(s.failed) == [("-tX", 1e308 + 0j), ("tX", 1e308 + 0j)]
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        s.exp(("tX", 1e308 + 0j))
+    for key in s.failed:
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            s.exp(key)
 
 
 def _nan(payload: int, negative: bool = False) -> float:
