@@ -36,7 +36,15 @@ exactly 0, so the pair is accepted, while X + Y and X + Y + fW are
 infinite.  They are the CLI's one pin of a gathered non-finite matrix:
 six checks fail with expm's OverflowError on e^X or e^{tX}, and
 ab-structure, integral and product with ValueError, what expm and
-rel_residual raise on a matrix that is not finite.  The coeff cases at u = v = 1000
+rel_residual raise on a matrix that is not finite.  The ``verify-pole``
+cases, added later and captured before the pair became a one-point
+block, run a file pair on an f_bch pole: X = E_12 and
+Y = -2 pi i E_11 + E_12 give u = 2 pi i and v of about 6e-17 i, so bch
+and ab-structure fail with f_bch's PoleError, product fails at 2.2e-9
+(its fixed N = 30 is short there), and the other six checks pass.  They
+are the CLI's one pin of a value that raises inside a suite; their
+passing residuals depend on the BLAS kernel, as the lindblad and su11
+cases do.  The coeff cases at u = v = 1000
 were added later: every coefficient there but g_center is past double
 range, and coeff reports each one as overflowed with exit status 0.  They
 were regenerated when g_center learnt to return e^{-1000} g_r(1000, 1000),
@@ -120,6 +128,13 @@ def _cases() -> dict[str, list[str]]:
             "verify",
             "--x", str(GOLDEN_DIR / "sum_overflow.json"),
             "--y", str(GOLDEN_DIR / "sum_overflow.json"),
+            "--format", fmt,
+        ]
+    for fmt in ("json", "text"):
+        cases[f"verify-pole-{fmt}"] = [
+            "verify",
+            "--x", str(GOLDEN_DIR / "pole_x.json"),
+            "--y", str(GOLDEN_DIR / "pole_y.json"),
             "--format", fmt,
         ]
     for fmt in ("json", "text"):

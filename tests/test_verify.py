@@ -267,6 +267,15 @@ def test_truncated_product_converges_with_order():
     assert abs(out.metadata["coefficient_sum"] - out.metadata["closed_form"]) < 1e-4
 
 
+def test_truncated_product_tail_bound_is_0_where_the_sum_is_exact():
+    # u = v = 0: C_2 = -1/2 = g_r is the whole series, while the bound's
+    # exponent ||X|| + ||Y|| + |g_r| ||W|| is past exp's range.  The bound
+    # is 0, not 0 * inf.
+    meta = check_truncated_product(heisenberg_3x3(500)).metadata
+    assert meta["coefficient_sum"] == meta["closed_form"] == -0.5
+    assert meta["tail_bound_estimate"] == 0.0
+
+
 def test_truncated_product_rejects_low_cutoff():
     with pytest.raises(ValueError):
         check_truncated_product(AFFINE, N=1)
@@ -593,20 +602,35 @@ def _alone(name, build, tol):
         return CheckResult(name, math.inf, tol, False, {"error": f"{type(exc).__name__}: {exc}"})
 
 
-def _overflow_file_pair():
+# The golden file pairs, X and Y by file name: X + Y past the 1-norm
+# limit; u = 2 pi i and v about 0, an f_bch pole; X + Y not finite.
+_FILE_PAIRS = {
+    "overflow-file": ("overflow_x.json", "overflow_y.json"),
+    "pole-file": ("pole_x.json", "pole_y.json"),
+    "sum-overflow-file": ("sum_overflow.json", "sum_overflow.json"),
+}
+
+
+def _file_pair(name):
     golden = Path(__file__).resolve().parent / "golden"
-    pair, error = _pair_from_files(str(golden / "overflow_x.json"), str(golden / "overflow_y.json"))
+    pair, error = _pair_from_files(*(str(golden / path) for path in _FILE_PAIRS[name]))
     assert error is None
     return pair
 
 
-@pytest.mark.parametrize("name", [*sorted(_PAIR_BUILDERS), "overflow-file"])
+@pytest.mark.parametrize("name", [*sorted(_PAIR_BUILDERS), *_FILE_PAIRS])
 def test_every_suite_result_is_the_result_of_its_check_alone(name):
-    build = _PAIR_BUILDERS.get(name, _overflow_file_pair)
+    # The checks share one subject, and each fails by its own reads alone:
+    # the pole pair's PoleError, read by bch, is not carried to the checks
+    # after it (ab-structure reads f_bch itself).
+    build = _PAIR_BUILDERS.get(name, lambda: _file_pair(name))
     report = run_suite(build())
     assert list(_ALONE) == list(verify.CHECKS)
     for result in report.results:
         assert result == _alone(result.name, build, result.tolerance)
+    if name == "pole-file":
+        failed = [r.name for r in report.results if "error" in r.metadata]
+        assert failed == ["bch", "ab-structure"]
 
 
 def test_a_pole_fails_only_the_checks_that_need_its_coefficient():
@@ -861,8 +885,9 @@ def _g_right_raising_at_half(u, v):
         ("disentangle-right", 4.0, [-6.0, 168.0], "OverflowError: matrix 1-norm"),
         # e^X e^Y overflows, so the residual raises; the others are NaN.
         ("swap", -700.0, [700.0, 0.0, 1.0], "ValueError: matrix entries must be finite"),
-        # An ad power of the series is past double range.
-        ("hadamard", 1.0, [0.5, 1e200], "ValueError: matrix entries must be finite"),
+        # An ad power of the series is past double range, and so is the
+        # 1-norm of -tX, whose exponential the check reads first.
+        ("hadamard", 1.0, [0.5, 1e200], "OverflowError: matrix 1-norm"),
     ],
 )
 def test_a_point_that_cannot_be_computed_fails_alone(check, u, vs, error, monkeypatch):
@@ -1285,21 +1310,28 @@ def test_no_nan_exponential_enters_the_table(expm_stack_calls):
     assert s.errors == {}
     assert s.exp("x+y")[0].tobytes() == np.eye(2, dtype=complex).tobytes()
     assert list(s.errors) == [0]
-    # A pair's subject records it as failed too, and its read raises what
-    # expm raises alone.
+    # A pair is a block of one point: its subject records the failure
+    # too, its read fails the point in the same way, and the public check
+    # raises what expm raises alone.
     s = verify._subject(overflow, verify._request_disentangle, Side.RIGHT)
     assert list(s.failed) == ["x+y"]
+    assert s.exp("x+y")[0].tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert list(s.errors) == [0]
     with pytest.raises(OverflowError, match="matrix 1-norm 800 exceeds 700"):
-        s.exp("x+y")
+        check_disentangle(overflow, Side.RIGHT)
     # t X has an entry past double range: both are stacked, their
-    # exponentials come back NaN, and each read raises expm's error.
+    # exponentials come back NaN, each read fails the point, and the
+    # check raises expm's error.
     expm_stack_calls.clear()
-    s = verify._subject(affine_2x2(1.0, 2.0, 1.0, 1.0), verify._request_hadamard, 1e308 + 0j)
+    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
+    s = verify._subject(pair, verify._request_hadamard, 1e308 + 0j)
     assert [a.shape[0] for a in expm_stack_calls] == [2]
     assert list(s.failed) == [("-tX", 1e308 + 0j), ("tX", 1e308 + 0j)]
     for key in s.failed:
-        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-            s.exp(key)
+        assert s.exp(key)[0].tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert list(s.errors) == [0]
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        check_hadamard(pair, t=1e308)
 
 
 def _nan(payload: int, negative: bool = False) -> float:

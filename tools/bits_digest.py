@@ -17,7 +17,8 @@ numpy.  The families:
   block;
 - files: the stdout, stderr and exit code of ``zassenhaus verify --x X
   --y Y --format json`` on the golden overflow files, on the golden
-  sum_overflow.json as both X and Y (X + Y is not finite), and on FILE_PAIRS,
+  sum_overflow.json as both X and Y (X + Y is not finite), on the golden
+  pole pair (u = 2 pi i, v about 0: f_bch raises its PoleError), and on FILE_PAIRS,
   written to a temporary directory: a pair with a small generator, a
   scaled su11 pair and a shifted affine pair, whose (u, v, c) the
   command infers from the matrices;
@@ -122,7 +123,8 @@ def _files_family(cli, realizations):
     h = hashlib.sha256()
     golden = os.path.join(ROOT, "tests", "golden")
     pairs = [(os.path.join(golden, "overflow_x.json"), os.path.join(golden, "overflow_y.json")),
-             (os.path.join(golden, "sum_overflow.json"),) * 2]
+             (os.path.join(golden, "sum_overflow.json"),) * 2,
+             (os.path.join(golden, "pole_x.json"), os.path.join(golden, "pole_y.json"))]
     with tempfile.TemporaryDirectory(prefix="bits-digest-") as tmp:
         for name, (build, s) in FILE_PAIRS.items():
             pair = build(realizations)
