@@ -79,32 +79,38 @@ def _json_text(obj) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_EXACT = frozenset((str, float, bool, int, dict, list, tuple))
 
 
 def _emit(node, pad: str, pieces: list[str]) -> None:
     # A module-level function: a nested closure would refer to itself
     # through its cell, and the cycle would keep pieces alive until a
-    # full garbage collection.  Exact scalars skip the container tests.
-    if type(node) not in (str, float, bool, int):
+    # full garbage collection.  A node whose exact type is in _EXACT skips
+    # the isinstance tests, and a dict, list or tuple is written by that
+    # type; only subclasses, numpy scalars and complex numbers take them.
+    kind = type(node)
+    if kind not in _EXACT:
         if isinstance(node, np.generic):
             node = node.item()
         if isinstance(node, complex):
             node = {"re": node.real, "im": node.imag}
         if isinstance(node, Mapping):
-            inner = pad + "  "
-            for i, (key, value) in enumerate(node.items()):
-                pieces.append(f"{',' if i else '{'}\n{inner}{_quote(str(key))}: ")
-                _emit(value, inner, pieces)
-            pieces.append(f"\n{pad}}}" if node else "{}")
-            return
-        if isinstance(node, (list, tuple)):
-            inner = pad + "  "
-            for i, value in enumerate(node):
-                pieces.append(f"{',' if i else '['}\n{inner}")
-                _emit(value, inner, pieces)
-            pieces.append(f"\n{pad}]" if node else "[]")
-            return
-    if isinstance(node, bool):
+            kind = dict
+        elif isinstance(node, (list, tuple)):
+            kind = list
+    if kind is dict:
+        inner = pad + "  "
+        for i, (key, value) in enumerate(node.items()):
+            pieces.append(f"{',' if i else '{'}\n{inner}{_quote(str(key))}: ")
+            _emit(value, inner, pieces)
+        pieces.append(f"\n{pad}}}" if node else "{}")
+    elif kind is list or kind is tuple:
+        inner = pad + "  "
+        for i, value in enumerate(node):
+            pieces.append(f"{',' if i else '['}\n{inner}")
+            _emit(value, inner, pieces)
+        pieces.append(f"\n{pad}]" if node else "[]")
+    elif isinstance(node, bool):
         pieces.append("true" if node else "false")
     elif isinstance(node, float):
         text = f"{node:.17g}"

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, argument validation."""
 
+import collections
 import csv
 import enum
 import gc
@@ -548,6 +549,17 @@ class _Shown(str):
         return "shown"
 
 
+class _Table(dict):
+    pass
+
+
+class _Row(list):
+    pass
+
+
+_Point = collections.namedtuple("_Point", "u v")
+
+
 
 @pytest.mark.parametrize(
     "value, text",
@@ -580,6 +592,18 @@ class _Shown(str):
             {"a": {}, "b": [], "c": (), "d": {"e": []}},
             '{\n  "a": {},\n  "b": [],\n  "c": [],\n  "d": {\n    "e": []\n  }\n}',
             id="nested-empty",
+        ),
+        # Container subclasses, which take the isinstance tests.
+        pytest.param(
+            collections.OrderedDict([("b", 1), ("a", 2)]), '{\n  "b": 1,\n  "a": 2\n}', id="OrderedDict"
+        ),
+        pytest.param(collections.defaultdict(list, {"k": []}), '{\n  "k": []\n}', id="defaultdict"),
+        pytest.param(
+            {"t": _Table(a=_Row([True]))}, '{\n  "t": {\n    "a": [\n      true\n    ]\n  }\n}', id="dict-subclass"
+        ),
+        pytest.param(_Row([1, _Row()]), "[\n  1,\n  []\n]", id="list-subclass"),
+        pytest.param(
+            _Point(1 - 2j, None), '[\n  {\n    "re": 1,\n    "im": -2\n  },\n  null\n]', id="namedtuple"
         ),
     ],
 )

@@ -129,13 +129,14 @@ def test_only_a_check_that_reads_g_right_or_g_left_computes_the_array_form(check
         monkeypatch.setitem(sweep._ARRAYS, fn, lambda u, v, fn=fn, form=form: calls.append(fn) or form(u, v))
     grid = np.linspace(-2.0, 2.0, 5).tolist()
     residuals = list(lattice_residuals(check, grid, grid))
-    # The 2x2 points form one subject and the origin another.
+    # The 2x2 points form one subject, which takes the array form, and the
+    # origin another, which takes the scalar functions.
     reads = {
-        "disentangle-right": [g_right] * 2,
-        "integral": [g_right] * 2,
-        "product": [g_right] * 2,
-        "disentangle-left": [g_left] * 2,
-        "ab-structure": [g_left] * 2,
+        "disentangle-right": [g_right],
+        "integral": [g_right],
+        "product": [g_right],
+        "disentangle-left": [g_left],
+        "ab-structure": [g_left],
     }
     assert calls == reads.get(check, [])
     assert [r.hex() for r in residuals] == [r.hex() for r in _scalar_residuals(check, grid, grid, monkeypatch)]

@@ -1017,6 +1017,26 @@ def test_a_block_point_keeps_the_first_failure_its_check_reads(monkeypatch):
         matrices.expm(s.errors[0])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [None, 1], ids=["all-finite", "one-nan"])
+def test_a_subject_residual_records_only_its_non_finite_points(bad):
+    # Both branches of fail_unless on a 3-point block: every residual
+    # finite records nothing, and one NaN residual records its point alone.
+    s = verify._Subject(*_stack([_lattice_pair(1.0, v) for v in (-0.5, 0.5, 2.0)]))
+    B = s.Y.copy()
+    if bad is not None:
+        B[bad, 0, 0] = math.nan
+    residuals = s.residual(s.X, B)
+    assert residuals.shape == (3, 1, 1)
+    for i in range(3):
+        if i == bad:
+            assert math.isnan(residuals[i, 0, 0])
+        else:
+            assert _bits(residuals[i, 0, 0]) == _bits(matrices.rel_residual(s.X[i], B[i]))
+    errors = {i: f"{type(e).__name__}: {e}" for i, e in s.errors.items()}
+    assert errors == ({} if bad is None else {bad: "ValueError: matrix entries must be finite"})
+
+
 def _sweep_argv(check, steps, out, window=(-2.0, 2.0, -2.0, 2.0)):
     u_min, u_max, v_min, v_max = (f"{x!r}" for x in window)
     return ["sweep", "--check", check, f"--u-min={u_min}", f"--u-max={u_max}",
