@@ -6,33 +6,35 @@ pass flag, metadata).  All checks verify against the cached W = [X, Y]
 directly, never against uX + vY + c*identity, so the central u = v = 0
 case is covered by the same code path.
 
-A check reads a subject, a block of points with a leading points axis:
-a sweep's block, or one pair as a block of one point.  Its request
-names by key the matrices whose exponentials it reads: X, Y and X + Y,
-which checks share, and its own (g W per coefficient, X + Y + f W,
-I_32 W, -tX and tX, the 29 C_n W); its arithmetic computes the products
-and residuals.  Both are written once, in CHECKS.  A subject gathers
-its requests at once: each distinct matrix, keyed by content, is
-exponentiated once in one expm_stack call, each slice bit-identical to
-expm of its matrix.  run_suite gathers all nine checks of a pair (27 of
-affine2's 40 matrices are distinct, 9 of heisenberg3's); a check called
-on a pair gathers its own, and a sweep block gathers its check's,
-keeping nothing from the block before.
+A check reads a subject, a block of points with a leading points axis: a
+sweep's block, or one pair as a block of one point.  Its request names by
+key the matrices whose exponentials it reads: X, Y and X + Y, which
+checks share, and its own (g W per coefficient, X + Y + f W, I_32 W, -tX
+and tX, the 29 C_n W); its arithmetic computes the products and
+residuals, the one a sweep writes first.  CHECKS holds one statement per
+check: its request, its arithmetic, its public check and that check's
+fixed arguments (a side, N = 30, t = 0.5 and K = 40), each given once.  A
+subject gathers its requests at once: each distinct matrix, keyed by
+content, is exponentiated once in one expm_stack call, each slice
+bit-identical to expm of its matrix.  run_suite gathers all nine checks
+of a pair (27 of affine2's 40 matrices are distinct, 9 of
+heisenberg3's); a check called on a pair gathers its own, and a sweep
+block gathers its check's, keeping nothing from the block before.
 
 Errors stay with their check and its order.  A subject records each
 failure by item and point: a value that raises (PoleError,
 OverflowError), and a matrix whose exponential comes back NaN, which
 expm_stack gives exactly where expm raises (a non-finite entry or a
-1-norm past 700).  A matrix built from a failed value takes its fill
-and is exponentiated as any other, so each check reads the values its
-matrices are built from, no later than their exponentials.  A point
-fails at the first failed item its check reads, or at a residual that
-is not finite (one of its matrices is not), and keeps that failure
-while the arithmetic runs on.  A sweep writes the point as failed, and
-the others go on; a public check raises its one point's failure (for an
-exponential, what expm raises on its matrix; for a residual,
-rel_residual's ValueError).  The only choice made on a subject's size
-is its residual kernel: one point takes the scalar one.
+1-norm past 700), and which stays NaN in the table.  A matrix built from
+a failed value takes its fill and is exponentiated as any other, so each
+check reads the values its matrices are built from, no later than their
+exponentials.  A point fails at the first failed item its check reads, or
+at a residual that is not finite (one of its matrices is not), and keeps
+that failure while the arithmetic runs on.  A sweep writes the point as
+failed, and the others go on; a public check raises its one point's
+failure (for an exponential, what expm raises on its matrix; for a
+residual, rel_residual's ValueError).  The only choice made on a
+subject's size is its residual kernel: one point takes the scalar one.
 """
 
 from __future__ import annotations
@@ -138,10 +140,12 @@ class _Subject:
     last point computed: a one-point subject's own) and exps (read-only,
     by key) are computed once.  failed: item -> {point: the exception, or
     the matrix whose exponential came back NaN}; errors: point -> the
-    first failure the check read there.  arrays: coefficient function ->
-    its array form (u, v) -> (values, done) over the points, which the
-    subject uses for that function where a check reads it (the sweep's
-    g_right and g_left); the scalar function serves each point not done.
+    first failure the check read there (a NaN exponential stays NaN in
+    exps, and fails its point at the first read).  arrays: coefficient
+    function -> its array form (u, v) -> (values, done) over the points,
+    which the subject uses for that function where a check reads it (the
+    sweep's g_right and g_left); the scalar function serves each point
+    not done.
     It holds no reference to a pair.
     """
 
@@ -155,16 +159,6 @@ class _Subject:
         # What the check read failed at these points: each keeps its first.
         for i, failure in failures.items():
             self.errors.setdefault(i, failure)
-
-    def fail_unless(self, finite: np.ndarray) -> None:
-        """Record expm's ValueError at each point where finite (one bool
-        per residual, the points along its last axis) is False: a residual
-        pair with a non-finite entry.  Where every residual is finite it
-        returns at once, with no per-point scan."""
-        if finite.all():
-            return
-        bad = np.flatnonzero(~finite.reshape(-1, self.size).all(axis=0)).tolist()
-        self._fail({i: ValueError("matrix entries must be finite") for i in bad})
 
     def numbers(self, *arrays) -> list:
         """Each one-point array as a Python number, unless the one point
@@ -223,14 +217,18 @@ class _Subject:
     def residual(self, A: np.ndarray, B: np.ndarray):
         """Relative residual of A against B, or against each matrix along
         B's extra leading axis in one call, with a (1, 1) axis pair added.
-        It records rel_residual's ValueError where a pair has a non-finite
-        entry (its residual is not finite).  One point's pair takes the scalar
-        kernel, which a one-point stack would only slow down."""
+        It records rel_residual's ValueError at each point where a pair has
+        a non-finite entry (its residual is not finite), with no per-point
+        scan where every residual is finite.  One point's pair takes the
+        scalar kernel, which a one-point stack would only slow down."""
         if self.size == 1 and B.ndim == 3:
             residuals = np.array([_rel_residual(A[0], B[0])])
         else:
             residuals = _rel_residuals(A, B)
-        self.fail_unless(np.isfinite(residuals))
+        finite = np.isfinite(residuals)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.reshape(-1, self.size).all(axis=0)).tolist()
+            self._fail({i: ValueError("matrix entries must be finite") for i in bad})
         return residuals[..., None, None]
 
     def gather(self, requests) -> None:
@@ -241,10 +239,11 @@ class _Subject:
         the requests are built): it fails where a check reads it, and a
         matrix built from its fill is exponentiated as any other.  A
         matrix whose exponential comes back NaN (where expm raises on it)
-        fails, and its exponential is the identity.  It holds one stack of
-        the requested matrices: the request's own matrices go once that
-        stack is built, and the stack goes before expm_stack, so a failure
-        keeps a copy of its matrix from the stack of distinct matrices."""
+        fails, and its exponential stays NaN: its point fails at the first
+        read, before any arithmetic.  It holds one stack of the requested
+        matrices: the request's own matrices go once that stack is built,
+        and the stack goes before expm_stack, so a failure keeps a copy of
+        its matrix from the stack of distinct matrices."""
         named = {}
         for request in filter(None, requests):
             named.update({key: M for key, M in request[0](self, *request[1]).items() if key not in named})
@@ -262,10 +261,7 @@ class _Subject:
         # A NaN exponential keeps a copy of its matrix, from the distinct stack.
         for p in np.flatnonzero(nan[inverse]).tolist():
             self.failed.setdefault(keys[p // self.size], {})[p % self.size] = distinct[inverse[p]].copy()
-        # The pool: each distinct exponential, then the identity at its end.
-        pool = np.concatenate([exps, np.eye(n, dtype=complex)[None]])
-        where = np.where(nan, len(exps), np.arange(len(exps)))[inverse]
-        self.exps.update(zip(keys, _read_only(pool[where.reshape(len(keys), self.size)])))
+        self.exps.update(zip(keys, _read_only(exps[inverse.reshape(len(keys), self.size)])))
 
 
 # The sorted rows that _unique_rows compares at once.
@@ -319,7 +315,7 @@ def _request_disentangle(s, side: Side) -> dict:
     return {"x": s.X, "y": s.Y, "x+y": s.X + s.Y, side: g * s.W}
 
 
-def _disentangle(s, side: Side):
+def _disentangle(s, side: Side) -> tuple:
     exp = s.exp
     s.coefficient(_side_coefficient(side))
     if side is Side.RIGHT:
@@ -328,7 +324,7 @@ def _disentangle(s, side: Side):
         rhs = exp("x") @ exp(side) @ exp("y")
     else:
         rhs = exp(side) @ exp("x") @ exp("y")
-    return s.residual(exp("x+y"), rhs)
+    return (s.residual(exp("x+y"), rhs),)
 
 
 @_quiet
@@ -340,7 +336,7 @@ def check_disentangle(pair: AlgebraPair, side: Side, tol: float = DEFAULT_TOL) -
     """
     side = Side(side)
     s = _subject(pair, _request_disentangle, side)
-    (residual,) = s.numbers(_disentangle(s, side))
+    (residual,) = s.numbers(*_disentangle(s, side))
     meta = {"side": side.value, **_coeff_meta(s.cvs[_side_coefficient(side)])}
     return _result(f"disentangle-{side.value.lower()}", residual, tol, meta)
 
@@ -349,16 +345,16 @@ def _request_swap(s) -> dict:
     return {"x": s.X, "y": s.Y, "swap": s.coefficient(gamma_swap) * s.W}
 
 
-def _swap(s):
+def _swap(s) -> tuple:
     s.coefficient(gamma_swap)
-    return s.residual(s.x_times_y(), s.exp("y") @ s.exp("x") @ s.exp("swap"))
+    return (s.residual(s.x_times_y(), s.exp("y") @ s.exp("x") @ s.exp("swap")),)
 
 
 @_quiet
 def check_swap(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Residual of e^X e^Y against e^Y e^X e^{gamma W}."""
     s = _subject(pair, _request_swap)
-    (residual,) = s.numbers(_swap(s))
+    (residual,) = s.numbers(*_swap(s))
     return _result("swap", residual, tol, _coeff_meta(s.cvs[gamma_swap]))
 
 
@@ -366,9 +362,9 @@ def _request_bch(s) -> dict:
     return {"x": s.X, "y": s.Y, "bch": s.X + s.Y + s.coefficient(f_bch) * s.W}
 
 
-def _bch(s):
+def _bch(s) -> tuple:
     s.coefficient(f_bch)
-    return s.residual(s.x_times_y(), s.exp("bch"))
+    return (s.residual(s.x_times_y(), s.exp("bch")),)
 
 
 @_quiet
@@ -379,14 +375,15 @@ def check_bch(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     u != v).
     """
     s = _subject(pair, _request_bch)
-    (residual,) = s.numbers(_bch(s))
+    (residual,) = s.numbers(*_bch(s))
     return _result("bch", residual, tol, _coeff_meta(s.cvs[f_bch]))
 
 
-def _ab_structure(s):
-    A = s.coefficient(g_left) * s.W
-    B = s.X + s.Y + s.coefficient(f_bch) * s.W
-    return s.residual(_commutator(A, B), (s.u - s.v) * A)
+def _ab_structure(s) -> tuple:
+    """(residual, g_l, f, u - v)."""
+    gl, f, d = s.coefficient(g_left), s.coefficient(f_bch), s.u - s.v
+    A = gl * s.W
+    return s.residual(_commutator(A, s.X + s.Y + f * s.W), d * A), gl, f, d
 
 
 @_quiet
@@ -397,7 +394,7 @@ def check_ab_structure(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResu
     commutation structure; this checks it by direct matrix arithmetic.
     """
     s = _subject(pair)
-    residual, gl, f, d = s.numbers(_ab_structure(s), s.coefficient(g_left), s.coefficient(f_bch), s.u - s.v)
+    residual, gl, f, d = s.numbers(*_ab_structure(s))
     return _result("ab-structure", residual, tol, {"g_left": gl, "f_bch": f, "u_minus_v": d})
 
 
@@ -432,15 +429,14 @@ def _request_integral(s) -> dict:
     return {"x": s.X, "y": s.Y, "x+y": s.X + s.Y, "integral": _quadrature(s, 32) * s.W}
 
 
-def _integral(s):
-    """(residual, identity residual, I_32, I_16, g_r)."""
+def _integral(s) -> tuple:
+    """(residual, identity residual, I_32, g_r)."""
     i32 = _quadrature(s, 32)
-    i16 = _quadrature(s, 16)
     gr = s.coefficient(g_right)
     identity = s.residual(s.exp("x+y"), s.x_times_y() @ s.exp("integral"))
     error = abs(i32 - gr)
     # max(error, identity): error unless identity is larger.
-    return np.where(identity > error, identity, error), identity, i32, i16, gr
+    return np.where(identity > error, identity, error), identity, i32, gr
 
 
 @_quiet
@@ -456,7 +452,11 @@ def check_integral(pair: AlgebraPair, tol: float = DEFAULT_TOL) -> CheckResult:
     tested.
     """
     s = _subject(pair, _request_integral)
-    residual, identity_residual, i32, i16, gr = s.numbers(*_integral(s))
+    # The reads in order, the first failure kept: I_32, I_16 (read by the
+    # metadata alone, so a sweep computes none), then g_r and the exponentials.
+    _quadrature(s, 32)
+    i16 = _quadrature(s, 16)
+    residual, identity_residual, i32, gr, i16 = s.numbers(*_integral(s), i16)
     meta = {
         "integral_32": i32,
         "integral_16": i16,
@@ -476,8 +476,8 @@ def _request_product(s, N: int) -> dict:
     return {"x": s.X, "y": s.Y, "x+y": s.X + s.Y, **{("C_n W", n): cw for n, cw in products}}
 
 
-def _product(s, N: int):
-    """(residual after each partial product, g_r)."""
+def _product(s, N: int) -> tuple:
+    """(last partial residual, residual after each partial product, g_r)."""
     lhs = s.exp("x+y")
     rhs = s.x_times_y()
     _product_coefficients(s, N)
@@ -485,7 +485,8 @@ def _product(s, N: int):
     for n in range(2, N + 1):
         rhs = rhs @ s.exp(("C_n W", n))
         partials.append(rhs)
-    return s.residual(lhs, np.array(partials)), s.coefficient(g_right)
+    sequence = s.residual(lhs, np.array(partials))
+    return sequence[-1], sequence, s.coefficient(g_right)
 
 
 @_quiet
@@ -501,8 +502,8 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     if N < 2:
         raise ValueError(f"product cutoff must be >= 2, got {N}")
     s = _subject(pair, _request_product, N)
-    sequence, gr = _product(s, N)
-    residual, gr = s.numbers(sequence[-1], gr)
+    residual, sequence, gr = _product(s, N)
+    residual, gr = s.numbers(residual, gr)
     coeff_sum = 0.0 + 0.0j
     for cn in _product_coefficients(s, N).ravel().tolist():
         coeff_sum += cn
@@ -522,14 +523,14 @@ def check_truncated_product(pair: AlgebraPair, N: int = 30, tol: float = DEFAULT
     return _result("product", residual, tol, meta)
 
 
-def _request_hadamard(s, t: complex) -> dict:
+def _request_hadamard(s, t: complex, K: int) -> dict:
     return {("-tX", t): -t * s.X, ("tX", t): t * s.X}
 
 
-def _hadamard(s, t: complex, K: int):
+def _hadamard(s, t: complex, K: int) -> tuple:
     series = _conjugate_series(s.X, s.Y, t, K)
     direct = s.exp(("-tX", t)) @ s.Y @ s.exp(("tX", t))
-    return s.residual(series, direct)
+    return (s.residual(series, direct),)
 
 
 @_quiet
@@ -545,8 +546,8 @@ def check_hadamard(pair: AlgebraPair, t: complex = 0.5, K: int = 40, tol: float 
     t = complex(t)
     if K < 0:
         raise ValueError(f"series cutoff must be >= 0, got {K}")
-    s = _subject(pair, _request_hadamard, t)
-    (residual,) = s.numbers(_hadamard(s, t, K))
+    s = _subject(pair, _request_hadamard, t, K)
+    (residual,) = s.numbers(*_hadamard(s, t, K))
     return _result("hadamard", residual, tol, {"t": t, "K": K})
 
 
@@ -603,43 +604,38 @@ def check_lindblad_application(alpha: complex, beta: complex, tol: float = DEFAU
 
 
 class _Check:
-    """A suite entry: the matrices its request names per point (slices),
-    the request (fn, args) or None, its residual on a subject, and its
-    finish, (pair or subject, tol) -> CheckResult.  A plain class: a
+    """A suite entry: its public check, by name, and that check's fixed
+    arguments, given once.  slices: the matrices its request names per
+    point; request: (fn, args) or None; residual(s): the first result of
+    its arithmetic on a subject, the residual a sweep writes; and the
+    entry called as (pair or subject, tol) -> CheckResult.  The call looks
+    the public check up in this module's globals, so a wrapper put there
+    (a tracer, a test's monkeypatch) sees every call.  A plain class: a
     dataclass would cost a millisecond at every import."""
 
-    def __init__(self, slices: int, request: tuple | None, residual: Callable, finish: Callable) -> None:
-        self.slices, self.request, self.residual, self.finish = slices, request, residual, finish
+    def __init__(self, slices: int, request: Callable | None, arithmetic: Callable, public: str, *args) -> None:
+        self.slices, self.arithmetic, self.public, self.args = slices, arithmetic, public, args
+        self.request = (request, args) if request else None
+
+    def residual(self, s: _Subject) -> np.ndarray:
+        return self.arithmetic(s, *self.args)[0]
 
     def __call__(self, pair, tol: float) -> CheckResult:
-        return self.finish(pair, tol)
+        return globals()[self.public](pair, *self.args, tol)
 
 
-# The suite in report order: name -> (pair, tol) -> CheckResult.  Each
-# finish calls its check through this module's globals, so a wrapper put
-# there (a tracer, a test's monkeypatch) sees every call.
+# The suite in report order: name -> (pair, tol) -> CheckResult.
 CHECKS: dict[str, _Check] = {
     **{
-        f"disentangle-{side.value.lower()}": _Check(
-            4, (_request_disentangle, (side,)), lambda s, side=side: _disentangle(s, side),
-            lambda pair, tol, side=side: check_disentangle(pair, side, tol),
-        )
+        f"disentangle-{side.value.lower()}": _Check(4, _request_disentangle, _disentangle, "check_disentangle", side)
         for side in Side
     },
-    "swap": _Check(3, (_request_swap, ()), _swap, lambda pair, tol: check_swap(pair, tol)),
-    "bch": _Check(3, (_request_bch, ()), _bch, lambda pair, tol: check_bch(pair, tol)),
-    "ab-structure": _Check(0, None, _ab_structure, lambda pair, tol: check_ab_structure(pair, tol)),
-    "integral": _Check(
-        4, (_request_integral, ()), lambda s: _integral(s)[0], lambda pair, tol: check_integral(pair, tol)
-    ),
-    "product": _Check(
-        32, (_request_product, (30,)), lambda s: _product(s, 30)[0][-1],
-        lambda pair, tol: check_truncated_product(pair, 30, tol),
-    ),
-    "hadamard": _Check(
-        2, (_request_hadamard, (0.5 + 0j,)), lambda s: _hadamard(s, 0.5 + 0j, 40),
-        lambda pair, tol: check_hadamard(pair, 0.5, 40, tol),
-    ),
+    "swap": _Check(3, _request_swap, _swap, "check_swap"),
+    "bch": _Check(3, _request_bch, _bch, "check_bch"),
+    "ab-structure": _Check(0, None, _ab_structure, "check_ab_structure"),
+    "integral": _Check(4, _request_integral, _integral, "check_integral"),
+    "product": _Check(32, _request_product, _product, "check_truncated_product", 30),
+    "hadamard": _Check(2, _request_hadamard, _hadamard, "check_hadamard", 0.5 + 0j, 40),
 }
 
 

@@ -706,6 +706,64 @@ def test_a_request_that_cannot_be_built_fails_only_its_own_check(
             assert got == want
 
 
+# Each suite entry's public check, with the arguments the registry gives it.
+_REGISTRY_CALLS = [
+    ("check_disentangle", (Side.RIGHT,)),
+    ("check_disentangle", (Side.CENTER,)),
+    ("check_disentangle", (Side.LEFT,)),
+    ("check_swap", ()),
+    ("check_bch", ()),
+    ("check_ab_structure", ()),
+    ("check_integral", ()),
+    ("check_truncated_product", (30,)),
+    ("check_hadamard", (0.5, 40)),
+]
+
+
+def test_the_registry_calls_each_public_check_through_the_module_globals(monkeypatch):
+    # A wrapper put in verify's globals, as a tracer's or a test's, sees
+    # every call of the suite and of a CHECKS entry, with the registry's
+    # arguments and the tolerance.
+    calls = []
+    for public in {name for name, _ in _REGISTRY_CALLS}:
+        def recording(pair, *args, public=public, check=getattr(verify, public)):
+            calls.append((public, args))
+            return check(pair, *args)
+
+        monkeypatch.setattr(verify, public, recording)
+    expected = [(public, (*args, DEFAULT_TOL)) for public, args in _REGISTRY_CALLS]
+    pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
+    report = run_suite(pair)
+    assert report.all_passed
+    assert calls == expected
+    calls.clear()
+    for name, result in zip(verify.CHECKS, report.results):
+        assert verify.CHECKS[name](pair, DEFAULT_TOL) == result
+    assert calls == expected
+
+
+def test_a_sweep_reads_no_16_node_quadrature(monkeypatch):
+    # Only check_integral's metadata reads I_16: the sweep's arithmetic
+    # takes I_32 alone, and the public check still takes both.
+    calls = Counter()
+
+    def counted(u, v, nodes=32):
+        calls[nodes] += 1
+        return quadrature_gr(u, v, nodes)
+
+    monkeypatch.setattr(verify, "quadrature_gr", counted)
+    grid = [-1.0, 0.0, 0.5]
+    residuals = list(lattice_residuals("integral", grid, grid))
+    assert calls == {32: 9}
+    calls.clear()
+    out = check_integral(affine_2x2(1.0, 2.0, 1.0, 1.0))
+    assert calls == {32: 1, 16: 1}
+    assert out.metadata["integral_16"] == quadrature_gr(1.0, 2.0, 16)
+    assert [_bits(r) for r in residuals] == [
+        _bits(check_integral(_lattice_pair(u, v)).residual) for u in grid for v in grid
+    ]
+
+
 def test_each_coefficient_and_quadrature_is_computed_once_per_suite(monkeypatch):
     calls = Counter()
 
@@ -1020,8 +1078,9 @@ def test_a_block_point_keeps_the_first_failure_its_check_reads(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [None, 1], ids=["all-finite", "one-nan"])
 def test_a_subject_residual_records_only_its_non_finite_points(bad):
-    # Both branches of fail_unless on a 3-point block: every residual
-    # finite records nothing, and one NaN residual records its point alone.
+    # Both branches of the residual's finiteness test on a 3-point block:
+    # every residual finite records nothing, and one NaN residual records
+    # its point alone.
     s = verify._Subject(*_stack([_lattice_pair(1.0, v) for v in (-0.5, 0.5, 2.0)]))
     B = s.Y.copy()
     if bad is not None:
@@ -1320,36 +1379,52 @@ def test_a_block_shares_exponentials_across_its_rows(expm_stack_calls):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-def test_no_nan_exponential_enters_the_table(expm_stack_calls):
+def test_a_nan_exponential_stays_nan_in_the_table(expm_stack_calls):
+    # e^{X+Y} of the overflow pair comes back NaN from a block's stack and
+    # stays NaN in the table.  Nothing fails until the point reads it: the
+    # read records the point's failure, before any arithmetic.
     overflow = _overflow_pair()
-    X, Y = overflow.X, overflow.Y
-    # e^{X+Y} comes back NaN from a block's stack: the point fails at its
-    # first read, with the identity in place of the exponential.
-    s = _gathered("disentangle-right", [overflow])
-    assert list(s.failed) == ["x+y"]
+    others = [affine_2x2(1.0, 2.0, 1.0, 1.0), affine_2x2(-1.0, 0.5, 1.0, 1.0)]
+    block = [overflow, *others]
+    s = _gathered("disentangle-right", block)
+    assert {key: list(rows) for key, rows in s.failed.items()} == {"x+y": [0]}
+    assert np.isnan(s.exps["x+y"][0]).all()
     assert s.errors == {}
-    assert s.exp("x+y")[0].tobytes() == np.eye(2, dtype=complex).tobytes()
+    s.exp("x+y")
     assert list(s.errors) == [0]
-    # A pair is a block of one point: its subject records the failure
-    # too, its read fails the point in the same way, and the public check
-    # raises what expm raises alone.
+    # The block's other points keep their bits: each exponential is expm's
+    # of its matrix, and each residual the public check's.
+    for i, pair in enumerate(others, start=1):
+        for key, M in (("x", pair.X), ("y", pair.Y), ("x+y", pair.X + pair.Y)):
+            assert s.exps[key][i].tobytes() == matrices.expm(M).tobytes()
+    residuals = _block_residuals("disentangle-right", block).tolist()
+    assert residuals[0] == math.inf
+    assert [_bits(r) for r in residuals[1:]] == [_bits(check_disentangle(p, Side.RIGHT).residual) for p in others]
+    # A pair is a block of one point: its table holds the NaN too, its read
+    # fails the point in the same way, and the public check raises what
+    # expm raises alone.
     s = verify._subject(overflow, verify._request_disentangle, Side.RIGHT)
     assert list(s.failed) == ["x+y"]
-    assert s.exp("x+y")[0].tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert np.isnan(s.exps["x+y"][0]).all()
+    assert s.errors == {}
+    s.exp("x+y")
     assert list(s.errors) == [0]
     with pytest.raises(OverflowError, match="matrix 1-norm 800 exceeds 700"):
         check_disentangle(overflow, Side.RIGHT)
     # t X has an entry past double range: both are stacked, their
-    # exponentials come back NaN, each read fails the point, and the
-    # check raises expm's error.
+    # exponentials stay NaN, each read fails the point, and the check
+    # raises expm's error.
     expm_stack_calls.clear()
     pair = affine_2x2(1.0, 2.0, 1.0, 1.0)
-    s = verify._subject(pair, verify._request_hadamard, 1e308 + 0j)
+    s = verify._subject(pair, verify._request_hadamard, 1e308 + 0j, 40)
     assert [a.shape[0] for a in expm_stack_calls] == [2]
     assert list(s.failed) == [("-tX", 1e308 + 0j), ("tX", 1e308 + 0j)]
     for key in s.failed:
-        assert s.exp(key)[0].tobytes() == np.eye(2, dtype=complex).tobytes()
-    assert list(s.errors) == [0]
+        assert np.isnan(s.exps[key][0]).all()
+    assert s.errors == {}
+    for key in s.failed:
+        s.exp(key)
+        assert list(s.errors) == [0]
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
         check_hadamard(pair, t=1e308)
 
