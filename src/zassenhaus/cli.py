@@ -16,7 +16,6 @@ byte-identical output.  Exit codes: 0 when every executed check passed,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -31,6 +30,7 @@ from .matrices import commutator, infer_uvc, load_matrix
 from .realizations import (
     AlgebraPair,
     Ladder,
+    _fmt,
     affine_2x2,
     heisenberg_3x3,
     lindblad_pair,
@@ -56,14 +56,6 @@ _PAIR_BUILDERS = {
 
 def _fmt_float(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
-
-
-def _fmt_complex(z: complex, digits: int) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return _fmt_float(z.real, digits)
-    sign = "+" if (z.imag > 0 or math.isnan(z.imag)) else "-"
-    return f"{_fmt_float(z.real, digits)}{sign}{_fmt_float(abs(z.imag), digits)}i"
 
 
 def _json_text(obj) -> str:
@@ -123,49 +115,68 @@ def _emit(node, pad: str, pieces: list[str]) -> None:
         pieces.append(_quote(str(node)))
 
 
-def _coeff_error(exc: Exception) -> str:
-    # How coeff reports a coefficient that has no finite double value.
-    return "pole" if isinstance(exc, PoleError) else "overflow"
+def _attempt(fn, *args):
+    """fn(*args), or the PoleError or OverflowError it raised: a value with
+    no finite double.  coeff, cn-table and integral compute each of their
+    coefficients, C_n and quadratures here, and print a failure by _failure."""
+    try:
+        return fn(*args)
+    except (PoleError, OverflowError) as exc:
+        return exc
+
+
+def _failure(value, reason: bool = True) -> str | None:
+    """None for a value.  For a failure, "pole" or "overflow" (its JSON key
+    and its cell in a table) and, with reason, its message in parentheses."""
+    if not isinstance(value, Exception):
+        return None
+    word = "pole" if isinstance(value, PoleError) else "overflow"
+    return f"{word} ({value})" if reason else word
+
+
+def _gap(a, b) -> str:
+    # |a - b| in text, or the word of the first failure of the two.
+    return _failure(a, False) or _failure(b, False) or _fmt_float(abs(a - b), 6)
+
+
+def _coefficient(cv) -> str:
+    # A CoeffValue in text, or its failure with the reason.
+    return _failure(cv) or f"{_fmt(cv.value):>22s}  method={cv.method.value}  terms_used={cv.terms_used}"
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
     u = complex(args.u, args.u_im)
     v = complex(args.v, args.v_im)
-    table = []
-    for label, fn in (
-        ("g_right", g_right),
-        ("g_center", g_center),
-        ("g_left", g_left),
-        ("f_bch", f_bch),
-        ("gamma_swap", gamma_swap),
-    ):
-        try:
-            table.append((label, fn(u, v)))
-        except (PoleError, OverflowError) as exc:
-            table.append((label, exc))
+    table = [
+        (label, _attempt(fn, u, v))
+        for label, fn in (
+            ("g_right", g_right),
+            ("g_center", g_center),
+            ("g_left", g_left),
+            ("f_bch", f_bch),
+            ("gamma_swap", gamma_swap),
+        )
+    ]
     if args.format == "json":
         coefficients = {}
         for label, cv in table:
-            if isinstance(cv, Exception):
-                coefficients[label] = {_coeff_error(cv): str(cv)}
-            else:
-                coefficients[label] = {
-                    "value": complex(cv.value),
-                    "method": cv.method.value,
-                    "terms_used": cv.terms_used,
-                }
+            word = _failure(cv, False)
+            coefficients[label] = {word: str(cv)} if word else {
+                "value": complex(cv.value),
+                "method": cv.method.value,
+                "terms_used": cv.terms_used,
+            }
         print(_json_text({"u": u, "v": v, "coefficients": coefficients}))
     else:
-        print(f"coefficients at u = {_fmt_complex(u, 6)}, v = {_fmt_complex(v, 6)}")
+        print(f"coefficients at u = {_fmt(u)}, v = {_fmt(v)}")
         for label, cv in table:
-            if isinstance(cv, Exception):
-                print(f"  {label:10s}  {_coeff_error(cv)} ({cv})")
-            else:
-                print(
-                    f"  {label:10s}  {_fmt_complex(cv.value, 6):>22s}"
-                    f"  method={cv.method.value}  terms_used={cv.terms_used}"
-                )
+            print(f"  {label:10s}  {_coefficient(cv)}")
     return 0
+
+
+def _real_contour(n: int, u: float, v: float) -> float:
+    # Real u and v give a real C_n: the imaginary part is rounding.
+    return c_contour(n, u, v).real
 
 
 def _cmd_cn_table(args: argparse.Namespace) -> int:
@@ -174,18 +185,10 @@ def _cmd_cn_table(args: argparse.Namespace) -> int:
     print(f"product coefficients C_n at u = {_fmt_float(u, 6)}, v = {_fmt_float(v, 6)}")
     print(f"{'n':>3s}  {'closed form':>22s}  {'contour':>22s}  {'|difference|':>13s}")
     for n in range(2, args.max_n + 1):
-        closed = contour = None
-        with contextlib.suppress(OverflowError):
-            closed = zass_coeff(n, u, v)
-        with contextlib.suppress(OverflowError):
-            # Real u and v give a real C_n: the imaginary part is rounding.
-            contour = c_contour(n, u, v).real
-        cells = (
-            "overflow" if closed is None else _fmt_complex(closed, 6),
-            "overflow" if contour is None else _fmt_float(contour, 6),
-            "overflow" if None in (closed, contour) else _fmt_float(abs(closed - contour), 6),
-        )
-        print(f"{n:>3d}  {cells[0]:>22s}  {cells[1]:>22s}  {cells[2]:>13s}")
+        closed = _attempt(zass_coeff, n, u, v)
+        contour = _attempt(_real_contour, n, u, v)
+        cells = (_failure(closed, False) or _fmt(closed), _failure(contour, False) or _fmt(contour))
+        print(f"{n:>3d}  {cells[0]:>22s}  {cells[1]:>22s}  {_gap(closed, contour):>13s}")
     return 0
 
 
@@ -323,37 +326,17 @@ def _axis(low: float, high: float, steps: int) -> list[float]:
 def _cmd_integral(args: argparse.Namespace) -> int:
     u = float(args.u)
     v = float(args.v)
-    # A value that raises OverflowError is None, prints as coeff prints
-    # it, and fails the agreement.
-    reasons = {}
-
-    def attempt(label, compute):
-        try:
-            return compute()
-        except OverflowError as exc:
-            reasons[label] = f"overflow ({exc})"
-            return None
-
-    def gap(a, b) -> str:
-        return "overflow" if None in (a, b) else _fmt_float(abs(a - b), 6)
-
-    i32 = attempt("i32", lambda: quadrature_gr(u, v, 32))
-    i16 = attempt("i16", lambda: quadrature_gr(u, v, 16))
-    cv = attempt("g_right", lambda: g_right(u, v))
-    gr = None if cv is None else cv.value
+    i32 = _attempt(quadrature_gr, u, v, 32)
+    i16 = _attempt(quadrature_gr, u, v, 16)
+    cv = _attempt(g_right, u, v)
+    gr = cv if _failure(cv) else cv.value
     print(f"integral of the interaction integrand at u = {_fmt_float(u, 6)}, v = {_fmt_float(v, 6)}")
-    print(f"  quadrature, 32 nodes   {reasons.get('i32') or _fmt_complex(i32, 6):>22s}")
-    print(f"  quadrature, 16 nodes   {reasons.get('i16') or _fmt_complex(i16, 6):>22s}")
-    print(f"  node-refinement delta  {gap(i32, i16):>22s}")
-    if cv is None:
-        print(f"  closed form g_right    {reasons['g_right']:>22s}")
-    else:
-        print(
-            f"  closed form g_right    {_fmt_complex(gr, 6):>22s}"
-            f"  method={cv.method.value}  terms_used={cv.terms_used}"
-        )
-    print(f"  |quadrature - closed|  {gap(i32, gr):>22s}")
-    if None in (i32, gr):
+    print(f"  quadrature, 32 nodes   {_failure(i32) or _fmt(i32):>22s}")
+    print(f"  quadrature, 16 nodes   {_failure(i16) or _fmt(i16):>22s}")
+    print(f"  node-refinement delta  {_gap(i32, i16):>22s}")
+    print(f"  closed form g_right    {_coefficient(cv):>22s}")
+    print(f"  |quadrature - closed|  {_gap(i32, gr):>22s}")
+    if _failure(i32) or _failure(gr):
         print("  agreement: FAIL")
         return 1
     threshold = DEFAULT_TOL * (1.0 + abs(gr))

@@ -57,10 +57,9 @@ __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 # The matrices that a block may request, over all its points: this bounds
 # a block's memory whatever the lattice size.  The 41x41 disentangle-right
 # sweep (4 per point, 6724 in all) runs in one block, which stacks its 1983
-# distinct matrices once.  Sized by measurement on that sweep (perfbench's
-# sweep-lattice): its peak traced memory is 1.44 MiB, about 3.5 copies of
-# its requested matrices, against 1.48 MiB for two blocks of 4096 when each
-# held about 5.9 copies of its own.
+# distinct matrices once.  Its peak traced memory (perfbench's
+# sweep-lattice, numpy 2.4) is 1 264 186 bytes, 2.94 copies of its
+# requested matrices, which test_sweep bounds at 3.25 copies.
 BLOCK_SLICES = 8192
 
 

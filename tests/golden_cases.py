@@ -70,6 +70,18 @@ their (u, v, c) from one least-squares solve in place of the Gram
 system: in ``verify-overflow-*`` the swap coefficient, the ab-structure
 residual and its u - v moved by 1 to 2 ulps (u - v is -1 in exact
 arithmetic; it reads -1.0000000000000007, and read -1.0000000000000004).
+The ``coeff-pole``, ``cn-table-overflow`` and ``integral-overflow`` cases
+were added later, captured before the three commands came to report a
+value with no finite double through one helper: f_bch's pole at
+u = 2 pi i, v = 0 (``pole (<reason>)`` in text, a ``pole`` key in JSON,
+exit status 0), the C_n table at u = 1e300, v = -1, whose rows 4 and 5
+read ``overflow``, and the integral at u = 1000, v = 0.1, where both
+quadratures and g_right overflow (exit status 1).  They are the CLI's
+first pins of cn-table and integral, and of a pole in coeff.  Each prints
+only values computed in pure Python, so its bytes do not depend on the
+BLAS kernel; a case that prints a finite quadrature is left out, as its
+bytes depend on numpy's Gauss-Legendre nodes.  They were written alone,
+with their exit_codes.json entries, and no other file was regenerated.
 """
 
 from __future__ import annotations
@@ -139,6 +151,12 @@ def _cases() -> dict[str, list[str]]:
         ]
     for fmt in ("json", "text"):
         cases[f"coeff-overflow-{fmt}"] = ["coeff", "--u", "1000", "--v", "1000", "--format", fmt]
+    for fmt in ("json", "text"):
+        cases[f"coeff-pole-{fmt}"] = [
+            "coeff", "--u=0", "--u-im=6.283185307179586", "--v=0", "--format", fmt
+        ]
+    cases["cn-table-overflow"] = ["cn-table", "--u=1e300", "--v=-1", "--max-n", "5"]
+    cases["integral-overflow"] = ["integral", "--u=1000", "--v=0.1"]
     for check in CHECKS:
         cases[f"sweep-{check}-9"] = [
             "sweep", "--check", check, *_SQUARE, "--steps", "9", "--out", OUT

@@ -702,6 +702,39 @@ def test_fmt_float_pins(x, six, seventeen):
     assert (cli._fmt_float(x, 6), cli._fmt_float(x, 17)) == (six, seventeen)
 
 
+_NEG_NAN = math.copysign(math.nan, -1.0)
+
+
+# The text coeff, cn-table and integral print for a complex value: the
+# strings of the 6-digit complex formatter that cli had of its own, before
+# it took realizations' one.  A zero imaginary part of either sign prints
+# the real part alone, and a NaN one of either sign prints as +nan.
+@pytest.mark.parametrize(
+    "z, text",
+    [
+        (complex(0.1, 0.0), "0.1"),
+        (complex(0.1, -0.0), "0.1"),
+        (complex(0.1, math.inf), "0.1+infi"),
+        (complex(0.1, -math.inf), "0.1-infi"),
+        (complex(0.1, math.nan), "0.1+nani"),
+        (complex(0.1, _NEG_NAN), "0.1+nani"),
+        (complex(-0.0, 0.1), "-0+0.1i"),
+        (complex(-0.0, -0.1), "-0-0.1i"),
+        (complex(-0.0, 0.0), "-0"),
+        (complex(-0.0, _NEG_NAN), "-0+nani"),
+        (complex(5e-324, 0.0), "4.94066e-324"),
+        (complex(5e-324, -0.1), "4.94066e-324-0.1i"),
+        (complex(0.1, 5e-324), "0.1+4.94066e-324i"),
+        (complex(0.1, -5e-324), "0.1-4.94066e-324i"),
+        (complex(math.nan, -math.inf), "nan-infi"),
+        (complex(-math.inf, 0.1), "-inf+0.1i"),
+        (complex(1e300, -1e-300), "1e+300-1e-300i"),
+    ],
+)
+def test_fmt_complex_pins(z, text):
+    assert cli._fmt(z) == text
+
+
 @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e308, 0.1, 1 / 3])
 def test_json_text_floats_round_trip_exactly(x):
     back = json.loads(cli._json_text(x))

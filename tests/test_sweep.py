@@ -191,6 +191,18 @@ def test_a_lattice_of_edges_has_the_public_residual_at_each_point(check):
     assert [r.hex() for r in residuals] == [r.hex() for r in expected]
 
 
+@pytest.mark.parametrize("pair", [affine_2x2(1, 2, 1, 1), heisenberg_3x3(1)], ids=["affine", "origin"])
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_check_counts_the_matrices_its_request_names_at_one_point(check, pair):
+    # .slices sets the points of a sweep block (BLOCK_SLICES // slices); it
+    # is kept by hand, so it is checked here against the request itself.
+    entry = verify.CHECKS[check]
+    s = verify._Subject(pair.X[None], pair.Y[None], pair.W[None], [pair.u], [pair.v])
+    named = entry.request[0](s, *entry.request[1]) if entry.request else {}
+    n = pair.X.shape[-1]
+    assert sum(np.size(M) // (n * n) for M in named.values()) == entry.slices
+
+
 # The 41x41 disentangle-right sweep's peak traced memory, in copies of the
 # bytes of its 6724 requested 2x2 matrices, run as one block: 2.94 measured
 # with numpy 2.4 once the table keeps its NaN exponentials, against 3.36
