@@ -285,10 +285,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: --out: {exc}", file=sys.stderr)
         return 2
     failures = 0
-    # The residuals come row by row from blocks of points checked as
-    # stacks: each distinct exponential of a block is computed once, in
-    # one expm_stack call per shape, so the 41x41 disentangle-right sweep
-    # stacks 1983 of its 6724 requested matrices, in two calls.
+    # The residuals come row by row from blocks of points checked as one
+    # stack of 2x2 points, plus the origin's one-point pair: each distinct
+    # exponential of a block is computed once, so the 41x41
+    # disentangle-right sweep stacks 1979 + 4 of its 6724 requested
+    # matrices, in two expm_stack calls.
     residuals = lattice_residuals(args.check, us, vs)
     with fh:
         fh.write("u_re,u_im,v_re,v_im,residual,passed\r\n")

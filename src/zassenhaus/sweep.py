@@ -1,21 +1,24 @@
 """A sweep's lattice, checked in blocks of points as stacks.
 
 lattice_residuals walks the (u, v) lattice row by row in blocks of at
-most BLOCK_SLICES requested matrices.  lattice_points builds a block as
-stacks of points of one shape: its 2x2 affine points as one (N, 2, 2)
-stack of X, Y and W, and the origin's 3x3 Heisenberg pair as another.
-Each stack is a verify subject with a points axis, read by the same
-request and arithmetic as one pair: each distinct requested matrix is
-exponentiated once, in one expm_stack call per shape per block, and the
-check's products and relative residual run once over the stack.  A block
-keeps nothing from the block before: a matrix that two blocks name is
-stacked in each.  A block's memory is a few copies of its requested
-matrices: lattice_points fills only the stacks it returns, and gather
-holds one stack of the requested matrices, which it drops before
-expm_stack.  A stacked @, commutator or scalar multiple is bit-identical
-to the same operation on each slice, and so is each stacked Frobenius
-norm and each expm_stack slice, so every residual has the bits of the
-public check's on that point's pair.
+most BLOCK_SLICES requested matrices.  lattice_points builds a block's
+2x2 affine points as one (N, 2, 2) stack of X, Y and W, a verify subject
+with a points axis, read by the same request and arithmetic as one pair:
+each distinct requested matrix is exponentiated once, in one expm_stack
+call, and the check's products and relative residual run once over the
+stack.  The origin u = v = 0 has no 2x2 realization (g_r(0, 0) = -1/2),
+so a block's origin points, of either zero sign, share the one-point
+subject of heisenberg_3x3(1) that a public check builds: gathered with
+the same request and read by the same arithmetic, it gives them the
+public check's residual by construction.  A block keeps nothing from the
+block before: a matrix that two blocks name is stacked in each.  A
+block's memory is a few copies of its requested matrices: lattice_points
+fills only the stack it returns, and gather holds one stack of the
+requested matrices, which it drops before expm_stack.  A stacked @,
+commutator or scalar multiple is bit-identical to the same operation on
+each slice, and so is each stacked Frobenius norm and each expm_stack
+slice, so every residual has the bits of the public check's on that
+point's pair.
 
 The lattice is real, and its W = [X, Y] is written in closed form, with
 no product of matrices.  The nonzero entries of XY and YX are v(-u),
@@ -56,10 +59,14 @@ __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 
 # The matrices that a block may request, over all its points: this bounds
 # a block's memory whatever the lattice size.  The 41x41 disentangle-right
-# sweep (4 per point, 6724 in all) runs in one block, which stacks its 1983
-# distinct matrices once.  Its peak traced memory (perfbench's
-# sweep-lattice, numpy 2.4) is 1 264 186 bytes, 2.94 copies of its
-# requested matrices, which test_sweep bounds at 3.25 copies.
+# sweep (4 per point, 6724 in all) runs in one block, which stacks its 1979
+# distinct 2x2 matrices once, and its origin's 4 in a second expm_stack
+# call.  Its peak traced memory (perfbench's sweep-lattice, numpy 2.4) is
+# 1 264 914 bytes, 2.94 copies of its requested matrices, which test_sweep
+# bounds at 3.25 copies.  One block trades memory for time: in blocks of
+# 4096 the sweep peaks at 785 275 bytes but takes 7.00 ms against 6.53
+# (x1.07), and in blocks of 2048 9.00 ms (medians of 30 alternated rounds
+# of 5, in process, on a 2-core Xeon).
 BLOCK_SLICES = 8192
 
 
@@ -136,45 +143,35 @@ def _g_right_array(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 _ARRAYS = {g_right: _g_right_array, g_left: lambda u, v: _g_right_array(v, u)}
 
 
-def lattice_points(u: np.ndarray, v: np.ndarray) -> list[tuple[np.ndarray, tuple]]:
-    """The points (u[i], v[i]) as stacks: (positions, stack) per shape.
+def lattice_points(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The 2x2 affine points of (u[i], v[i]) as one stack: (positions, stack).
 
-    Each point gets the matrices of affine_2x2(u, v, 1, 1), or of
-    affine_2x2(u, v, 1, -1) where u + v = 0, built as stacks: the 2x2
-    affine points as one (N, 2, 2) stack, and the origin's 3x3 Heisenberg
-    pair heisenberg_3x3(1) as another, in the order of their first point.
-    A stack is (X, Y, W, u, v): (N, n, n) arrays X, Y and W = [X, Y], and
-    the N points' u and v.  A point whose W has a non-finite entry, where
-    AlgebraPair would refuse the pair, is in no stack.  u and v are real
-    float arrays: W is written as (p - p, vd + u) in its first row, with
-    p = v(-u) and zeros elsewhere, the bits of _commutator(X, Y) for a
-    real pair (see the module docstring), and not for a complex one.
+    Each point but the origin (u = v = 0, of either zero sign) gets the
+    matrices of affine_2x2(u, v, 1, 1), or of affine_2x2(u, v, 1, -1) where
+    u + v = 0, built as one (N, 2, 2) stack in the order of the points.  The
+    stack is (X, Y, W, u, v): the (N, 2, 2) arrays X, Y and W = [X, Y], and
+    the N points' u and v.  positions leaves out the origin, and each point
+    whose W has a non-finite entry, where AlgebraPair would refuse the pair.
+    u and v are real float arrays: W is written as (p - p, vd + u) in its
+    first row, with p = v(-u) and zeros elsewhere, the bits of
+    _commutator(X, Y) for a real pair (see the module docstring), and not
+    for a complex one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.where(u + v != 0.0, 1.0, -1.0)
         p = v * -u
         w00, w01 = p - p, v * d + u
-    origin = (u == 0.0) & (v == 0.0)
-    groups = []
-    affine = np.flatnonzero(~origin & np.isfinite(w00) & np.isfinite(w01))
-    if affine.size:
-        u, v, d, w00, w01 = (x[affine] for x in (u, v, d, w00, w01))
-        X = np.zeros((len(affine), 2, 2), dtype=complex)
-        Y, W = np.zeros_like(X), np.zeros_like(X)
-        X[:, 0, 0] = v
-        X[:, 0, 1] = 1.0
-        Y[:, 0, 0] = -u.astype(complex)
-        Y[:, 0, 1] = d
-        W[:, 0, 0] = w00
-        W[:, 0, 1] = w01
-        groups.append((affine, (X, Y, W, u, v)))
-    origin = np.flatnonzero(origin)
-    if origin.size:
-        pair = heisenberg_3x3(1)
-        k = len(origin)
-        X, Y, W = (np.repeat(M[None], k, axis=0) for M in (pair.X, pair.Y, pair.W))
-        groups.append((origin, (X, Y, W, np.full(k, pair.u), np.full(k, pair.v))))
-    return sorted(groups, key=lambda group: group[0][0])
+    positions = np.flatnonzero(((u != 0.0) | (v != 0.0)) & np.isfinite(w00) & np.isfinite(w01))
+    u, v, d, w00, w01 = (x[positions] for x in (u, v, d, w00, w01))
+    X = np.zeros((len(positions), 2, 2), dtype=complex)
+    Y, W = np.zeros_like(X), np.zeros_like(X)
+    X[:, 0, 0] = v
+    X[:, 0, 1] = 1.0
+    Y[:, 0, 0] = -u.astype(complex)
+    Y[:, 0, 1] = d
+    W[:, 0, 0] = w00
+    W[:, 0, 1] = w01
+    return positions, (X, Y, W, u, v)
 
 
 def lattice_residuals(name: str, us, vs):
@@ -182,8 +179,11 @@ def lattice_residuals(name: str, us, vs):
 
     Yields one float per point, row by row (u major), inf where the check
     raises.  The points run in blocks of at most BLOCK_SLICES requested
-    matrices, each built by lattice_points; a block may end inside a row.
-    Each block gathers its own stacks and keeps nothing for the next.
+    matrices; a block may end inside a row.  A block's 2x2 points, built by
+    lattice_points, are one subject with the array forms, and its origin
+    points share one more: the one-point subject of heisenberg_3x3(1) that
+    a public check builds, which reads the scalar functions.  Each gathers
+    the check's request, keeping nothing for the next block.
     """
     check = verify.CHECKS[name]
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
@@ -193,12 +193,15 @@ def lattice_residuals(name: str, us, vs):
         flat = np.arange(start, min(start + size, total))
         u, v = us[flat // len(vs)], vs[flat % len(vs)]
         residuals = np.full(len(flat), math.inf)
+        affine, stack = lattice_points(u, v)
+        origin = np.flatnonzero((u == 0.0) & (v == 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            for positions, stack in lattice_points(u, v):
-                # The origin's 3x3 points read g_right(0, 0) from the scalar
-                # functions, which cost far less there than the array form.
-                s = verify._Subject(*stack, arrays=_ARRAYS if stack[0].shape[-1] == 2 else None)
-                s.gather([check.request])
-                residuals[positions] = check.residual(s).reshape(len(positions))
-                residuals[positions[list(s.errors)]] = math.inf
+            for positions, s in ((affine, verify._Subject(*stack, arrays=_ARRAYS)),
+                                 (origin, verify._subject(heisenberg_3x3(1)))):
+                if positions.size:
+                    s.gather([check.request])
+                    # The origin's one residual is written at each of its points.
+                    r = check.residual(s).ravel()
+                    r[list(s.errors)] = math.inf
+                    residuals[positions] = r
         yield from residuals.tolist()

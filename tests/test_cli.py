@@ -344,12 +344,10 @@ def test_sweep_writes_a_point_whose_pair_cannot_be_built_as_a_failed_row(
     build = sweep.lattice_points
 
     def failing_build(u, v):
-        # The point (0, 1) cannot be built, so it is in no stack.
-        groups = []
-        for positions, (X, Y, W, us, vs) in build(u, v):
-            keep = (u[positions] != 0.0) | (v[positions] != 1.0)
-            groups.append((positions[keep], (X[keep], Y[keep], W[keep], us[keep], vs[keep])))
-        return groups
+        # The point (0, 1) cannot be built, so it is in no position.
+        positions, (X, Y, W, us, vs) = build(u, v)
+        keep = (u[positions] != 0.0) | (v[positions] != 1.0)
+        return positions[keep], (X[keep], Y[keep], W[keep], us[keep], vs[keep])
 
     monkeypatch.setattr(sweep, "lattice_points", failing_build)
     out_path = tmp_path / "grid.csv"

@@ -162,15 +162,19 @@ def _realization(u, v):
 def test_lattice_points_have_the_bytes_of_the_realizations_and_refuse_the_same_points():
     u, v = np.repeat(_EDGES, len(_EDGES)), np.tile(_EDGES, len(_EDGES))
     pairs = [_realization(a, b) for a, b in zip(u.tolist(), v.tolist())]
-    seen = []
-    for positions, (X, Y, W, us, vs) in lattice_points(u, v):
-        for j, i in enumerate(positions.tolist()):
-            pair = pairs[i]
-            for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
-                assert got[j].tobytes() == want.tobytes()
-            assert (complex(us[j]), complex(vs[j])) == (pair.u, pair.v)
-            seen.append(i)
-    assert sorted(seen) == [i for i, pair in enumerate(pairs) if pair is not None]
+    positions, stack = lattice_points(u, v)
+    # The origin points, in no position, read the origin pair's one-point stack.
+    origin = np.flatnonzero((u == 0.0) & (v == 0.0)).tolist()
+    s = verify._subject(heisenberg_3x3(1))
+    at_origin = (s.X[0], s.Y[0], s.W[0], s.u.item(), s.v.item())
+    points = [*zip(positions.tolist(), zip(*stack)), *((i, at_origin) for i in origin)]
+    for i, (X, Y, W, us, vs) in points:
+        pair = pairs[i]
+        for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
+            assert got.tobytes() == want.tobytes()
+        assert (complex(us), complex(vs)) == (pair.u, pair.v)
+    assert len(origin) == 4 and not set(origin) & set(positions.tolist())
+    assert sorted(i for i, _ in points) == [i for i, pair in enumerate(pairs) if pair is not None]
     # Both overflows refuse points, and 1.3e154 squared does not.
     assert pairs[_EDGES.index(1.4e154) * (len(_EDGES) + 1)] is None
     assert pairs[_EDGES.index(1e308) * len(_EDGES) + _EDGES.index(-1e308)] is None
@@ -189,6 +193,27 @@ def test_a_lattice_of_edges_has_the_public_residual_at_each_point(check):
             except Exception:  # noqa: BLE001 - the sweep writes inf where the check raises
                 expected.append(math.inf)
     assert [r.hex() for r in residuals] == [r.hex() for r in expected]
+
+
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_a_block_of_origin_points_has_the_public_residual_of_the_origin_pair(check):
+    # Six origin points, with both zero signs, in one block, which holds no
+    # 2x2 point: they share the one-point subject of heisenberg_3x3(1).
+    us, vs = [-0.0, 0.0, -0.0], [0.0, -0.0]
+    assert lattice_points(np.repeat(us, 2), np.tile(vs, 3))[0].tolist() == []
+    public = verify.CHECKS[check](heisenberg_3x3(1), verify.DEFAULT_TOL).residual
+    assert [r.hex() for r in lattice_residuals(check, us, vs)] == [public.hex()] * 6
+
+
+def test_a_failure_at_the_origin_fails_each_origin_point(monkeypatch):
+    def raising(u, v):
+        if u == 0.0 and v == 0.0:
+            raise OverflowError("g_right raises at the origin")
+        return g_right(u, v)
+
+    monkeypatch.setattr(verify, "g_right", raising)
+    residuals = list(lattice_residuals("disentangle-right", [-0.0, 0.0, 1.0], [0.0, 1.0]))
+    assert [r == math.inf for r in residuals] == [True, False, True, False, False, False]
 
 
 @pytest.mark.parametrize("pair", [affine_2x2(1, 2, 1, 1), heisenberg_3x3(1)], ids=["affine", "origin"])

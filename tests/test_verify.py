@@ -227,10 +227,12 @@ def test_hadamard_series_keeps_the_residual_bits(name, monkeypatch):
 def test_hadamard_series_keeps_the_bits_on_sweep_stacks(monkeypatch):
     us, vs = np.linspace(-2.0, 2.0, 9), np.array([-1.0, -0.25, 0.0, 0.5, 2.0])
     u, v = np.repeat(us, len(vs)), np.tile(vs, len(us))
-    for where in (v == 0.0, v != 0.0, np.ones(len(u), dtype=bool)):
-        for _, (X, Y, *_) in lattice_points(u[where], v[where]):
-            series = matrices._conjugate_series(X, Y, 0.5 + 0j, 40)
-            assert np.array_equal(series, _reference_series(X, Y, 0.5 + 0j, 40))
+    stacks = [lattice_points(u[where], v[where])[1] for where in (v == 0.0, v != 0.0, np.ones(len(u), dtype=bool))]
+    # The origin's points read its pair's one-point stack.
+    origin = verify._subject(heisenberg_3x3(1))
+    for X, Y, *_ in [*stacks, (origin.X, origin.Y)]:
+        series = matrices._conjugate_series(X, Y, 0.5 + 0j, 40)
+        assert np.array_equal(series, _reference_series(X, Y, 0.5 + 0j, 40))
     residuals = list(lattice_residuals("hadamard", us, vs))
     monkeypatch.setattr(verify, "_conjugate_series", _reference_series)
     assert [r.hex() for r in lattice_residuals("hadamard", us, vs)] == [r.hex() for r in residuals]
@@ -875,16 +877,20 @@ def test_a_block_holds_the_matrices_of_its_pairs():
     # Five rows at once: every u + v = 0 point (d = -1), the origin and
     # u = 0 (Y[0, 0] = -0).
     u, v = _points([-2.0, -0.5, 0.0, 1.5, 2.0], _ORIGIN_ROW)
-    groups = lattice_points(u, v)
-    assert sorted(i for positions, _ in groups for i in positions.tolist()) == list(range(45))
-    for positions, (X, Y, W, us, vs) in groups:
-        for j, i in enumerate(positions.tolist()):
-            pair = _lattice_pair(u.tolist()[i], v.tolist()[i])
-            for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
-                assert got[j].tobytes() == want.tobytes()
-            assert (complex(us[j]), complex(vs[j])) == (pair.u, pair.v)
-    assert [len(positions) for positions, _ in groups] == [44, 1]
-    assert [len(positions) for positions, _ in lattice_points(*_points([0.0], _ORIGIN_ROW))] == [8, 1]
+    positions, stack = lattice_points(u, v)
+    # The origin, in no position, reads its pair's one-point stack.
+    origin = np.flatnonzero((u == 0.0) & (v == 0.0)).tolist()
+    s = verify._subject(heisenberg_3x3(1))
+    at_origin = (s.X[0], s.Y[0], s.W[0], s.u.item(), s.v.item())
+    points = [*zip(positions.tolist(), zip(*stack)), *((i, at_origin) for i in origin)]
+    assert sorted(i for i, _ in points) == list(range(45))
+    for i, (X, Y, W, us, vs) in points:
+        pair = _lattice_pair(u.tolist()[i], v.tolist()[i])
+        for got, want in ((X, pair.X), (Y, pair.Y), (W, pair.W)):
+            assert got.tobytes() == want.tobytes()
+        assert (complex(us), complex(vs)) == (pair.u, pair.v)
+    assert (len(positions), len(origin)) == (44, 1)
+    assert len(lattice_points(*_points([0.0], _ORIGIN_ROW))[0]) == 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -893,8 +899,8 @@ def test_a_point_whose_pair_cannot_be_built_is_in_no_stack():
     # AlgebraPair refuses the pair.
     with pytest.raises(ValueError):
         _lattice_pair(5e199, 5e199)
-    groups = lattice_points(*_points([5e199], [0.0, 5e199, 1.0]))
-    assert [positions.tolist() for positions, _ in groups] == [[0, 2]]
+    positions, _ = lattice_points(*_points([5e199], [0.0, 5e199, 1.0]))
+    assert positions.tolist() == [0, 2]
 
 
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))

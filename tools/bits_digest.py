@@ -11,7 +11,8 @@ numpy.  The families:
 - sweep: the CSV bytes and exit code of ``zassenhaus sweep`` for each of
   the nine checks on each of WINDOWS: one reaching |u| = |v| = 700, one
   out to |u| = |v| = 1.5e154, where uv leaves double range at some points
-  (their pairs are refused) and not at others, one from --u-min=-0, the
+  (their pairs are refused) and not at others, one from --u-min=-0, one of
+  nine origin points with both zero signs, which share one block, the
   41x41 lattice over [-2, 2]^2, and the 65x65 one, whose 4225 points every
   check that requests two or more matrices per point runs in more than one
   block;
@@ -63,6 +64,7 @@ WINDOWS = (
     (-700.0, 700.0, -700.0, 700.0, 11),
     (-1.5e154, 1.5e154, -1.5e154, 1.5e154, 7),
     (-0.0, 3.0, -3.0, 3.0, 7),
+    (-0.0, 0.0, -0.0, 0.0, 3),
     (-2.0, 2.0, -2.0, 2.0, 41),
     (-2.0, 2.0, -2.0, 2.0, 65),
 )
