@@ -61,10 +61,11 @@ __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 # a block's memory whatever the lattice size.  The 41x41 disentangle-right
 # sweep (4 per point, 6724 in all) runs in one block, which stacks its 1979
 # distinct 2x2 matrices once, and its origin's 4 in a second expm_stack
-# call.  Its peak traced memory (perfbench's sweep-lattice, numpy 2.4) is
-# 1 264 914 bytes, 2.94 copies of its requested matrices, which test_sweep
+# call.  Its peak traced memory (perfbench's sweep-lattice; numpy 2.4.6,
+# Python 3.11.7, measured as test_sweep does in a fresh process) is
+# 1 263 434 bytes, 2.94 copies of its requested matrices, which test_sweep
 # bounds at 3.25 copies.  One block trades memory for time: in blocks of
-# 4096 the sweep peaks at 785 275 bytes but takes 7.00 ms against 6.53
+# 4096 the sweep peaks at 783 819 bytes but takes 7.00 ms against 6.53
 # (x1.07), and in blocks of 2048 9.00 ms (medians of 30 alternated rounds
 # of 5, in process, on a 2-core Xeon).
 BLOCK_SLICES = 8192
@@ -196,9 +197,11 @@ def lattice_residuals(name: str, us, vs):
         affine, stack = lattice_points(u, v)
         origin = np.flatnonzero((u == 0.0) & (v == 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            for positions, s in ((affine, verify._Subject(*stack, arrays=_ARRAYS)),
-                                 (origin, verify._subject(heisenberg_3x3(1)))):
+            # Each subject is built only where its block holds a point for it.
+            for positions, subject in ((affine, lambda: verify._Subject(*stack, arrays=_ARRAYS)),
+                                       (origin, lambda: verify._subject(heisenberg_3x3(1)))):
                 if positions.size:
+                    s = subject()
                     s.gather([check.request])
                     # The origin's one residual is written at each of its points.
                     r = check.residual(s).ravel()

@@ -185,13 +185,31 @@ def test_dir_lists_every_name_before_any_is_read():
     assert _run(code).split() == ["[]", "False"]
 
 
+# The submodules that import numpy: reading any other from a fresh
+# package leaves numpy unimported.
+NUMPY_SUBMODULES = {"matrices", "realizations", "verify"}
+
+
 @pytest.mark.parametrize("sub", SUBMODULES)
 def test_a_submodule_is_an_attribute_of_the_imported_package(sub):
     code = (
         f"import sys, zassenhaus; module = zassenhaus.{sub}; "
-        f"print(module is sys.modules['zassenhaus.{sub}'], all(hasattr(module, n) for n in module.__all__))"
+        f"print(module is sys.modules['zassenhaus.{sub}'], all(hasattr(module, n) for n in module.__all__), "
+        "'numpy' in sys.modules)"
     )
-    assert _run(code).split() == ["True", "True"]
+    assert _run(code).split() == ["True", "True", str(sub in NUMPY_SUBMODULES)]
+
+
+def test_the_loader_returns_a_submodule_the_package_has_not_stored(monkeypatch):
+    # Importing a submodule stores it on the package; without it stored, a
+    # read goes through the loader, which stores it again.
+    import zassenhaus
+    import zassenhaus.matrices
+
+    monkeypatch.delattr(zassenhaus, "matrices")
+    assert "matrices" not in vars(zassenhaus)
+    assert zassenhaus.matrices is sys.modules["zassenhaus.matrices"]
+    assert set(zassenhaus.__all__) | {"matrices"} <= set(dir(zassenhaus))
 
 
 def test_an_unknown_name_raises_attribute_error_naming_the_package():

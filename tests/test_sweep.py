@@ -216,6 +216,18 @@ def test_a_failure_at_the_origin_fails_each_origin_point(monkeypatch):
     assert [r == math.inf for r in residuals] == [True, False, True, False, False, False]
 
 
+def test_a_block_builds_the_origin_subject_only_where_it_holds_an_origin_point(monkeypatch):
+    calls = []
+    subject = verify._subject
+    monkeypatch.setattr(verify, "_subject", lambda *args: calls.append(args) or subject(*args))
+    # Four disentangle-right points a block: 9 points run in three blocks.
+    monkeypatch.setattr(sweep, "BLOCK_SLICES", 16)
+    list(lattice_residuals("disentangle-right", [-1.0, 1.0, 2.0], [-1.0, 1.0, 2.0]))
+    assert len(calls) == 0
+    list(lattice_residuals("disentangle-right", [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("pair", [affine_2x2(1, 2, 1, 1), heisenberg_3x3(1)], ids=["affine", "origin"])
 @pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_a_check_counts_the_matrices_its_request_names_at_one_point(check, pair):

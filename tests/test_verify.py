@@ -283,6 +283,11 @@ def test_truncated_product_rejects_low_cutoff():
         check_truncated_product(AFFINE, N=1)
 
 
+def test_hadamard_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match=r"^series cutoff must be >= 0, got -1$"):
+        check_hadamard(AFFINE, K=-1)
+
+
 def test_hadamard_at_zero_time_is_exact():
     assert check_hadamard(AFFINE, t=0.0, K=10).residual == 0.0
 
