@@ -27,7 +27,13 @@ partial sum keeps it: they start from the identity, whose zeros are +0,
 and +0 + (+-0) = +0.  So such a stack sums only the real parts of its
 first rows: every partial sum is the identity below its first row and
 has +0 imaginary parts, and the 1-norm of its column j > 0 is
-|p0j| + 1, rounded once, as the column sum rounds it.
+|p0j| + 1, rounded once, as the column sum rounds it.  In such a stack a
+slice whose corner b00 is +-0 squares to zero: its second term is zero,
+so it stops on I plus its scaled first row, and each squaring only
+doubles that row's entries j > 0 (exactly, beside exact zeros).  It
+takes that row times 2^s at once, with no Taylor term and no squaring:
+not the first row of A itself, whose subnormal entries the scaling by
+2^-s may have rounded away.
 
 The public functions validate their arguments.  The underscored kernels
 (_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
@@ -170,9 +176,11 @@ def expm_stack(A) -> np.ndarray:
     Where every slice is real with no nonzero entry below its first row,
     each Taylor term is t00 * B, with the bits of term @ B, and the sums
     run on the real parts of the first rows (see the module docstring),
-    so a slice's bits still do not depend on its partners.  The
-    squarings always take @.  The slices still accumulating are held as
-    one buffer of their terms and partial sums.
+    so a slice's bits still do not depend on its partners.  A slice of
+    such a stack whose corner is +-0 takes its scaled first row times
+    2^s, which has the bits of its Taylor sum and squarings, with
+    neither.  Every other squaring takes @.  The slices still
+    accumulating are held as one buffer of their terms and partial sums.
     """
     return _expm_stack(_as_square(A, 3, "an (N, n, n) stack"))
 
@@ -201,11 +209,20 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # A real stack with no nonzero entry below its first row sums the real
     # parts of its first rows, as (n, N) arrays (see the module docstring).
     one_row = not B.imag.any() and not B[:, 1:].any()
+    todo = np.arange(len(A))
     if one_row:
         factor = B[:, 0].real.T.copy()
         sums = np.empty_like(factor)
         start = np.eye(n, 1)
         axis = -1
+        # A slice whose corner b00 is +-0 squares to zero: it stops at k = 2
+        # on start + its first row, and each squaring doubles that row's
+        # entries j > 0.  It takes them times 2^s here, and no squaring.
+        zero = factor[0] == 0.0
+        sums[:, zero] = (start + factor[:, zero]) * np.where(start, 1.0, 2.0 ** s[zero])
+        s[zero] = 0
+        todo = todo[~zero]
+        factor = factor[:, todo]
     else:
         # result starts as B; a slice's row takes its sum when it stops,
         # and B's row is not read again.
@@ -219,7 +236,6 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # Slices still accumulating: their positions in A, and their terms and
     # partial sums in one buffer, whose norms are taken at once.
     # empty_like keeps the subclass of B.
-    todo = np.arange(len(A))
     buf = np.empty_like(factor, shape=(2, *factor.shape))
     term, partial = buf
     # I @ B would differ from B only in the signs of zeros, which no
@@ -227,6 +243,8 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
     term[...] = factor
     partial[...] = start
     for k in range(1, _EXPM_MAX_TERMS + 1):
+        if not todo.size:
+            break
         if k > 1:
             # Times 1/k: numpy's quotient by k (see the module docstring).
             if one_row:
@@ -249,8 +267,6 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
             going = ~done
             todo, factor, buf = todo[going], np.compress(going, factor, axis), np.compress(going, buf, axis)
             term, partial = buf
-            if not todo.size:
-                break
     sums[at(todo)] = partial
     if one_row:
         result[...] = np.eye(n)

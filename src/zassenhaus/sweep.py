@@ -4,10 +4,11 @@ lattice_residuals walks the (u, v) lattice row by row in blocks of at
 most BLOCK_SLICES requested matrices.  lattice_points builds a block's
 2x2 affine points as one (N, 2, 2) stack of X, Y and W, a verify subject
 with a points axis, read by the same request and arithmetic as one pair:
-each distinct requested matrix is exponentiated once, in one expm_stack
-call, and the check's products and relative residual run once over the
-stack.  The origin u = v = 0 has no 2x2 realization (g_r(0, 0) = -1/2),
-so a block's origin points, of either zero sign, share the one-point
+each distinct requested matrix is exponentiated once (again only where
+a different one shares its fingerprint), in one expm_stack call, and the
+check's products and relative residual run once over the stack.  The
+origin u = v = 0 has no 2x2 realization (g_r(0, 0) = -1/2), so a
+block's origin points, of either zero sign, share the one-point
 subject of heisenberg_3x3(1) that a public check builds: gathered with
 the same request and read by the same arithmetic, it gives them the
 public check's residual by construction.  A block keeps nothing from the
@@ -63,10 +64,10 @@ __all__ = ["BLOCK_SLICES", "lattice_points", "lattice_residuals"]
 # distinct 2x2 matrices once, and its origin's 4 in a second expm_stack
 # call.  Its peak traced memory (perfbench's sweep-lattice; numpy 2.4.6,
 # Python 3.11.7, measured as test_sweep does in a fresh process) is
-# 1 263 434 bytes, 2.94 copies of its requested matrices, which test_sweep
+# 1 263 466 bytes, 2.94 copies of its requested matrices, which test_sweep
 # bounds at 3.25 copies.  One block trades memory for time: in blocks of
-# 4096 the sweep peaks at 783 819 bytes but takes 7.00 ms against 6.53
-# (x1.07), and in blocks of 2048 9.00 ms (medians of 30 alternated rounds
+# 4096 the sweep peaks at 783 699 bytes but takes 4.94 ms against 4.49
+# (x1.10), and in blocks of 2048 6.53 ms (medians of 30 alternated rounds
 # of 5, in process, on a 2-core Xeon).
 BLOCK_SLICES = 8192
 

@@ -14,11 +14,12 @@ and tX, the 29 C_n W); its arithmetic computes the products and
 residuals, the one a sweep writes first.  CHECKS holds one statement per
 check: its request, its arithmetic, its public check and that check's
 fixed arguments (a side, N = 30, t = 0.5 and K = 40), each given once.  A
-subject gathers its requests at once: each distinct matrix, keyed by
-content, is exponentiated once in one expm_stack call, each slice
-bit-identical to expm of its matrix.  run_suite gathers all nine checks
-of a pair (27 of affine2's 40 matrices are distinct, 9 of
-heisenberg3's); a check called on a pair gathers its own, and a sweep
+subject gathers its requests at once: each distinct matrix, keyed by its
+raw bytes and sorted by a 64-bit fingerprint of them, is exponentiated
+once in one expm_stack call (again only where a different matrix shares
+its fingerprint), each slice bit-identical to expm of its matrix.
+run_suite gathers all nine checks of a pair (27 of affine2's 40 matrices
+are distinct, 9 of heisenberg3's); a check called on a pair gathers its own, and a sweep
 block gathers its check's, keeping nothing from the block before.
 
 Errors stay with their check and its order.  A subject records each
@@ -42,6 +43,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -49,6 +51,7 @@ import numpy as np
 
 from .coeffs import f_bch, g_center, g_left, g_right, gamma_swap, integrand
 from .matrices import (
+    MAX_DIM,
     _commutator,
     _conjugate_series,
     _frobenius,
@@ -234,7 +237,9 @@ class _Subject:
     def gather(self, requests) -> None:
         """Exponentiate each distinct matrix that the requests ((fn, args)
         or None) name, once: keyed by raw bytes (-0.0 and +0.0 stay apart)
-        and sorted in one _unique_rows call, in one expm_stack call.  A
+        and grouped in one _unique_rows call, in one expm_stack call.  A
+        matrix whose fingerprint a different one shares may be stacked
+        twice, each copy with its own bits.  A
         value a request reads fails nothing here (errors are cleared once
         the requests are built): it fails where a check reads it, and a
         matrix built from its fill is exponentiated as any other.  A
@@ -264,23 +269,39 @@ class _Subject:
         self.exps.update(zip(keys, _read_only(exps[inverse.reshape(len(keys), self.size)])))
 
 
-# The sorted rows that _unique_rows compares at once.
+# The rows that _unique_rows fingerprints, and the sorted rows it
+# compares, at once.
 _UNIQUE_CHUNK = 1024
+# One odd multiplier per 64-bit word of a row of up to MAX_DIM^2 entries,
+# from the standard library's seeded generator (numpy's would add its
+# random module to every process).
+_FINGERPRINT = np.frombuffer(random.Random(2537).randbytes(16 * MAX_DIM**2), dtype=np.uint64) | np.uint64(1)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(keys, return_index=True, return_inverse=True)[1:], keys
-    the raw bytes of each row of a C-contiguous (M, k) complex array as
-    one void each (so -0.0 and +0.0, and NaN payloads, stay apart).
+    """(first, inverse) of the rows of a C-contiguous (M, k) complex array
+    grouped by their raw bytes (so -0.0 and +0.0, and NaN payloads, stay
+    apart): rows[first][inverse] has the bytes of rows, and first holds
+    one row of each group.
 
-    np.unique's own steps, its stable sort and its cumulative sum, but each
-    sorted key is compared with the next by its 64-bit words, along the
-    stack, where np.unique compares void scalars one pair at a time."""
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
+    The rows are sorted by a 64-bit fingerprint: the sum over a row's
+    64-bit words w of (w ^ (w >> 32)) times that word's multiplier,
+    modulo 2^64 (the shift keeps two flipped sign bits, 2 * 2^63, from
+    cancelling).  Each sorted row is then compared with the one before it
+    by its words.  Equal rows share a fingerprint, so they sort into one
+    run; the compare keeps the grouping exact, so where two different
+    rows share a fingerprint and interleave, a group splits in two: one
+    more exponential, never a wrong one."""
     words = rows.view(np.uint64)
+    multipliers = _FINGERPRINT[:words.shape[1]]
+    fingerprints = np.empty(len(words), dtype=np.uint64)
+    for a in range(0, len(words), _UNIQUE_CHUNK):
+        w = words[a:a + _UNIQUE_CHUNK]
+        fingerprints[a:a + _UNIQUE_CHUNK] = (w ^ (w >> np.uint64(32))) @ multipliers
+    order = np.argsort(fingerprints)
+    del fingerprints  # not held through the compare, where a block may peak
     new = np.ones(len(order), dtype=bool)
-    # Each sorted key against the one before it, _UNIQUE_CHUNK at a time:
+    # Each sorted row against the one before it, _UNIQUE_CHUNK at a time:
     # the sorted copy of the words stays small.
     for a in range(1, len(order), _UNIQUE_CHUNK):
         w = words[order[a - 1:a + _UNIQUE_CHUNK], None]

@@ -384,8 +384,8 @@ def test_expm_stack_has_the_bits_of_the_unscreened_loop(n):
 
 def _taylor_products(stack):
     """(expm_stack of a valid stack, how many Taylor products term @ B it
-    made): a squaring R @ R is the one product with one array on both
-    sides."""
+    made, how many products of either kind): a squaring R @ R is the one
+    product with one array on both sides."""
     taylor = []
 
     class Counted(np.ndarray):
@@ -393,7 +393,7 @@ def _taylor_products(stack):
             taylor.append(self is not other)
             return super().__matmul__(other)
 
-    return np.asarray(matrices._expm_stack(stack.view(Counted))), sum(taylor)
+    return np.asarray(matrices._expm_stack(stack.view(Counted))), sum(taylor), len(taylor)
 
 
 _ONE_ROW_NORMS = [1e-300, 3e-300, 1e-200, 1e-20, 1e-3, 0.3, 0.75, 1.0, 1.5, 7.0, 90.0, 600.0,
@@ -427,12 +427,54 @@ def test_a_real_one_row_stack_takes_no_taylor_product_and_has_the_bytes_of_the_l
     # product rounds it once, as the loop's @ does.
     rng = np.random.default_rng(2600 + n)
     stack = _one_row_stack(rng, n)
-    out, taylor = _taylor_products(stack)
+    out, taylor, _ = _taylor_products(stack)
     assert taylor == 0
     assert out.tobytes() == _expm_stack_reference(stack)[0].tobytes()
     assert expm_stack(stack).tobytes() == out.tobytes()
     for a, e in zip(stack, out):
         assert expm(a).tobytes() == e.tobytes()
+
+
+def _zero_corner_stack(rng, n):
+    """Real n x n slices with no nonzero entry below the first row and +-0
+    in its corner: first rows of 1-norm 1e-300 to 700, so up to ten
+    squarings, a row with subnormals beside 650, which underflow when the
+    row is scaled, and -0.0 in about half of the zero real parts and of
+    the imaginary parts."""
+    rows = []
+    for norm in _ONE_ROW_NORMS:
+        row = norm * rng.uniform(-1.0, 1.0, n)
+        row[-1] = norm * rng.choice([1.0, -1.0])
+        rows.append(row)
+    rows += [np.resize([0.0, 650.0, 5e-324, -2.5e-310, 3e-308], n), np.zeros(n)]
+    stack = np.zeros((len(rows), n, n), dtype=complex)
+    stack[:, 0] = rows
+    stack[:, 0, 0] = 0.0
+    zero = (stack.real == 0.0) & (rng.random(stack.shape) < 0.5)
+    stack.real[zero] = -0.0
+    stack.imag[rng.random(stack.shape) < 0.5] = -0.0
+    return stack[rng.permutation(len(stack))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_a_one_row_slice_with_a_zero_corner_takes_no_product_and_has_the_bytes_of_the_loop(n):
+    # Such a slice squares to zero: its loop stops on I plus its scaled
+    # first row, and each squaring doubles that row's entries j > 0.
+    rng = np.random.default_rng(2640 + n)
+    stack = _zero_corner_stack(rng, n)
+    if n > 1:
+        assert _one_norms(stack).max() == 700.0
+    out, _, products = _taylor_products(stack)
+    assert products == 0
+    assert out.tobytes() == _expm_stack_reference(stack)[0].tobytes()
+    # Beside slices with a nonzero corner, each slice keeps its bytes.
+    others = _one_row_stack(rng, n)
+    others = others[others[:, 0, 0] != 0.0]
+    order = rng.permutation(len(stack) + len(others))
+    mixed = np.concatenate([stack, others])[order]
+    expected = np.concatenate([out, expm_stack(others)])[order]
+    assert expm_stack(mixed).tobytes() == expected.tobytes()
+    assert expected.tobytes() == _expm_stack_reference(mixed)[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
@@ -447,7 +489,7 @@ def test_a_complex_or_two_row_slice_sends_the_stack_to_matmul_with_the_same_byte
         stacks.append(one_row.copy())
         stacks[1][j, n - 1, 0] = 0.25
     for stack in stacks:
-        out, taylor = _taylor_products(stack)
+        out, taylor, _ = _taylor_products(stack)
         assert taylor > 0
         assert out.tobytes() == _expm_stack_reference(stack)[0].tobytes()
         for a, e in zip(stack, out):

@@ -1451,26 +1451,60 @@ def _rows_of_parts(parts) -> np.ndarray:
     return np.array(parts, dtype=float).view(complex)
 
 
-@pytest.mark.parametrize("k", [1, 4, 9, 64])
-def test_unique_rows_is_np_unique_of_the_raw_bytes(k):
+def _assert_grouped_by_bytes(rows, first, inverse, exact=True):
+    # Each row's representative has its bytes; with exact, two rows share
+    # a representative exactly when their bytes are equal.
+    words = rows.view(np.uint64)
+    assert first.dtype == inverse.dtype == np.intp and inverse.shape == (len(rows),)
+    assert np.array_equal(words[first][inverse], words)
+    if exact:
+        same = (words[:, None] == words[None]).all(axis=-1)
+        assert np.array_equal(inverse[:, None] == inverse[None], same)
+
+
+def _unique_rows_cases(k):
+    """Pools of k-entry complex rows whose keys differ only in the sign of
+    a zero, a NaN's payload or sign, or subnormal and infinite parts: each
+    (rows, the number of np.unique's groups of their raw bytes)."""
     rng = np.random.default_rng(2540 + k)
     base = rng.normal(size=2 * k)
     variants = [base.copy() for _ in range(8)]
-    # Keys that differ only in the sign of a zero, or a NaN's payload or
-    # sign, and subnormal and infinite parts.
     variants[0][0], variants[1][0] = 0.0, -0.0
     variants[2][-1], variants[3][-1], variants[4][-1] = _nan(0), _nan(1), _nan(0, negative=True)
     variants[5][k - 1], variants[6][k - 1] = 5e-324, -np.inf
     variants += [rng.normal(size=2 * k) for _ in range(4)]
     pool = _rows_of_parts(variants)
-    cases = [pool[:0], pool[:1], pool, pool[rng.integers(len(pool), size=200)]]
-    for rows in cases:
+    for rows in (pool[:0], pool[:1], pool, pool[rng.integers(len(pool), size=200)]):
         keys = rows.view(np.dtype((np.void, rows.itemsize * k))).ravel()
-        expected = np.unique(keys, return_index=True, return_inverse=True)
-        got = verify._unique_rows(rows)
-        assert len(got) == 2 and keys[got[0]].tobytes() == expected[0].tobytes()
-        for a, b in zip(got, expected[1:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    # Each variant is a key of its own, though as numbers 0.0 == -0.0 and NaN != NaN.
-    assert len(verify._unique_rows(pool)[0]) == len(pool)
-    assert len(verify._unique_rows(cases[-1])[0]) == len(np.unique(cases[-1].view(np.uint64), axis=0))
+        yield rows, len(np.unique(keys))
+
+
+@pytest.mark.parametrize("k", [1, 4, 9, 64])
+def test_unique_rows_groups_rows_by_their_raw_bytes(k):
+    counts = []
+    for rows, groups in _unique_rows_cases(k):
+        first, inverse = verify._unique_rows(rows)
+        assert len(first) == groups
+        _assert_grouped_by_bytes(rows, first, inverse)
+        counts.append(groups)
+    # Each variant is a key of its own, though as numbers 0.0 == -0.0 and
+    # NaN != NaN, and the 200 rows drawn from them hold every one.
+    assert counts == [0, 1, 12, 12]
+
+
+def test_unique_rows_stays_exact_where_every_fingerprint_is_one(monkeypatch):
+    # With every multiplier 0, all rows share one fingerprint: the word
+    # compare of sorted neighbours still gives each row a representative
+    # with its bytes, and no output byte moves.
+    grid = np.linspace(-2.0, 2.0, 9)
+
+    def outputs():
+        residuals = np.array(list(lattice_residuals("disentangle-right", grid, grid)))
+        return repr(run_suite(affine_2x2(1, 2, 1, 1))), residuals.tobytes()
+
+    expected = outputs()
+    monkeypatch.setattr(verify, "_FINGERPRINT", np.zeros_like(verify._FINGERPRINT))
+    for k in (1, 4, 9, 64):
+        for rows, _ in _unique_rows_cases(k):
+            _assert_grouped_by_bytes(rows, *verify._unique_rows(rows), exact=False)
+    assert outputs() == expected

@@ -23,6 +23,12 @@ numpy.  The families:
   written to a temporary directory: a pair with a small generator, a
   scaled su11 pair and a shifted affine pair, whose (u, v, c) the
   command infers from the matrices;
+- expm: the bytes of ``expm_stack`` on seeded stacks of each dimension in
+  EXPM_DIMS: real one-row slices (no nonzero entry below the first row)
+  with a +-0 corner, among them a first row with subnormals beside 650;
+  those mixed with one-row slices of nonzero corner; and complex slices.
+  Their 1-norms are EXPM_NORMS, 2^k and its neighbours out to 700 and
+  past it, where a slice comes back NaN;
 - coeffs: the five coefficients' value bits, method and terms_used (or
   the exception's type and message) at each of a seeded set of points:
   complex points at several scales, and real points on and beside the
@@ -69,6 +75,10 @@ WINDOWS = (
     (-2.0, 2.0, -2.0, 2.0, 65),
 )
 SEED = 2501
+EXPM_DIMS = (1, 2, 3, 4, 8, 16)
+EXPM_NORMS = [x for k in (-1074, -1022, -60, -20, -3, -1, 0, 1, 2, 3, 5, 8, 9)
+              for x in (math.nextafter(2.0**k, 0.0), 2.0**k, math.nextafter(2.0**k, math.inf)) if x > 0.0]
+EXPM_NORMS += [600.0, math.nextafter(700.0, 0.0), 700.0, math.nextafter(700.0, math.inf), 701.0, 1e300]
 # name -> (the pair, built from the realizations module, and the s of the
 # file pair (sX, Y/s)).
 FILE_PAIRS = {
@@ -137,6 +147,41 @@ def _files_family(cli, realizations):
     return h
 
 
+def _expm_stacks(n: int):
+    # Each slice's 1-norm is its norm of EXPM_NORMS exactly: a one-row
+    # slice holds it in its last entry, a complex one in its first column,
+    # whose other columns sum to at most 0.71 of it.  Only exact numpy
+    # operations build them, so they do not depend on numpy's CPU dispatch.
+    rng = np.random.default_rng(SEED + n)
+    rows = [norm * rng.uniform(-1.0, 1.0, n) for norm in EXPM_NORMS]
+    for row, norm in zip(rows, EXPM_NORMS):
+        row[-1] = norm * rng.choice([1.0, -1.0])
+    rows += [np.resize([0.0, 650.0, 5e-324, -2.5e-310, 3e-308], n), np.zeros(n)]
+    one_row = np.zeros((len(rows), n, n), dtype=complex)
+    one_row[:, 0] = rows
+    zero_corner = one_row.copy()
+    zero_corner[:, 0, 0] = 0.0
+    full = np.zeros((len(EXPM_NORMS), n, n), dtype=complex)
+    full.real, full.imag = (rng.uniform(-1.0, 1.0, full.shape) * (np.array(EXPM_NORMS) / (2 * n))[:, None, None]
+                            for _ in range(2))
+    full[:, :, 0] = 0.0
+    full[np.arange(len(full)), rng.integers(n, size=len(full)), 0] = (
+        np.array(EXPM_NORMS) * rng.choice([1.0, -1.0, 1j, -1j], size=len(full)))
+    stacks = [zero_corner, np.concatenate([zero_corner, one_row]), full]
+    for stack in stacks:
+        for part in (stack.real, stack.imag):
+            part[(part == 0.0) & (rng.random(stack.shape) < 0.5)] = -0.0
+    return [stack[rng.permutation(len(stack))] for stack in stacks]
+
+
+def _expm_family(matrices):
+    h = hashlib.sha256()
+    for n in EXPM_DIMS:
+        for stack in _expm_stacks(n):
+            h.update(matrices.expm_stack(stack).tobytes())
+    return h
+
+
 def _points() -> list[tuple[complex, complex]]:
     rng = np.random.default_rng(SEED)
     points = []
@@ -176,7 +221,7 @@ def _coeffs_family(coeffs):
 def _digests(tree: str) -> dict[str, str]:
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(tree, "src"))
-    from zassenhaus import cli, coeffs, realizations
+    from zassenhaus import cli, coeffs, matrices, realizations
     from zassenhaus.verify import CHECKS
 
     with np.errstate(all="ignore"):
@@ -184,6 +229,7 @@ def _digests(tree: str) -> dict[str, str]:
             "verify": _verify_family(cli),
             "sweep": _sweep_family(cli, CHECKS),
             "files": _files_family(cli, realizations),
+            "expm": _expm_family(matrices),
             "coeffs": _coeffs_family(coeffs),
         }
     return {name: h.hexdigest() for name, h in families.items()}
