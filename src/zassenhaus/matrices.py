@@ -24,16 +24,16 @@ is t00 b0j beside exact zeros, so @ rounds it once in any summation
 order, with or without a fused multiply-add, and the elementwise product
 gives the same value.  Only the sign of a zero can differ, and no
 partial sum keeps it: they start from the identity, whose zeros are +0,
-and +0 + (+-0) = +0.  So such a stack sums only the real parts of its
-first rows: every partial sum is the identity below its first row and
-has +0 imaginary parts, and the 1-norm of its column j > 0 is
-|p0j| + 1, rounded once, as the column sum rounds it.  In such a stack a
-slice whose corner b00 is +-0 squares to zero: its second term is zero,
-so it stops on I plus its scaled first row, and each squaring only
-doubles that row's entries j > 0 (exactly, beside exact zeros).  It
-takes that row times 2^s at once, with no Taylor term and no squaring:
-not the first row of A itself, whose subnormal entries the scaling by
-2^-s may have rounded away.
+and +0 + (+-0) = +0.  So such a stack runs the same loop on the real
+parts of its slices, in real dtype: every partial sum has +0 imaginary
+parts, and |x| has the bits of |x + 0i|, so the 1-norms keep theirs.
+Only the product line differs.  In such a stack a slice whose corner
+b00 is +-0 squares to zero: its second term is zero, so it stops on I
+plus its scaled first row, and each squaring only doubles that row's
+entries j > 0 (exactly, beside exact zeros).  It takes that row times
+2^s at once, with no Taylor term and no squaring: not the first row of
+A itself, whose subnormal entries the scaling by 2^-s may have rounded
+away.
 
 The public functions validate their arguments.  The underscored kernels
 (_commutator, _frobenius, _rel_residual, _rel_residuals, _conjugate_series)
@@ -150,13 +150,14 @@ def expm(A) -> np.ndarray:
     ||A||_1 > 700, where the result would leave double range.
     """
     A = as_matrix(A)[None]
-    norm = float(_one_norms(A)[0])
+    norms = _one_norms(A)
+    norm = float(norms[0])
     if norm > _EXPM_NORM_LIMIT:
         raise OverflowError(
             f"matrix 1-norm {norm:.6g} exceeds {_EXPM_NORM_LIMIT:g}; "
             "the exponential would overflow double precision"
         )
-    return _expm_stack(A)[0]
+    return _expm_live(A, norms)[0]
 
 
 def expm_stack(A) -> np.ndarray:
@@ -174,13 +175,14 @@ def expm_stack(A) -> np.ndarray:
     (ValueError) or a 1-norm past 700 (OverflowError).  Only the stack's
     shape is validated.
     Where every slice is real with no nonzero entry below its first row,
-    each Taylor term is t00 * B, with the bits of term @ B, and the sums
-    run on the real parts of the first rows (see the module docstring),
-    so a slice's bits still do not depend on its partners.  A slice of
+    each Taylor term is t00 * B, with the bits of term @ B, and the loop
+    runs on the real parts in real dtype (see the module docstring), so
+    a slice's bits still do not depend on its partners.  A slice of
     such a stack whose corner is +-0 takes its scaled first row times
     2^s, which has the bits of its Taylor sum and squarings, with
     neither.  Every other squaring takes @.  The slices still
-    accumulating are held as one buffer of their terms and partial sums.
+    accumulating are held as one (2, N, n, n) buffer of their terms and
+    partial sums.
     """
     return _expm_stack(_as_square(A, 3, "an (N, n, n) stack"))
 
@@ -202,76 +204,51 @@ def _expm_live(A: np.ndarray, norms: np.ndarray) -> np.ndarray:
     # zero slice needs no case of its own: its first term is zero, so the
     # stopping test fires at k = 1 on the identity exactly.
     n = A.shape[1]
-    if not len(A):
-        return np.empty_like(A)
     s = _scale_exponents(norms)
     result = B = A / (2.0 ** s)[:, None, None]
-    # A real stack with no nonzero entry below its first row sums the real
-    # parts of its first rows, as (n, N) arrays (see the module docstring).
+    # A real stack with no nonzero entry below its first row runs in real
+    # dtype, each term t00 * B (see the module docstring).
     one_row = not B.imag.any() and not B[:, 1:].any()
-    todo = np.arange(len(A))
+    going = np.ones(len(A), dtype=bool)
     if one_row:
-        factor = B[:, 0].real.T.copy()
-        sums = np.empty_like(factor)
-        start = np.eye(n, 1)
-        axis = -1
+        B = B.real
         # A slice whose corner b00 is +-0 squares to zero: it stops at k = 2
-        # on start + its first row, and each squaring doubles that row's
-        # entries j > 0.  It takes them times 2^s here, and no squaring.
-        zero = factor[0] == 0.0
-        sums[:, zero] = (start + factor[:, zero]) * np.where(start, 1.0, 2.0 ** s[zero])
-        s[zero] = 0
-        todo = todo[~zero]
-        factor = factor[:, todo]
-    else:
-        # result starts as B; a slice's row takes its sum when it stops,
-        # and B's row is not read again.
-        factor, sums, start = B, result, np.eye(n)
-        axis = -3
-
-    def at(i):
-        # Index i along the stack's axis of factor, sums or buf.
-        return (..., i) + (slice(None),) * (-1 - axis)
-
+        # on I + B, and each squaring doubles B's entries j > 0 of the first
+        # row.  It takes I + B times 2^s here, and no squaring.
+        going = B[:, 0, 0] != 0.0
+        result[~going] = np.eye(n) + B[~going] * (2.0 ** s[~going])[:, None, None]
+        s[~going] = 0
     # Slices still accumulating: their positions in A, and their terms and
     # partial sums in one buffer, whose norms are taken at once.
     # empty_like keeps the subclass of B.
+    todo = np.flatnonzero(going)
+    factor = np.compress(going, B, axis=0)
     buf = np.empty_like(factor, shape=(2, *factor.shape))
     term, partial = buf
     # I @ B would differ from B only in the signs of zeros, which no
     # partial sum keeps: it never holds a -0.0.
     term[...] = factor
-    partial[...] = start
+    partial[...] = np.eye(n)
     for k in range(1, _EXPM_MAX_TERMS + 1):
         if not todo.size:
             break
         if k > 1:
             # Times 1/k: numpy's quotient by k (see the module docstring).
             if one_row:
-                np.multiply(term[0], factor, out=term)
+                np.multiply(term[:, :1, :1], factor, out=term)
                 term *= 1.0 / k
             else:
                 np.multiply((term @ factor).view(float), 1.0 / k, out=term.view(float))
         partial += term
-        if one_row:
-            # A partial sum's column j > 0 adds the identity's 1 below its
-            # first row: |p0j| + 1, rounded once, as the column sum is.
-            a = np.abs(buf)
-            a[1, 1:] += 1.0
-            term_norms, partial_norms = np.maximum.reduce(a, axis=1)
-        else:
-            term_norms, partial_norms = _one_norms(buf).reshape(2, -1)
+        term_norms, partial_norms = _one_norms(buf).reshape(2, -1)
         done = term_norms < _EXPM_REL_EPS * partial_norms
         if done.any():
-            sums[at(todo[done])] = np.compress(done, partial, axis)
+            result[todo[done]] = np.compress(done, partial, axis=0)
             going = ~done
-            todo, factor, buf = todo[going], np.compress(going, factor, axis), np.compress(going, buf, axis)
+            todo, factor, buf = todo[going], np.compress(going, factor, axis=0), np.compress(going, buf, axis=1)
             term, partial = buf
-    sums[at(todo)] = partial
-    if one_row:
-        result[...] = np.eye(n)
-        result[:, 0] = sums.T
-    for j in range(int(s.max())):
+    result[todo] = partial
+    for j in range(int(s.max(initial=0))):
         squaring = np.flatnonzero(s > j)
         R = result[squaring]
         result[squaring] = R @ R

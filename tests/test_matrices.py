@@ -522,8 +522,15 @@ def test_one_norms_has_the_bits_of_the_reduction_within_each_slice(n):
     # A finite, an infinite and a NaN norm, whatever the draws gave.
     stacks.append(np.ones((3, n, n), dtype=complex))
     stacks[-1][0, -1, 0], stacks[-1][1, 0, -1] = complex(-np.inf, 1.0), complex(0.0, np.nan)
+    # Real stacks, as a one-row stack's loop passes, here as strided views
+    # of their real parts.
+    stacks += [A.real for A in stacks]
+    # expm_stack's buffer of terms and partial sums, cut by np.compress.
+    buf = np.stack([_awkward_stack(rng, 40, n), _awkward_stack(rng, 40, n)])
+    cut = rng.random(40) < 0.5
+    stacks += [np.compress(cut, buf, axis=1), np.compress(cut, buf.real, axis=1)]
     for A in stacks:
-        expected = np.maximum.reduce(np.add.reduce(np.abs(A), axis=1), axis=1)
+        expected = np.maximum.reduce(np.add.reduce(np.abs(A), axis=-2), axis=-1).ravel()
         assert np.array_equal(_one_norms(A).view(np.uint64), expected.view(np.uint64))
 
 

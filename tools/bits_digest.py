@@ -28,7 +28,9 @@ numpy.  The families:
   with a +-0 corner, among them a first row with subnormals beside 650;
   those mixed with one-row slices of nonzero corner; and complex slices.
   Their 1-norms are EXPM_NORMS, 2^k and its neighbours out to 700 and
-  past it, where a slice comes back NaN;
+  past it, where a slice comes back NaN.  EXPM_DIMS runs up to
+  MAX_DIM = 64, so the family covers the widest buffers of terms and
+  partial sums, real one-row and complex;
 - coeffs: the five coefficients' value bits, method and terms_used (or
   the exception's type and message) at each of a seeded set of points:
   complex points at several scales, and real points on and beside the
@@ -75,7 +77,8 @@ WINDOWS = (
     (-2.0, 2.0, -2.0, 2.0, 65),
 )
 SEED = 2501
-EXPM_DIMS = (1, 2, 3, 4, 8, 16)
+# 64 is matrices.MAX_DIM, the widest buffer expm_stack takes.
+EXPM_DIMS = (1, 2, 3, 4, 8, 16, 64)
 EXPM_NORMS = [x for k in (-1074, -1022, -60, -20, -3, -1, 0, 1, 2, 3, 5, 8, 9)
               for x in (math.nextafter(2.0**k, 0.0), 2.0**k, math.nextafter(2.0**k, math.inf)) if x > 0.0]
 EXPM_NORMS += [600.0, math.nextafter(700.0, 0.0), 700.0, math.nextafter(700.0, math.inf), 701.0, 1e300]
