@@ -333,8 +333,17 @@ def _frobenius_stack(A: np.ndarray) -> np.ndarray:
 def _rel_residuals(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """_rel_residual of each matrix pair of two C-contiguous (..., n, n)
     arrays that broadcast to at least one leading axis, with its bits."""
+    # ||A - B|| first: a check's A and B come from OpenBLAS's stacked
+    # complex @, and the first np.vecdot after it runs about ten times
+    # slower, as in the dirty upper-register state of AVX code followed by
+    # SSE code.  The complex subtract clears that state, so all three
+    # passes run at full speed; the same operations on the same data, so
+    # the same bits.  (_rel_residual keeps its order: it subtracts only
+    # where both norms are finite, so rel_residual warns of no overflow on
+    # finite input.)
+    distance = _frobenius_stack(A - B)
     scale = np.maximum(np.maximum(1.0, _frobenius_stack(A)), _frobenius_stack(B))
-    residuals = _frobenius_stack(A - B) / scale
+    residuals = distance / scale
     # A pair whose sums of squares overflow, or with a non-finite entry:
     # its scale or residual is not finite (an infinite scale made the
     # residual 0 or NaN).

@@ -919,3 +919,33 @@ def test_broadcast_residuals_have_the_bits_of_each_pair(d):
     assert residuals.shape == (5,) and np.isfinite(residuals).all()
     for j in range(5):
         assert _bits(residuals[j]) == _bits(_rel_residual(A[0], B[j, 0]))
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((1680, 2, 2), (1680, 2, 2))] + [((1, n, n), (29, 1, n, n)) for n in (2, 3, 4, 8)],
+)
+def test_rel_residuals_takes_the_distance_before_either_scale_norm(monkeypatch, a_shape, b_shape):
+    # A sweep block's stack, and the product check's 29 partial products
+    # against one e^{X+Y}.  The complex subtract runs before the first
+    # Frobenius pass, so no pass runs in the slow register state a BLAS
+    # product leaves; the bits stay those of _rel_residual.
+    rng = np.random.default_rng(len(b_shape) * b_shape[-1])
+    A = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    B = A * (1.0 + 1e-13 * rng.standard_normal(b_shape))
+    seen = []
+
+    def spy(x):
+        seen.append(x.copy())
+        return _frobenius_stack(x)
+
+    monkeypatch.setattr(matrices, "_frobenius_stack", spy)
+    residuals = _rel_residuals(A, B)
+    monkeypatch.undo()
+    assert len(seen) == 3
+    assert seen[0].shape == np.broadcast_shapes(a_shape, b_shape)
+    assert seen[0].tobytes() == (A - B).tobytes()
+    assert residuals.shape == b_shape[:-2]
+    A, B = np.broadcast_arrays(A, B)
+    for index in np.ndindex(residuals.shape):
+        assert _bits(residuals[index]) == _bits(_rel_residual(A[index], B[index]))

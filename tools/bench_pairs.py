@@ -23,7 +23,10 @@ the ratio of the medians), runs (every result line) and traced (per
 workload and side, the traced result line with its span call counts).
 Quartiles are statistics.quantiles(n=4, method='exclusive').  At the end
 one line per workload on stderr gives, for items_per_s and call_ms_p50,
-the pairs the change won and the ratio of the medians.
+the pairs the change won and the ratio of the medians; then one more line
+per workload names each end-to-end metric whose median ratio is worse
+than its ``bound`` in ``BENCHMARK.json`` (below 1 - bound where higher is
+better, above 1 + bound where lower is), or says that none is.
 """
 
 from __future__ import annotations
@@ -152,6 +155,20 @@ def _headlines(summary: dict) -> list[str]:
     ]
 
 
+def _regressions(summary: dict, metrics: list[dict]) -> list[str]:
+    """One line per workload: each metric whose median ratio is worse than
+    its bound, in its better direction."""
+    lines = []
+    for workload, entry in summary.items():
+        worse = []
+        for m in metrics:
+            ratio, bound = entry[f"{m['name']}_median_ratio"], m["bound"]
+            if (ratio > 1.0 + bound) if m["better"] == "lower" else (ratio < 1.0 - bound):
+                worse.append(f"{m['name']} median ratio {ratio:.3f} (bound {bound:g}, {m['better']} is better)")
+        lines.append(f"bench_pairs: {workload}: past its bound: " + ("; ".join(worse) or "none"))
+    return lines
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     spec = _spec()
@@ -198,7 +215,7 @@ def main(argv=None) -> int:
         json.dump(out, fh, indent=1)
         fh.write("\n")
     print(f"bench_pairs: wrote {path}", file=sys.stderr)
-    for line in _headlines(summary):
+    for line in _headlines(summary) + _regressions(summary, spec["end_to_end"]):
         print(line, file=sys.stderr)
     return 0
 

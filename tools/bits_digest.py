@@ -31,6 +31,15 @@ numpy.  The families:
   past it, where a slice comes back NaN.  EXPM_DIMS runs up to
   MAX_DIM = 64, so the family covers the widest buffers of terms and
   partial sums, real one-row and complex;
+- residuals: the bytes of the stacked ``_rel_residuals`` and of the
+  scalar ``_rel_residual`` on each pair of seeded stacks of each
+  dimension in RESIDUAL_DIMS: finite pairs, near and far apart, at each
+  scale of RESIDUAL_SCALES, out to entries near 1e160 and 1e300, whose
+  sums of squares leave double range (the rescaled path); a pair with an
+  inf and one with a NaN entry; a zero pair and a zero matrix against a
+  tiny one; and the same stacks against PARTIALS partial products along
+  an extra leading axis, as a block's product check takes them, and
+  against one matrix, as a one-point product check does;
 - coeffs: the five coefficients' value bits, method and terms_used (or
   the exception's type and message) at each of a seeded set of points:
   complex points at several scales, and real points on and beside the
@@ -82,6 +91,9 @@ EXPM_DIMS = (1, 2, 3, 4, 8, 16, 64)
 EXPM_NORMS = [x for k in (-1074, -1022, -60, -20, -3, -1, 0, 1, 2, 3, 5, 8, 9)
               for x in (math.nextafter(2.0**k, 0.0), 2.0**k, math.nextafter(2.0**k, math.inf)) if x > 0.0]
 EXPM_NORMS += [600.0, math.nextafter(700.0, 0.0), 700.0, math.nextafter(700.0, math.inf), 701.0, 1e300]
+RESIDUAL_DIMS = (1, 2, 3, 4, 8, 64)
+RESIDUAL_SCALES = (1e-300, 1e-8, 1.0, 1e8, 1e150, 1e160, 1e300)
+PARTIALS = 5
 # name -> (the pair, built from the realizations module, and the s of the
 # file pair (sX, Y/s)).
 FILE_PAIRS = {
@@ -185,6 +197,36 @@ def _expm_family(matrices):
     return h
 
 
+def _residual_stacks(n: int):
+    # (A, B, partials): a pair of (N, n, n) stacks, and partial products of
+    # A along a leading axis of PARTIALS.  Only exact numpy operations build
+    # them, so they do not depend on numpy's CPU dispatch.
+    rng = np.random.default_rng(SEED + 1000 + n)
+    shape = (len(RESIDUAL_SCALES), n, n)
+    unit = [rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape) for _ in range(2)]
+    scales = np.array(RESIDUAL_SCALES)[:, None, None]
+    near, far = scales * unit[0], scales * unit[1]
+    with_inf, with_nan, zero = near[2].copy(), near[5].copy(), np.zeros((n, n), dtype=complex)
+    with_inf[0, 0] = np.inf
+    with_nan[-1, -1] = np.nan
+    A = np.concatenate([near, near, [near[2], with_nan, zero, zero]])
+    B = np.concatenate([near + 1e-12 * far, far, [with_inf, near[5], zero, far[0]]])
+    partials = A * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, (PARTIALS, *A.shape)))
+    return A, B, partials
+
+
+def _residuals_family(matrices):
+    h = hashlib.sha256()
+    for n in RESIDUAL_DIMS:
+        A, B, partials = _residual_stacks(n)
+        for a, b in ((A, B), (A, partials), (A[:1], np.ascontiguousarray(partials[:, :1]))):
+            h.update(matrices._rel_residuals(a, b).tobytes())
+            a, b = np.broadcast_arrays(a, b)
+            for index in np.ndindex(a.shape[:-2]):
+                h.update(struct.pack("<d", matrices._rel_residual(a[index], b[index])))
+    return h
+
+
 def _points() -> list[tuple[complex, complex]]:
     rng = np.random.default_rng(SEED)
     points = []
@@ -233,6 +275,7 @@ def _digests(tree: str) -> dict[str, str]:
             "sweep": _sweep_family(cli, CHECKS),
             "files": _files_family(cli, realizations),
             "expm": _expm_family(matrices),
+            "residuals": _residuals_family(matrices),
             "coeffs": _coeffs_family(coeffs),
         }
     return {name: h.hexdigest() for name, h in families.items()}
